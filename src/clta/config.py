@@ -1,117 +1,24 @@
 """Flat dotted-key experiment configuration.
 
 The on-disk format is plain text, one ``section.key = value`` per line,
-``#`` comments allowed.  Parsing fills every unspecified key with its
-default and rejects keys it does not know, so typos fail loudly.  The
-normalized dump writes every key back in canonical order; parsing that
-dump reproduces the configuration exactly.
+``#`` comments allowed.  ``_KEY_TABLE`` declares every key once: its type
+and the dataclass field it fills, whose default is the key's default.
+Parsing fills every unspecified key with that default and rejects keys it
+does not know, so typos fail loudly.  The normalized dump writes every key
+back in canonical order; parsing that dump reproduces the configuration
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+import os
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distill import KDConfig, TeacherStrategy
 from .errors import FormatError, ParameterError
 from .harness import TrainConfig, WarmupConfig
-
-# key -> (type tag, default as normalized string)
-# type tags: int, float, bool, str, intlist, optint, optfloat, optstr
-_KEY_TABLE: dict[str, tuple[str, str]] = {
-    "data.kind": ("str", "synthetic"),
-    "data.n_tasks": ("int", "2"),
-    "data.classes_per_task": ("int", "2"),
-    "data.dim": ("optint", "16"),
-    "data.image_shape": ("optstr", "none"),
-    "data.samples_per_class": ("int", "40"),
-    "data.shift": ("float", "0.0"),
-    "data.blob_std": ("float", "0.06"),
-    "data.seed": ("optint", "none"),
-    "data.num_classes": ("int", "10"),
-    "data.images": ("optstr", "none"),
-    "data.labels": ("optstr", "none"),
-    "data.test_images": ("optstr", "none"),
-    "data.test_labels": ("optstr", "none"),
-    "data.path": ("optstr", "none"),
-    "data.test_path": ("optstr", "none"),
-    "data.split_scheme": ("str", "equal"),
-    "data.split_parts": ("optint", "none"),
-    "data.order_seed": ("optint", "none"),
-    "corrupt.severity": ("int", "0"),
-    "corrupt.pattern": ("str", "none"),
-    "model.arch": ("str", "mlp"),
-    "model.norm": ("str", "batch"),
-    "model.hidden": ("int", "64"),
-    "model.groups": ("int", "4"),
-    "model.seed": ("optint", "none"),
-    "kd.variant": ("str", "global"),
-    "kd.temperature": ("float", "2.0"),
-    "kd.weight": ("float", "10.0"),
-    "kd.aux_weight": ("optfloat", "none"),
-    "teacher.kind": ("str", "frozen"),
-    "teacher.lr": ("float", "0.1"),
-    "teacher.pretrain_epochs": ("int", "1"),
-    "teacher.adapt_with_running": ("bool", "false"),
-    "train.epochs": ("int", "20"),
-    "train.batch_size": ("int", "128"),
-    "train.base_lr": ("float", "0.1"),
-    "train.decay_epochs": ("intlist", "6,12,16"),
-    "train.decay_factor": ("float", "10.0"),
-    "train.grad_clip": ("optfloat", "none"),
-    "warmup.enabled": ("bool", "false"),
-    "warmup.max_lr": ("float", "0.1"),
-    "warmup.ramp_epochs": ("int", "40"),
-    "warmup.max_epochs": ("int", "200"),
-    "warmup.patience": ("int", "20"),
-    "run.seeds": ("intlist", "0"),
-    "run.output": ("str", "runs/experiment"),
-    "run.config_id": ("str", "experiment"),
-    "run.workers": ("int", "1"),
-}
-
-_CHOICES = {
-    "data.kind": ("synthetic", "idx", "cifar"),
-    "data.split_scheme": ("equal", "half_first"),
-    "corrupt.pattern": ("none", "every_other"),
-    "model.arch": ("mlp", "cnn"),
-    "model.norm": ("batch", "none", "layer", "group"),
-}
-
-
-def _parse_value(key: str, tag: str, text: str):
-    text = text.strip()
-    try:
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            if text not in ("true", "false"):
-                raise ValueError(text)
-            return text == "true"
-        if tag == "str":
-            return text
-        if tag == "intlist":
-            return tuple(int(p) for p in text.split(",") if p.strip() != "")
-        if tag.startswith("opt"):
-            if text in ("none", ""):
-                return None
-            return _parse_value(key, tag[3:], text)
-    except ValueError as exc:
-        raise ParameterError(f"{key}: cannot read '{text}' as {tag}") from exc
-    raise ParameterError(f"{key}: unhandled type tag {tag}")
-
-
-def _normalize(tag: str, value) -> str:
-    if value is None:
-        return "none"
-    if tag == "bool" or tag == "optbool":
-        return "true" if value else "false"
-    if tag == "intlist":
-        return ",".join(str(v) for v in value)
-    if tag in ("float", "optfloat"):
-        return repr(float(value))
-    return str(value)
 
 
 @dataclass
@@ -163,16 +70,131 @@ class ExperimentConfig:
     workers: int = 1
 
 
-def _parse_image_shape(text: str | None):
-    if text is None:
-        return None
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ParameterError(f"data.image_shape: expected CxHxW, got '{text}'")
+# section -> the dataclass its keys fill: the class an ExperimentConfig field
+# defaults to, or ExperimentConfig itself for the "run" keys
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if is_dataclass(f.default_factory)} | {"run": ExperimentConfig}
+
+# key -> (type tag, section, field); the key's default is the field's default
+# type tags: int, float, bool, str, intlist, shape (CxHxW), and opt<tag>,
+# which also accepts "none"
+_KEY_TABLE: dict[str, tuple[str, str, str]] = {
+    "data.kind": ("str", "data", "kind"),
+    "data.n_tasks": ("int", "data", "n_tasks"),
+    "data.classes_per_task": ("int", "data", "classes_per_task"),
+    "data.dim": ("optint", "data", "dim"),
+    "data.image_shape": ("optshape", "data", "image_shape"),
+    "data.samples_per_class": ("int", "data", "samples_per_class"),
+    "data.shift": ("float", "data", "shift"),
+    "data.blob_std": ("float", "data", "blob_std"),
+    "data.seed": ("optint", "data", "seed"),
+    "data.num_classes": ("int", "data", "num_classes"),
+    "data.images": ("optstr", "data", "images"),
+    "data.labels": ("optstr", "data", "labels"),
+    "data.test_images": ("optstr", "data", "test_images"),
+    "data.test_labels": ("optstr", "data", "test_labels"),
+    "data.path": ("optstr", "data", "path"),
+    "data.test_path": ("optstr", "data", "test_path"),
+    "data.split_scheme": ("str", "data", "split_scheme"),
+    "data.split_parts": ("optint", "data", "split_parts"),
+    "data.order_seed": ("optint", "data", "order_seed"),
+    "corrupt.severity": ("int", "data", "corrupt_severity"),
+    "corrupt.pattern": ("str", "data", "corrupt_pattern"),
+    "model.arch": ("str", "model", "arch"),
+    "model.norm": ("str", "model", "norm"),
+    "model.hidden": ("int", "model", "hidden"),
+    "model.groups": ("int", "model", "groups"),
+    "model.seed": ("optint", "model", "seed"),
+    "kd.variant": ("str", "kd", "variant"),
+    "kd.temperature": ("float", "kd", "temperature"),
+    "kd.weight": ("float", "kd", "weight"),
+    "kd.aux_weight": ("optfloat", "kd", "aux_weight"),
+    "teacher.kind": ("str", "strategy", "kind"),
+    "teacher.lr": ("float", "strategy", "teacher_lr"),
+    "teacher.pretrain_epochs": ("int", "strategy", "pretrain_epochs"),
+    "teacher.adapt_with_running": ("bool", "strategy", "adapt_with_running"),
+    "train.epochs": ("int", "train", "epochs"),
+    "train.batch_size": ("int", "train", "batch_size"),
+    "train.base_lr": ("float", "train", "base_lr"),
+    "train.decay_epochs": ("intlist", "train", "lr_decay_epochs"),
+    "train.decay_factor": ("float", "train", "lr_decay_factor"),
+    "train.grad_clip": ("optfloat", "train", "grad_clip"),
+    "warmup.enabled": ("bool", "warmup", "enabled"),
+    "warmup.max_lr": ("float", "warmup", "max_lr"),
+    "warmup.ramp_epochs": ("int", "warmup", "ramp_epochs"),
+    "warmup.max_epochs": ("int", "warmup", "max_epochs"),
+    "warmup.patience": ("int", "warmup", "early_stop_patience"),
+    "run.seeds": ("intlist", "run", "seeds"),
+    "run.output": ("str", "run", "output"),
+    "run.config_id": ("str", "run", "config_id"),
+    "run.workers": ("int", "run", "workers"),
+}
+
+_CHOICES = {
+    "data.kind": ("synthetic", "idx", "cifar"),
+    "data.split_scheme": ("equal", "half_first"),
+    "corrupt.pattern": ("none", "every_other"),
+    "model.arch": ("mlp", "cnn"),
+    "model.norm": ("batch", "none", "layer", "group"),
+}
+
+# (key, comparison, bound) that every value other than none must satisfy
+_BOUNDS = (
+    ("data.n_tasks", ">=", 1),
+    ("data.classes_per_task", ">=", 1),
+    ("data.samples_per_class", ">=", 1),
+    ("data.dim", ">=", 1),
+    ("data.blob_std", ">=", 0),
+    ("corrupt.severity", ">=", 0),
+    ("corrupt.severity", "<=", 5),
+    ("model.hidden", ">=", 1),
+    ("kd.temperature", ">", 0),
+    ("kd.weight", ">=", 0),
+    ("run.workers", ">=", 1),
+)
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _parse_value(key: str, tag: str, text: str):
+    if tag.startswith("opt"):
+        return None if text in ("none", "") else _parse_value(key, tag[3:], text)
     try:
-        return tuple(int(p) for p in parts)
+        if tag == "int":
+            return int(text)
+        if tag == "float":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParameterError(f"{key}: must be finite, got '{text}'")
+            return value
+        if tag == "bool":
+            if text not in ("true", "false"):
+                raise ValueError(text)
+            return text == "true"
+        if tag == "intlist":
+            return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        if tag == "shape":
+            shape = tuple(int(p) for p in text.lower().split("x"))
+            if len(shape) != 3 or min(shape) < 1:
+                raise ParameterError(f"{key}: expected CxHxW of positive sizes, got '{text}'")
+            return shape
+        return text
     except ValueError as exc:
-        raise ParameterError(f"data.image_shape: expected integers, got '{text}'") from exc
+        raise ParameterError(f"{key}: cannot read '{text}' as {tag}") from exc
+
+
+def _normalize(tag: str, value) -> str:
+    if value is None:
+        return "none"
+    tag = tag.removeprefix("opt")
+    if tag == "bool":
+        return "true" if value else "false"
+    if tag == "intlist":
+        return ",".join(str(v) for v in value)
+    if tag == "shape":
+        return "x".join(str(v) for v in value)
+    if tag == "float":
+        return repr(float(value))
+    return str(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -191,103 +213,38 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FormatError(f"line {lineno}: duplicate key '{key}'")
         raw[key] = value
 
-    parsed = {}
-    normalized = {}
-    for key, (tag, default) in _KEY_TABLE.items():
-        value = _parse_value(key, tag, raw.get(key, default))
-        parsed[key] = value
-        normalized[key] = _normalize(tag, value)
+    parsed, values = {}, {}
+    kwargs = {section: {} for section in _SECTIONS}
+    for key, (tag, section, name) in _KEY_TABLE.items():
+        if key in raw:
+            value = _parse_value(key, tag, raw[key])
+        else:
+            # a dataclass keeps each plain field default as a class attribute
+            value = getattr(_SECTIONS[section], name)
+        parsed[key] = kwargs[section][name] = value
+        values[key] = _normalize(tag, value)
 
     for key, choices in _CHOICES.items():
         if parsed[key] not in choices:
             raise ParameterError(f"{key}: '{parsed[key]}' is not one of {choices}")
-    if not parsed["run.seeds"]:
+    for key, op, bound in _BOUNDS:
+        if parsed[key] is not None and not _COMPARE[op](parsed[key], bound):
+            raise ParameterError(f"{key}: must be {op} {bound}, got {parsed[key]}")
+    seeds = parsed["run.seeds"]
+    if not seeds:
         raise ParameterError("run.seeds: at least one seed is required")
-    if parsed["run.workers"] < 1:
-        raise ParameterError(f"run.workers: must be >= 1, got {parsed['run.workers']}")
-    if parsed["kd.weight"] < 0:
-        raise ParameterError(f"kd.weight: must be >= 0, got {parsed['kd.weight']}")
-    if parsed["kd.temperature"] <= 0:
-        raise ParameterError(f"kd.temperature: must be > 0, got {parsed['kd.temperature']}")
-    if not 0 <= parsed["corrupt.severity"] <= 5:
-        raise ParameterError(f"corrupt.severity: must be in 0..5, got {parsed['corrupt.severity']}")
-
-    data = DataSpec(
-        kind=parsed["data.kind"],
-        n_tasks=parsed["data.n_tasks"],
-        classes_per_task=parsed["data.classes_per_task"],
-        dim=parsed["data.dim"],
-        image_shape=_parse_image_shape(parsed["data.image_shape"]),
-        samples_per_class=parsed["data.samples_per_class"],
-        shift=parsed["data.shift"],
-        blob_std=parsed["data.blob_std"],
-        seed=parsed["data.seed"],
-        num_classes=parsed["data.num_classes"],
-        images=parsed["data.images"],
-        labels=parsed["data.labels"],
-        test_images=parsed["data.test_images"],
-        test_labels=parsed["data.test_labels"],
-        path=parsed["data.path"],
-        test_path=parsed["data.test_path"],
-        split_scheme=parsed["data.split_scheme"],
-        split_parts=parsed["data.split_parts"],
-        order_seed=parsed["data.order_seed"],
-        corrupt_severity=parsed["corrupt.severity"],
-        corrupt_pattern=parsed["corrupt.pattern"],
-    )
-    if data.kind == "synthetic" and (data.dim is None) == (data.image_shape is None):
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"run.seeds: each seed may appear once, got {values['run.seeds']}")
+    geometry = (parsed["data.dim"], parsed["data.image_shape"])
+    if parsed["data.kind"] == "synthetic" and geometry.count(None) != 1:
         raise ParameterError("data.dim or data.image_shape: exactly one must be set")
-    model = ModelSpec(
-        arch=parsed["model.arch"],
-        norm=parsed["model.norm"],
-        hidden=parsed["model.hidden"],
-        groups=parsed["model.groups"],
-        seed=parsed["model.seed"],
-    )
+
+    run = kwargs.pop("run")
     try:
-        kd = KDConfig(
-            variant=parsed["kd.variant"],
-            temperature=parsed["kd.temperature"],
-            weight=parsed["kd.weight"],
-            aux_weight=parsed["kd.aux_weight"],
-        )
-        strategy = TeacherStrategy(
-            kind=parsed["teacher.kind"],
-            teacher_lr=parsed["teacher.lr"],
-            pretrain_epochs=parsed["teacher.pretrain_epochs"],
-            adapt_with_running=parsed["teacher.adapt_with_running"],
-        )
-        train = TrainConfig(
-            epochs=parsed["train.epochs"],
-            batch_size=parsed["train.batch_size"],
-            base_lr=parsed["train.base_lr"],
-            lr_decay_epochs=parsed["train.decay_epochs"],
-            lr_decay_factor=parsed["train.decay_factor"],
-            grad_clip=parsed["train.grad_clip"],
-        )
-        warmup = WarmupConfig(
-            enabled=parsed["warmup.enabled"],
-            max_lr=parsed["warmup.max_lr"],
-            ramp_epochs=parsed["warmup.ramp_epochs"],
-            max_epochs=parsed["warmup.max_epochs"],
-            early_stop_patience=parsed["warmup.patience"],
-        )
+        sections = {section: _SECTIONS[section](**kw) for section, kw in kwargs.items()}
     except ParameterError as exc:
         raise ParameterError(f"invalid configuration value: {exc}") from exc
-
-    return ExperimentConfig(
-        values=normalized,
-        data=data,
-        model=model,
-        kd=kd,
-        strategy=strategy,
-        train=train,
-        warmup=warmup,
-        seeds=parsed["run.seeds"],
-        output=parsed["run.output"],
-        config_id=parsed["run.config_id"],
-        workers=parsed["run.workers"],
-    )
+    return ExperimentConfig(values=values, **sections, **run)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -298,23 +255,14 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check constraints that reach outside the document, such as file paths."""
-    import os
-
-    required: list[tuple[str, str | None]] = []
-    if cfg.data.kind == "idx":
-        required = [
-            ("data.images", cfg.data.images),
-            ("data.labels", cfg.data.labels),
-            ("data.test_images", cfg.data.test_images),
-            ("data.test_labels", cfg.data.test_labels),
-        ]
-    elif cfg.data.kind == "cifar":
-        required = [("data.path", cfg.data.path), ("data.test_path", cfg.data.test_path)]
-    for key, value in required:
+    required = {"idx": ("images", "labels", "test_images", "test_labels"),
+                "cifar": ("path", "test_path")}.get(cfg.data.kind, ())
+    for name in required:
+        value = getattr(cfg.data, name)
         if value is None:
-            raise ParameterError(f"{key}: required for data.kind = {cfg.data.kind}")
+            raise ParameterError(f"data.{name}: required for data.kind = {cfg.data.kind}")
         if not os.path.isfile(value):
-            raise ParameterError(f"{key}: file not found: {value}")
+            raise ParameterError(f"data.{name}: file not found: {value}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .errors import ContractError, ParameterError
-from .layers import Dense, IncrementalModel, NormMode, add_task_head
+from .layers import IncrementalModel, NormMode
 
 KD_VARIANTS = ("global", "taskwise", "multiclass", "auxiliary")
 
@@ -215,11 +215,9 @@ def total_loss(ce, kd, weight: float):
 
 def teacher_norm_mode(strategy: TeacherStrategy) -> NormMode:
     """Forward mode the teacher uses when producing distillation targets."""
-    if strategy.kind == "adapt_stats":
-        return NormMode.ADAPT_STATS
-    if strategy.kind == "fix_stats":
-        return NormMode.FROZEN
-    return NormMode.EVAL
+    if strategy.kind != "adapt_stats":
+        return NormMode.EVAL
+    return NormMode.ADAPT_STATS_RUNNING if strategy.adapt_with_running else NormMode.ADAPT_STATS
 
 
 def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
@@ -232,24 +230,9 @@ def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
     """
     if teacher is None:
         raise ContractError("teacher_forward called without a teacher snapshot")
-    mode = teacher_norm_mode(strategy)
-    if strategy.kind == "adapt_stats":
-        for bn in teacher.batchnorm_layers():
-            bn.adapt_with_running = strategy.adapt_with_running
     with no_grad():
-        logits = teacher.forward(x, mode)
+        logits = teacher.forward(x, teacher_norm_mode(strategy))
     return [Tensor(t.data) for t in logits]
-
-
-def extend_teacher_for_task(teacher: IncrementalModel, num_classes: int,
-                            seed) -> IncrementalModel:
-    """Give a trainable teacher a head for the current task.
-
-    The extra head exists only so the teacher can compute a cross-entropy
-    on new-task labels; distillation targets always come from the original
-    heads.
-    """
-    return add_task_head(teacher, num_classes, init="kaiming-uniform", seed=seed)
 
 
 def _trainable_teacher_params(teacher: IncrementalModel, kind: str) -> list[Tensor]:

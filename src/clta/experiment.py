@@ -160,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def format_number(x) -> str:
-    """Six significant digits; empty cell for a missing value."""
+    """Six significant digits; ``nan`` for a missing value."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return "nan"
     return f"{float(x):.6g}"

@@ -23,7 +23,6 @@ from .distill import (
     TeacherStrategy,
     auxiliary_kd_loss,
     continuous_teacher_step,
-    extend_teacher_for_task,
     global_kd_loss,
     multiclass_kd_loss,
     pretrain_teacher,
@@ -42,8 +41,8 @@ class TrainConfig:
 
     Defaults are desk-scale: 20 epochs with step decays at 30/60/80% of
     the run, mirroring the shape of the full-scale 200-epoch schedule
-    with decays at 60/120/160.  Momentum and weight decay are pinned to
-    zero by contract.
+    with decays at 60/120/160.  The optimizer is plain SGD: no momentum
+    and no weight decay.
     """
 
     epochs: int = 20
@@ -51,8 +50,6 @@ class TrainConfig:
     base_lr: float = 0.1
     lr_decay_epochs: tuple = (6, 12, 16)
     lr_decay_factor: float = 10.0
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -71,8 +68,6 @@ class TrainConfig:
             )
         if self.lr_decay_factor <= 1:
             raise ParameterError(f"decay factor must be > 1, got {self.lr_decay_factor}")
-        if self.momentum != 0.0 or self.weight_decay != 0.0:
-            raise ParameterError("the training protocol uses plain SGD: momentum and weight decay must be 0")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ParameterError(f"grad_clip must be positive, got {self.grad_clip}")
 
@@ -282,15 +277,16 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                                       train.batch_size, seed, task_index)
 
     if teacher is not None and strategy.trains_teacher:
-        extend_teacher_for_task(teacher, int(labels_local.max()) + 1,
-                                seed=(seed, task_index, 9))
+        # the extra head only gives the teacher a cross-entropy on new-task
+        # labels; distillation targets always come from the original heads
+        add_task_head(teacher, int(labels_local.max()) + 1, seed=(seed, task_index, 9))
         if strategy.kind.startswith("pretrain"):
             pretrain_teacher(teacher, inputs, labels_local, strategy,
                              train.batch_size, seed)
 
     student_mode = NormMode.TRAIN
     if strategy.kind == "fix_stats" and task_index >= 2:
-        student_mode = NormMode.FROZEN
+        student_mode = NormMode.EVAL
 
     n = inputs.shape[0]
     for epoch in range(train.epochs):

@@ -10,8 +10,8 @@ estimates) or by the stored running statistics:
   whole computation is detached so no gradient can ever reach the layer.
   This is the mode a distillation teacher runs in when its statistics are
   allowed to track the new task's data.
-* ``FROZEN``      - like EVAL; marks statistics that must stay fixed for the
-  rest of the run (the fixed-statistics ablation).
+* ``ADAPT_STATS_RUNNING`` - ADAPT_STATS, but normalizing by the freshly
+  updated running statistics instead of the batch statistics.
 
 Running statistics follow the usual deep-learning convention: exponential
 moving average with momentum 0.1, biased variance used to normalize the
@@ -47,10 +47,10 @@ class NormMode(Enum):
     TRAIN = "train"
     EVAL = "eval"
     ADAPT_STATS = "adapt_stats"
-    FROZEN = "frozen"
+    ADAPT_STATS_RUNNING = "adapt_stats_running"
 
 
-_BATCH_STAT_MODES = (NormMode.TRAIN, NormMode.ADAPT_STATS)
+_BATCH_STAT_MODES = (NormMode.TRAIN, NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING)
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -164,12 +164,7 @@ def _channel_shape(x: Tensor, num_features: int) -> tuple[int, ...]:
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running-statistics state.
-
-    ``adapt_with_running`` selects the alternative ADAPT_STATS reading where
-    the forward normalizes by the freshly updated running statistics instead
-    of the current batch statistics.
-    """
+    """Per-channel batch normalization with running-statistics state."""
 
     kind = "batchnorm"
 
@@ -185,7 +180,6 @@ class BatchNorm(Layer):
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self.adapt_with_running = False
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -219,10 +213,10 @@ class BatchNorm(Layer):
             self._update_running(x.data, axes)
             return out
 
-        if mode is NormMode.ADAPT_STATS:
+        if mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING):
             with no_grad():
                 self._update_running(x.data, axes)
-                if self.adapt_with_running:
+                if mode is NormMode.ADAPT_STATS_RUNNING:
                     mu = self.running_mean.reshape(shape)
                     var = self.running_var.reshape(shape)
                 else:
@@ -232,7 +226,7 @@ class BatchNorm(Layer):
                 values = values * self.gamma.data.reshape(shape) + self.beta.data.reshape(shape)
             return Tensor(values)
 
-        # EVAL and FROZEN: running statistics, no side effects
+        # EVAL: running statistics, no side effects
         mu = Tensor(self.running_mean.reshape(shape))
         var = Tensor(self.running_var.reshape(shape))
         xhat = (x - mu) / ad.sqrt(ad.add_scalar(var, self.eps))

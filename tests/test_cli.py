@@ -31,6 +31,18 @@ class TestValidateVerb:
         assert main(["validate", path]) == 1
         assert "kd.weight" in capsys.readouterr().err
 
+    def test_bad_values_exit_one_and_name_the_key(self, tmp_path, capsys):
+        for line in ("train.grad_clip = nan", "kd.temperature = inf", "kd.weight = nan",
+                     "data.shift = nan", "train.base_lr = nan", "data.n_tasks = 0",
+                     "data.dim = 0", "model.hidden = 0", "data.blob_std = -1",
+                     "run.seeds = 0,0"):
+            key = line.split(" = ")[0]
+            kept = [other for other in GOOD_CONFIG.splitlines() if not other.startswith(key)]
+            path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+            assert main(["validate", path]) == 1, line
+            err = capsys.readouterr().err
+            assert key in err and "duplicate" not in err, line
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.cfg")]) == 1
 

@@ -3,6 +3,70 @@ import pytest
 from clta.config import dump_config, load_config, parse_config, validate_config
 from clta.errors import FormatError, ParameterError
 
+# key -> (text, attribute path on the parsed config, expected value); every
+# value differs from the key's default and is already in normalized form
+ALL_KEYS = {
+    "data.kind": ("cifar", "data.kind", "cifar"),
+    "data.n_tasks": ("5", "data.n_tasks", 5),
+    "data.classes_per_task": ("3", "data.classes_per_task", 3),
+    "data.dim": ("24", "data.dim", 24),
+    "data.image_shape": ("3x8x8", "data.image_shape", (3, 8, 8)),
+    "data.samples_per_class": ("33", "data.samples_per_class", 33),
+    "data.shift": ("0.25", "data.shift", 0.25),
+    "data.blob_std": ("0.1", "data.blob_std", 0.1),
+    "data.seed": ("7", "data.seed", 7),
+    "data.num_classes": ("20", "data.num_classes", 20),
+    "data.images": ("a.idx", "data.images", "a.idx"),
+    "data.labels": ("b.idx", "data.labels", "b.idx"),
+    "data.test_images": ("c.idx", "data.test_images", "c.idx"),
+    "data.test_labels": ("d.idx", "data.test_labels", "d.idx"),
+    "data.path": ("train.bin", "data.path", "train.bin"),
+    "data.test_path": ("test.bin", "data.test_path", "test.bin"),
+    "data.split_scheme": ("half_first", "data.split_scheme", "half_first"),
+    "data.split_parts": ("4", "data.split_parts", 4),
+    "data.order_seed": ("9", "data.order_seed", 9),
+    "corrupt.severity": ("3", "data.corrupt_severity", 3),
+    "corrupt.pattern": ("every_other", "data.corrupt_pattern", "every_other"),
+    "model.arch": ("cnn", "model.arch", "cnn"),
+    "model.norm": ("group", "model.norm", "group"),
+    "model.hidden": ("32", "model.hidden", 32),
+    "model.groups": ("2", "model.groups", 2),
+    "model.seed": ("11", "model.seed", 11),
+    "kd.variant": ("auxiliary", "kd.variant", "auxiliary"),
+    "kd.temperature": ("3.5", "kd.temperature", 3.5),
+    "kd.weight": ("2.5", "kd.weight", 2.5),
+    "kd.aux_weight": ("1.5", "kd.aux_weight", 1.5),
+    "teacher.kind": ("pretrain_norm", "strategy.kind", "pretrain_norm"),
+    "teacher.lr": ("0.05", "strategy.teacher_lr", 0.05),
+    "teacher.pretrain_epochs": ("3", "strategy.pretrain_epochs", 3),
+    "teacher.adapt_with_running": ("true", "strategy.adapt_with_running", True),
+    "train.epochs": ("30", "train.epochs", 30),
+    "train.batch_size": ("64", "train.batch_size", 64),
+    "train.base_lr": ("0.2", "train.base_lr", 0.2),
+    "train.decay_epochs": ("10,20", "train.lr_decay_epochs", (10, 20)),
+    "train.decay_factor": ("5.0", "train.lr_decay_factor", 5.0),
+    "train.grad_clip": ("2.5", "train.grad_clip", 2.5),
+    "warmup.enabled": ("true", "warmup.enabled", True),
+    "warmup.max_lr": ("0.3", "warmup.max_lr", 0.3),
+    "warmup.ramp_epochs": ("10", "warmup.ramp_epochs", 10),
+    "warmup.max_epochs": ("50", "warmup.max_epochs", 50),
+    "warmup.patience": ("5", "warmup.early_stop_patience", 5),
+    "run.seeds": ("3,1,4", "seeds", (3, 1, 4)),
+    "run.output": ("out/all_keys", "output", "out/all_keys"),
+    "run.config_id": ("all_keys", "config_id", "all_keys"),
+    "run.workers": ("2", "workers", 2),
+}
+
+FLOAT_KEYS = ("data.shift", "data.blob_std", "kd.temperature", "kd.weight",
+              "kd.aux_weight", "teacher.lr", "train.base_lr", "train.decay_factor",
+              "train.grad_clip", "warmup.max_lr")
+
+
+def attribute(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
 
 class TestParsing:
     def test_empty_document_yields_defaults(self):
@@ -41,8 +105,10 @@ class TestParsing:
     def test_image_shape_parsing(self):
         cfg = parse_config("data.dim = none\ndata.image_shape = 1x8x8\n")
         assert cfg.data.image_shape == (1, 8, 8)
-        with pytest.raises(ParameterError):
-            parse_config("data.dim = none\ndata.image_shape = 8x8\n")
+        for bad in ("8x8", "1x-4x4", "1x0x4", "1xax4"):
+            with pytest.raises(ParameterError) as err:
+                parse_config(f"data.dim = none\ndata.image_shape = {bad}\n")
+            assert "data.image_shape" in str(err.value)
 
     def test_syntax_error_reports_the_line(self):
         with pytest.raises(FormatError) as err:
@@ -99,6 +165,27 @@ class TestValidation:
         with pytest.raises(ParameterError):
             parse_config("data.dim = none\n")
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_name_the_key(self, key):
+        for text in ("nan", "inf", "-inf", "NaN"):
+            with pytest.raises(ParameterError) as err:
+                parse_config(f"{key} = {text}\n")
+            assert key in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "data.n_tasks = 0",
+        "data.classes_per_task = 0",
+        "data.samples_per_class = 0",
+        "data.dim = 0",
+        "model.hidden = 0",
+        "data.blob_std = -1",
+        "run.seeds = 1,2,1",
+    ])
+    def test_out_of_range_values_name_the_key(self, line):
+        with pytest.raises(ParameterError) as err:
+            parse_config(line + "\n")
+        assert line.split(" = ")[0] in str(err.value)
+
     def test_subconfig_invariants_surface_as_config_errors(self):
         with pytest.raises(ParameterError):
             parse_config("train.epochs = 0\n")
@@ -126,6 +213,23 @@ class TestRoundTrip:
         assert dump_config(again) == dumped
         assert again.seeds == (3, 1, 4)
         assert again.train.grad_clip == 10.0
+
+    def test_every_key_lands_on_its_field_and_round_trips(self):
+        defaults = parse_config("")
+        assert list(ALL_KEYS) == [line.split(" = ")[0]
+                                  for line in dump_config(defaults).splitlines()]
+        text = "".join(f"{key} = {value}\n" for key, (value, _, _) in ALL_KEYS.items())
+        cfg = parse_config(text)
+        for key, (_, path, expected) in ALL_KEYS.items():
+            assert attribute(cfg, path) == expected, key
+            assert attribute(defaults, path) != expected, key
+        dumped = dump_config(cfg)
+        assert dumped == text
+        assert dump_config(parse_config(dumped)) == dumped
+
+    def test_image_shape_dumps_in_canonical_form(self):
+        cfg = parse_config("data.dim = none\ndata.image_shape = 1X8x8\n")
+        assert "data.image_shape = 1x8x8\n" in dump_config(cfg)
 
     def test_dump_mentions_every_key_once(self):
         dumped = dump_config(parse_config(""))

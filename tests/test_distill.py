@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from clta.autodiff import Tensor, finite_difference_oracle
 from clta.distill import (KDConfig, TeacherStrategy, auxiliary_kd_loss,
-                          continuous_teacher_step, extend_teacher_for_task,
-                          global_kd_loss, multiclass_kd_loss, pretrain_teacher,
-                          taskwise_kd_loss, teacher_forward, total_loss)
+                          continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
+                          pretrain_teacher, taskwise_kd_loss, teacher_forward,
+                          teacher_norm_mode, total_loss)
 from clta.errors import ContractError, ParameterError
 from clta.layers import (NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
@@ -252,6 +252,13 @@ class TestConfigObjects:
         for kind in ("frozen", "adapt_stats", "fix_stats"):
             assert not TeacherStrategy(kind=kind).trains_teacher
 
+    def test_norm_mode_follows_the_strategy(self):
+        assert teacher_norm_mode(TeacherStrategy(kind="adapt_stats")) is NormMode.ADAPT_STATS
+        running = TeacherStrategy(kind="adapt_stats", adapt_with_running=True)
+        assert teacher_norm_mode(running) is NormMode.ADAPT_STATS_RUNNING
+        for kind in ("frozen", "fix_stats", "continuous_full", "pretrain_norm"):
+            assert teacher_norm_mode(TeacherStrategy(kind=kind)) is NormMode.EVAL
+
 
 def _teacher_with_history(seed=0):
     rng = np.random.default_rng(seed)
@@ -312,7 +319,7 @@ class TestTrainableTeachers:
 
     def test_pretrain_full_reduces_teacher_loss(self):
         teacher, rng = _teacher_with_history(3)
-        extend_teacher_for_task(teacher, 2, seed=(3, 9))
+        add_task_head(teacher, 2, seed=(3, 9))
         x, y = self._task_data(rng)
         history = pretrain_teacher(teacher, x, y,
                                    TeacherStrategy(kind="pretrain_full", teacher_lr=0.1,
@@ -324,7 +331,7 @@ class TestTrainableTeachers:
     def test_pretrain_full_never_touches_old_heads(self):
         teacher, rng = _teacher_with_history(4)
         old_head = parameter_checksums(teacher)["head.0.weight"]
-        extend_teacher_for_task(teacher, 2, seed=(4, 9))
+        add_task_head(teacher, 2, seed=(4, 9))
         x, y = self._task_data(rng)
         pretrain_teacher(teacher, x, y,
                          TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
@@ -333,7 +340,7 @@ class TestTrainableTeachers:
 
     def test_pretrain_norm_scope_is_normalization_only(self):
         teacher, rng = _teacher_with_history(5)
-        extend_teacher_for_task(teacher, 2, seed=(5, 9))
+        add_task_head(teacher, 2, seed=(5, 9))
         before = parameter_checksums(teacher)
         x, y = self._task_data(rng)
         pretrain_teacher(teacher, x, y,
@@ -347,7 +354,7 @@ class TestTrainableTeachers:
 
     def test_continuous_step_with_zero_lr_only_moves_statistics(self):
         teacher, rng = _teacher_with_history(6)
-        extend_teacher_for_task(teacher, 2, seed=(6, 9))
+        add_task_head(teacher, 2, seed=(6, 9))
         before = parameter_checksums(teacher)
         x, y = self._task_data(rng, n=16)
         continuous_teacher_step(teacher, x, y,
@@ -358,7 +365,7 @@ class TestTrainableTeachers:
 
     def test_continuous_step_updates_weights_with_positive_lr(self):
         teacher, rng = _teacher_with_history(7)
-        extend_teacher_for_task(teacher, 2, seed=(7, 9))
+        add_task_head(teacher, 2, seed=(7, 9))
         w_before = teacher.backbone[0].weight.data.copy()
         x, y = self._task_data(rng, n=16)
         continuous_teacher_step(teacher, x, y,
@@ -369,7 +376,7 @@ class TestTrainableTeachers:
         results = []
         for _ in range(2):
             teacher, rng = _teacher_with_history(8)
-            extend_teacher_for_task(teacher, 2, seed=(8, 9))
+            add_task_head(teacher, 2, seed=(8, 9))
             x, y = self._task_data(rng)
             pretrain_teacher(teacher, x, y,
                              TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),

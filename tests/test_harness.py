@@ -20,10 +20,10 @@ class TestTrainConfig:
         assert cfg.lr_decay_epochs == (6, 12, 16)
         assert cfg.base_lr == 0.1
 
-    def test_momentum_and_weight_decay_are_pinned_to_zero(self):
-        with pytest.raises(ParameterError):
+    def test_momentum_and_weight_decay_are_not_options(self):
+        with pytest.raises(TypeError):
             TrainConfig(momentum=0.9)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             TrainConfig(weight_decay=5e-4)
 
     def test_decay_epoch_ordering(self):

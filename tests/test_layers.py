@@ -67,10 +67,10 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, [[1.0]], atol=1e-4)
         np.testing.assert_allclose(bn.running_mean, [2.0])
 
-    def test_frozen_mode_never_updates(self):
+    def test_eval_mode_never_updates(self):
         bn = BatchNorm(2)
         before = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.forward(Tensor(np.random.default_rng(0).normal(size=(8, 2))), NormMode.FROZEN)
+        bn.forward(Tensor(np.random.default_rng(0).normal(size=(8, 2))), NormMode.EVAL)
         np.testing.assert_array_equal(bn.running_mean, before[0])
         np.testing.assert_array_equal(bn.running_var, before[1])
 
@@ -84,8 +84,7 @@ class TestBatchNorm:
 
     def test_adapt_stats_running_variant(self):
         bn = BatchNorm(1)
-        bn.adapt_with_running = True
-        out = bn.forward(Tensor([[1.0], [3.0]]), NormMode.ADAPT_STATS)
+        out = bn.forward(Tensor([[1.0], [3.0]]), NormMode.ADAPT_STATS_RUNNING)
         expected = (np.array([1.0, 3.0]) - 0.2) / np.sqrt(1.1 + bn.eps)
         np.testing.assert_allclose(out.data[:, 0], expected, atol=1e-12)
 
@@ -98,7 +97,7 @@ class TestBatchNorm:
 
     def test_gamma_beta_gradients_flow_in_train_and_eval(self):
         rng = np.random.default_rng(5)
-        for mode in (NormMode.TRAIN, NormMode.EVAL, NormMode.FROZEN):
+        for mode in (NormMode.TRAIN, NormMode.EVAL):
             bn = BatchNorm(4)
             out = bn.forward(Tensor(rng.normal(size=(6, 4))), mode)
             out.sum().backward()
