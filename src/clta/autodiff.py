@@ -401,6 +401,43 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(values, "concat", parts, vjp)
 
 
+def normalize(x: Tensor, axes, eps: float, stats=None) -> Tensor:
+    """(x - mean) / sqrt(var + eps) as one graph node.
+
+    With ``stats=None`` the mean and biased variance are taken over ``axes``
+    of ``x`` and the gradient flows through them; otherwise ``stats`` is a
+    fixed ``(mean, var)`` pair of arrays broadcastable to ``x`` and the
+    gradient is ``g / sqrt(var + eps)``.  Values and gradients equal, bit for
+    bit, those of the mean, sub, mul, mean, add_scalar, sqrt, div chain: the
+    VJP repeats that chain's numpy operations in the order backward ran them.
+    """
+    axes = _norm_axis(axes, x.data.ndim)
+    if stats is None:
+        mean = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mean
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = stats
+        centered = x.data - mean
+    if not np.all(np.isfinite(var)):
+        raise NumericError("op 'normalize' produced a non-finite variance")
+    with np.errstate(invalid="ignore"):
+        std = np.sqrt(var + float(eps))
+    count = int(np.prod([x.shape[i] for i in axes]))
+
+    def vjp(g: np.ndarray):
+        gx = g / std
+        if stats is not None:
+            return (gx,)
+        gstd = _unbroadcast(-g * centered / (std * std), std.shape)
+        gsq = np.broadcast_to(gstd * 0.5 / std, x.shape) / count
+        gx = gx + gsq * centered  # centered * centered feeds both factors
+        gx = gx + gsq * centered
+        return (gx + np.broadcast_to(_unbroadcast(-gx, mean.shape), x.shape) / count,)
+
+    return _make(centered / std, "normalize", (x,), vjp)
+
+
 # ----------------------------------------------------------------------
 # linear algebra and convolution
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .distill import KDConfig, TeacherStrategy
 from .errors import FormatError, ParameterError
 from .harness import TrainConfig, WarmupConfig
+from .layers import CNN_WIDTHS
 
 
 @dataclass
@@ -148,6 +149,7 @@ _BOUNDS = (
     ("corrupt.severity", ">=", 0),
     ("corrupt.severity", "<=", 5),
     ("model.hidden", ">=", 1),
+    ("model.groups", ">=", 1),
     ("kd.temperature", ">", 0),
     ("kd.weight", ">=", 0),
     ("run.workers", ">=", 1),
@@ -235,6 +237,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParameterError("run.seeds: at least one seed is required")
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"run.seeds: each seed may appear once, got {values['run.seeds']}")
+    if parsed["model.norm"] == "group":
+        widths = (parsed["model.hidden"],) if parsed["model.arch"] == "mlp" else CNN_WIDTHS
+        if any(width % parsed["model.groups"] for width in widths):
+            raise ParameterError(f"model.groups: {parsed['model.groups']} must divide "
+                                 f"every layer width {widths}")
     geometry = (parsed["data.dim"], parsed["data.image_shape"])
     if parsed["data.kind"] == "synthetic" and geometry.count(None) != 1:
         raise ParameterError("data.dim or data.image_shape: exactly one must be set")

@@ -32,7 +32,8 @@ from .distill import (
 )
 from .errors import ContractError, DataError, ParameterError
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
-from .metrics import AccuracyMatrix, bn_stats_kld, evaluate_task_agnostic
+from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
+                      evaluate_task_agnostic)
 
 
 @dataclass
@@ -191,13 +192,7 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
     ``early_stop_patience`` epochs.  Returns the per-epoch loss history.
     """
     head = model.heads[-1]
-    feats_chunks = []
-    with no_grad():
-        for start in range(0, inputs.shape[0], 256):
-            _, f = model.forward(Tensor(inputs[start:start + 256]), NormMode.EVAL,
-                                 capture_features=True)
-            feats_chunks.append(f.data)
-    feats = np.concatenate(feats_chunks, axis=0)
+    feats = capture_features(model, inputs)
 
     history = []
     best = np.inf

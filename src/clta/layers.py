@@ -13,6 +13,11 @@ estimates) or by the stored running statistics:
 * ``ADAPT_STATS_RUNNING`` - ADAPT_STATS, but normalizing by the freshly
   updated running statistics instead of the batch statistics.
 
+All four modes run the one ``autodiff.normalize`` op, by batch statistics
+or by the running statistics; the adapt modes run it under ``no_grad``, so
+their output is detached.  ``LayerNorm`` and ``GroupNorm`` run the same op
+over their own axes.
+
 Running statistics follow the usual deep-learning convention: exponential
 moving average with momentum 0.1, biased variance used to normalize the
 batch, unbiased variance stored in the running estimate.
@@ -20,9 +25,11 @@ batch, unbiased variance stored in the running estimate.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import io
+import math
 import struct
 from enum import Enum
 
@@ -50,11 +57,8 @@ class NormMode(Enum):
     ADAPT_STATS_RUNNING = "adapt_stats_running"
 
 
-_BATCH_STAT_MODES = (NormMode.TRAIN, NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING)
-
-
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
+    bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -110,6 +114,9 @@ class Conv2d(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
+        if min(in_channels, out_channels, kernel_size) < 1:
+            raise ParameterError(f"conv layer sizes must be >= 1, got {in_channels} -> "
+                                 f"{out_channels} channels, kernel {kernel_size}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -163,7 +170,28 @@ def _channel_shape(x: Tensor, num_features: int) -> tuple[int, ...]:
     return (1, num_features) + (1,) * (x.data.ndim - 2)
 
 
-class BatchNorm(Layer):
+class _AffineNorm(Layer):
+    """A normalization followed by a learned per-channel scale and shift."""
+
+    def __init__(self, num_features: int, eps: float = 1e-5):
+        if not eps >= 0.0:
+            raise ParameterError(f"eps must be >= 0, got {eps}")
+        self.num_features = num_features
+        self.eps = eps
+        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
+        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
+
+    def parameters(self):
+        return [self.gamma, self.beta]
+
+    def norm_parameters(self):
+        return [self.gamma, self.beta]
+
+    def _affine(self, xhat: Tensor, shape: tuple[int, ...]) -> Tensor:
+        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
+
+
+class BatchNorm(_AffineNorm):
     """Per-channel batch normalization with running-statistics state."""
 
     kind = "batchnorm"
@@ -171,21 +199,10 @@ class BatchNorm(Layer):
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         if not 0.0 < momentum <= 1.0:
             raise ParameterError(f"momentum must be in (0, 1], got {momentum}")
-        if eps < 0.0:
-            raise ParameterError(f"eps must be >= 0, got {eps}")
-        self.num_features = num_features
+        super().__init__(num_features, eps)
         self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def norm_parameters(self):
-        return [self.gamma, self.beta]
 
     def _update_running(self, x: np.ndarray, axes: tuple[int, ...]) -> None:
         count = int(np.prod([x.shape[a] for a in axes]))
@@ -199,68 +216,30 @@ class BatchNorm(Layer):
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         shape = _channel_shape(x, self.num_features)
         axes = (0,) + tuple(range(2, x.data.ndim))
-        if mode in _BATCH_STAT_MODES and x.shape[0] < 2:
-            raise DegenerateBatchError(
-                f"batch normalization in {mode.value} mode needs batch size >= 2, got {x.shape[0]}"
-            )
-
-        if mode is NormMode.TRAIN:
-            mu = ad.tensor_mean(x, axis=axes, keepdims=True)
-            centered = x - mu
-            var = ad.tensor_mean(centered * centered, axis=axes, keepdims=True)
-            xhat = centered / ad.sqrt(ad.add_scalar(var, self.eps))
-            out = xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
+        if mode is not NormMode.EVAL:
+            if x.shape[0] < 2:
+                raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
+                                           f"batch size >= 2, got {x.shape[0]}")
             self._update_running(x.data, axes)
-            return out
-
-        if mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING):
-            with no_grad():
-                self._update_running(x.data, axes)
-                if mode is NormMode.ADAPT_STATS_RUNNING:
-                    mu = self.running_mean.reshape(shape)
-                    var = self.running_var.reshape(shape)
-                else:
-                    mu = x.data.mean(axis=axes, keepdims=True)
-                    var = x.data.var(axis=axes, keepdims=True)
-                values = (x.data - mu) / np.sqrt(var + self.eps)
-                values = values * self.gamma.data.reshape(shape) + self.beta.data.reshape(shape)
-            return Tensor(values)
-
-        # EVAL: running statistics, no side effects
-        mu = Tensor(self.running_mean.reshape(shape))
-        var = Tensor(self.running_var.reshape(shape))
-        xhat = (x - mu) / ad.sqrt(ad.add_scalar(var, self.eps))
-        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
+        stats = None
+        if mode in (NormMode.EVAL, NormMode.ADAPT_STATS_RUNNING):
+            stats = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
+        adapting = mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING)
+        with no_grad() if adapting else contextlib.nullcontext():
+            return self._affine(ad.normalize(x, axes, self.eps, stats), shape)
 
 
-class LayerNorm(Layer):
+class LayerNorm(_AffineNorm):
     """Per-sample normalization over all non-batch axes; no running state."""
 
     kind = "layernorm"
 
-    def __init__(self, num_features: int, eps: float = 1e-5):
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def norm_parameters(self):
-        return [self.gamma, self.beta]
-
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         shape = _channel_shape(x, self.num_features)
-        axes = tuple(range(1, x.data.ndim))
-        mu = ad.tensor_mean(x, axis=axes, keepdims=True)
-        centered = x - mu
-        var = ad.tensor_mean(centered * centered, axis=axes, keepdims=True)
-        xhat = centered / ad.sqrt(ad.add_scalar(var, self.eps))
-        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
+        return self._affine(ad.normalize(x, tuple(range(1, x.data.ndim)), self.eps), shape)
 
 
-class GroupNorm(Layer):
+class GroupNorm(_AffineNorm):
     """Per-sample normalization over channel groups; no running state."""
 
     kind = "groupnorm"
@@ -270,32 +249,16 @@ class GroupNorm(Layer):
             raise ParameterError(
                 f"group count {groups} must divide channel count {num_features}"
             )
-        self.num_features = num_features
+        super().__init__(num_features, eps)
         self.groups = groups
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def norm_parameters(self):
-        return [self.gamma, self.beta]
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         shape = _channel_shape(x, self.num_features)
         n = x.shape[0]
         spatial = x.shape[2:]
         grouped = ad.reshape(x, (n, self.groups, self.num_features // self.groups) + spatial)
-        axes = tuple(range(2, grouped.data.ndim))
-        mu = ad.tensor_mean(grouped, axis=axes, keepdims=True)
-        centered = grouped - mu
-        var = ad.tensor_mean(centered * centered, axis=axes, keepdims=True)
-        xhat = ad.reshape(centered / ad.sqrt(ad.add_scalar(var, self.eps)), x.shape)
-        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
-
-
-NORM_LAYER_KINDS = ("batchnorm", "layernorm", "groupnorm")
+        xhat = ad.normalize(grouped, tuple(range(2, grouped.data.ndim)), self.eps)
+        return self._affine(ad.reshape(xhat, x.shape), shape)
 
 
 # ----------------------------------------------------------------------
@@ -406,12 +369,15 @@ def build_micro_mlp(input_dim: int, norm: str = "batch", seed: int = 0,
     return IncrementalModel(backbone, hidden)
 
 
+CNN_WIDTHS = (8, 16, 32)
+
+
 def build_micro_cnn(in_channels: int, norm: str = "batch", seed: int = 0,
                     groups: int = 4) -> IncrementalModel:
-    """Three stride-2 conv blocks (8/16/32 channels) with global average pool."""
+    """Three stride-2 conv blocks (``CNN_WIDTHS`` channels) with global average pool."""
     rng = np.random.default_rng(seed)
     backbone: list[Layer] = []
-    channels = [in_channels, 8, 16, 32]
+    channels = (in_channels,) + CNN_WIDTHS
     for cin, cout in zip(channels, channels[1:]):
         backbone.append(Conv2d(cin, cout, kernel_size=3, stride=2, padding=1, rng=rng))
         backbone.append(_norm_layer(norm, cout, groups))
@@ -424,17 +390,32 @@ def build_micro_cnn(in_channels: int, norm: str = "batch", seed: int = 0,
 # snapshot serialization
 # ----------------------------------------------------------------------
 
-_KIND_TAGS = {
-    "dense": 1,
-    "conv2d": 2,
-    "batchnorm": 3,
-    "layernorm": 4,
-    "groupnorm": 5,
-    "relu": 6,
-    "identity": 7,
-    "global_avg_pool": 8,
+_PER_CHANNEL = ("num_features",)
+_AFFINE = dict.fromkeys(("gamma", "beta"), _PER_CHANNEL)
+
+# layer class -> (tag byte, header struct format, header fields, the shape of
+# each state array in header fields); each constructor takes its header fields
+_RECORDS: dict[type, tuple] = {
+    Dense: (1, "<II", ("in_features", "out_features"),
+            {"weight": ("in_features", "out_features"), "bias": ("out_features",)}),
+    Conv2d: (2, "<IIIII", ("in_channels", "out_channels", "kernel_size", "stride", "padding"),
+             {"weight": ("out_channels", "in_channels", "kernel_size", "kernel_size"),
+              "bias": ("out_channels",)}),
+    BatchNorm: (3, "<Idd", ("num_features", "momentum", "eps"),
+                {**_AFFINE, "running_mean": _PER_CHANNEL, "running_var": _PER_CHANNEL}),
+    LayerNorm: (4, "<Id", ("num_features", "eps"), _AFFINE),
+    GroupNorm: (5, "<IId", ("num_features", "groups", "eps"), _AFFINE),
+    ReLU: (6, "<", (), {}),
+    Identity: (7, "<I", _PER_CHANNEL, {}),
+    GlobalAvgPool: (8, "<", (), {}),
 }
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_TAG_TYPES = {record[0]: cls for cls, record in _RECORDS.items()}
+_MAX_NDIM = 4  # no layer holds an array of more dimensions
+
+
+def _state(layer: Layer, name: str) -> np.ndarray:
+    value = getattr(layer, name)
+    return value.data if isinstance(value, Tensor) else value
 
 
 def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
@@ -452,86 +433,53 @@ def _read_exact(buf: io.BytesIO, n: int) -> bytes:
 
 
 def _read_array(buf: io.BytesIO) -> np.ndarray:
+    offset = buf.tell()
     (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
-    shape = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(buf, count * 8)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if ndim > _MAX_NDIM:
+        raise FormatError(f"array at byte {offset}: {ndim} dimensions, at most {_MAX_NDIM}")
+    shape = struct.unpack(f"<{ndim}I", _read_exact(buf, 4 * ndim))
+    size = math.prod(shape) * 8
+    left = buf.getbuffer().nbytes - buf.tell()
+    if size > left:
+        raise TruncatedFileError(f"array at byte {offset}: shape {shape} needs {size} bytes, "
+                                 f"{left} left")
+    return np.frombuffer(_read_exact(buf, size), dtype="<f8").reshape(shape).copy()
 
 
 def _write_layer(buf: io.BytesIO, layer: Layer) -> None:
-    buf.write(struct.pack("<B", _KIND_TAGS[layer.kind]))
-    if isinstance(layer, Dense):
-        buf.write(struct.pack("<II", layer.in_features, layer.out_features))
-        _write_array(buf, layer.weight.data)
-        _write_array(buf, layer.bias.data)
-    elif isinstance(layer, Conv2d):
-        buf.write(struct.pack("<IIIII", layer.in_channels, layer.out_channels,
-                              layer.kernel_size, layer.stride, layer.padding))
-        _write_array(buf, layer.weight.data)
-        _write_array(buf, layer.bias.data)
-    elif isinstance(layer, BatchNorm):
-        buf.write(struct.pack("<Idd", layer.num_features, layer.momentum, layer.eps))
-        _write_array(buf, layer.gamma.data)
-        _write_array(buf, layer.beta.data)
-        _write_array(buf, layer.running_mean)
-        _write_array(buf, layer.running_var)
-    elif isinstance(layer, LayerNorm):
-        buf.write(struct.pack("<Id", layer.num_features, layer.eps))
-        _write_array(buf, layer.gamma.data)
-        _write_array(buf, layer.beta.data)
-    elif isinstance(layer, GroupNorm):
-        buf.write(struct.pack("<IId", layer.num_features, layer.groups, layer.eps))
-        _write_array(buf, layer.gamma.data)
-        _write_array(buf, layer.beta.data)
-    elif isinstance(layer, Identity):
-        buf.write(struct.pack("<I", layer.num_features))
-    # relu / global_avg_pool carry no state
+    tag, fmt, header, arrays = _RECORDS[type(layer)]
+    buf.write(struct.pack("<B", tag))
+    buf.write(struct.pack(fmt, *(getattr(layer, name) for name in header)))
+    for name in arrays:
+        _write_array(buf, _state(layer, name))
 
 
 def _read_layer(buf: io.BytesIO) -> Layer:
+    offset = buf.tell()
     (tag,) = struct.unpack("<B", _read_exact(buf, 1))
-    kind = _TAG_KINDS.get(tag)
-    if kind is None:
-        raise FormatError(f"unknown layer tag {tag}")
-    if kind == "dense":
-        fin, fout = struct.unpack("<II", _read_exact(buf, 8))
-        layer = Dense(fin, fout, init="zeros")
-        layer.weight = Tensor(_read_array(buf), requires_grad=True)
-        layer.bias = Tensor(_read_array(buf), requires_grad=True)
-        return layer
-    if kind == "conv2d":
-        cin, cout, k, stride, padding = struct.unpack("<IIIII", _read_exact(buf, 20))
-        layer = Conv2d(cin, cout, k, stride, padding, rng=np.random.default_rng(0))
-        layer.weight = Tensor(_read_array(buf), requires_grad=True)
-        layer.bias = Tensor(_read_array(buf), requires_grad=True)
-        return layer
-    if kind == "batchnorm":
-        c, momentum, eps = struct.unpack("<Idd", _read_exact(buf, 20))
-        layer = BatchNorm(c, momentum, eps)
-        layer.gamma = Tensor(_read_array(buf), requires_grad=True)
-        layer.beta = Tensor(_read_array(buf), requires_grad=True)
-        layer.running_mean = _read_array(buf)
-        layer.running_var = _read_array(buf)
-        return layer
-    if kind == "layernorm":
-        c, eps = struct.unpack("<Id", _read_exact(buf, 12))
-        layer = LayerNorm(c, eps)
-        layer.gamma = Tensor(_read_array(buf), requires_grad=True)
-        layer.beta = Tensor(_read_array(buf), requires_grad=True)
-        return layer
-    if kind == "groupnorm":
-        c, groups, eps = struct.unpack("<IId", _read_exact(buf, 16))
-        layer = GroupNorm(c, groups, eps)
-        layer.gamma = Tensor(_read_array(buf), requires_grad=True)
-        layer.beta = Tensor(_read_array(buf), requires_grad=True)
-        return layer
-    if kind == "identity":
-        (c,) = struct.unpack("<I", _read_exact(buf, 4))
-        return Identity(c)
-    if kind == "relu":
-        return ReLU()
-    return GlobalAvgPool()
+    cls = _TAG_TYPES.get(tag)
+    if cls is None:
+        raise FormatError(f"unknown layer tag {tag} at byte {offset}")
+    _, fmt, header, arrays = _RECORDS[cls]
+    fields = dict(zip(header, struct.unpack(fmt, _read_exact(buf, struct.calcsize(fmt)))))
+    state = {}
+    for name, dims in arrays.items():
+        state[name] = _read_array(buf)
+        expected = tuple(fields[d] for d in dims)
+        if state[name].shape != expected:
+            raise FormatError(f"{cls.kind} record at byte {offset}: {name} has shape "
+                              f"{state[name].shape}, its header says {expected}")
+    # the arrays are read and checked first, so nothing below allocates more
+    # than the snapshot holds
+    if cls is Dense:
+        fields["init"] = "zeros"
+    elif cls is Conv2d:
+        fields["rng"] = np.random.default_rng(0)
+    layer = cls(**fields)
+    for name, arr in state.items():
+        setattr(layer, name, Tensor(arr, requires_grad=True)
+                if isinstance(getattr(layer, name), Tensor) else arr)
+    return layer
 
 
 def serialize_model(model: IncrementalModel) -> bytes:
@@ -585,16 +533,8 @@ def parameter_checksums(model: IncrementalModel) -> dict[str, str]:
         sums[key] = hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
     for i, layer in enumerate(model.backbone):
-        prefix = f"backbone.{i}.{layer.kind}"
-        if isinstance(layer, (Dense, Conv2d)):
-            put(f"{prefix}.weight", layer.weight.data)
-            put(f"{prefix}.bias", layer.bias.data)
-        elif isinstance(layer, (BatchNorm, LayerNorm, GroupNorm)):
-            put(f"{prefix}.gamma", layer.gamma.data)
-            put(f"{prefix}.beta", layer.beta.data)
-            if isinstance(layer, BatchNorm):
-                put(f"{prefix}.running_mean", layer.running_mean)
-                put(f"{prefix}.running_var", layer.running_var)
+        for name in _RECORDS[type(layer)][3]:
+            put(f"backbone.{i}.{layer.kind}.{name}", _state(layer, name))
     for i, head in enumerate(model.heads):
         put(f"head.{i}.weight", head.weight.data)
         put(f"head.{i}.bias", head.bias.data)

@@ -170,6 +170,66 @@ class TestGradients:
         np.testing.assert_allclose(t.grad, [3.0, 5.0])
 
 
+def chain_normalize(x, axes, eps, stats=None):
+    """The seven-op graph that ``ad.normalize`` stands in for: the reference."""
+    if stats is None:
+        mu = ad.tensor_mean(x, axis=axes, keepdims=True)
+        centered = x - mu
+        var = ad.tensor_mean(centered * centered, axis=axes, keepdims=True)
+    else:
+        centered = x - Tensor(stats[0])
+        var = Tensor(stats[1])
+    return centered / ad.sqrt(ad.add_scalar(var, eps))
+
+
+def fixed_stats(rng, shape, axes):
+    stat_shape = tuple(1 if i in axes else n for i, n in enumerate(shape))
+    return rng.normal(size=stat_shape), rng.uniform(0.5, 2.0, size=stat_shape)
+
+
+# (input shape, reduction axes): BatchNorm on features, on conv maps and on
+# 1x1 maps, GroupNorm's grouped 5-D view, LayerNorm
+NORMALIZE_CASES = [
+    ((6, 4), (0,)),
+    ((3, 2, 3, 3), (0, 2, 3)),
+    ((5, 3, 1, 1), (0, 2, 3)),
+    ((2, 2, 2, 2, 2), (2, 3, 4)),
+    ((4, 6), (1,)),
+]
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("shape,axes", NORMALIZE_CASES)
+    def test_values_and_gradients_equal_the_chain(self, shape, axes, fixed):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        x = rng.normal(1.5, 2.0, size=shape)
+        weights = Tensor(rng.normal(size=shape))
+        stats = fixed_stats(rng, shape, axes) if fixed else None
+        results = []
+        for op in (chain_normalize, ad.normalize):
+            t = Tensor(x, requires_grad=True)
+            out = op(t, axes, 1e-5, stats)
+            (out * weights).sum().backward()
+            results.append((out.data, t.grad))
+        np.testing.assert_array_equal(results[1][0], results[0][0])
+        np.testing.assert_array_equal(results[1][1], results[0][1])
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("shape,axes", [NORMALIZE_CASES[i] for i in (0, 1, 3)])
+    def test_gradient_matches_oracle(self, shape, axes, fixed):
+        rng = np.random.default_rng(3)
+        weights = Tensor(rng.normal(size=shape))
+        stats = fixed_stats(rng, shape, axes) if fixed else None
+        check_grad(lambda t: (ad.normalize(t, axes, 1e-5, stats) * weights).sum(),
+                   rng.normal(size=shape))
+
+    def test_overflowing_variance_raises(self):
+        x = Tensor(np.array([[1e200, 2.0], [-1e200, 3.0]]))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="variance"):
+            ad.normalize(x, (0,), 1e-5)
+
+
 class TestGraphRules:
     def test_no_grad_blocks_graph_construction(self):
         t = Tensor(np.ones(3), requires_grad=True)

@@ -43,6 +43,16 @@ class TestValidateVerb:
             err = capsys.readouterr().err
             assert key in err and "duplicate" not in err, line
 
+    def test_group_counts_the_model_cannot_use_exit_one(self, tmp_path, capsys):
+        for lines in (["model.norm = group", "model.groups = 5"],
+                      ["model.groups = 0"],
+                      ["model.arch = cnn", "model.norm = group", "model.groups = 3",
+                       "data.dim = none", "data.image_shape = 1x8x8"]):
+            kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith("data.dim")]
+            path = write_config(tmp_path, "\n".join(kept + lines) + "\n")
+            assert main(["validate", path]) == 1, lines
+            assert "model.groups" in capsys.readouterr().err, lines
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.cfg")]) == 1
 

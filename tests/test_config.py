@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clta.config import dump_config, load_config, parse_config, validate_config
+from clta.config import (ModelSpec, dump_config, load_config, parse_config,
+                         validate_config)
 from clta.errors import FormatError, ParameterError
+from clta.experiment import build_model
 
 # key -> (text, attribute path on the parsed config, expected value); every
 # value differs from the key's default and is already in normalized form
@@ -178,6 +183,7 @@ class TestValidation:
         "data.samples_per_class = 0",
         "data.dim = 0",
         "model.hidden = 0",
+        "model.groups = 0",
         "data.blob_std = -1",
         "run.seeds = 1,2,1",
     ])
@@ -185,6 +191,30 @@ class TestValidation:
         with pytest.raises(ParameterError) as err:
             parse_config(line + "\n")
         assert line.split(" = ")[0] in str(err.value)
+
+    @settings(max_examples=80, deadline=None)
+    # model.groups >= 1 is a range rule of its own, checked above
+    @given(arch=st.sampled_from(["mlp", "cnn"]),
+           norm=st.sampled_from(["batch", "none", "layer", "group"]),
+           hidden=st.integers(1, 48), groups=st.integers(1, 48))
+    def test_groups_rule_accepts_exactly_the_buildable_models(self, arch, norm, hidden, groups):
+        geometry = "data.dim = 6" if arch == "mlp" else "data.dim = none\ndata.image_shape = 1x8x8"
+        text = (f"model.arch = {arch}\nmodel.norm = {norm}\nmodel.hidden = {hidden}\n"
+                f"model.groups = {groups}\n{geometry}\n")
+        try:
+            parse_config(text)
+            accepted = True
+        except ParameterError as exc:
+            assert "model.groups" in str(exc)
+            accepted = False
+        sample = np.zeros((2, 6)) if arch == "mlp" else np.zeros((2, 1, 8, 8))
+        spec = ModelSpec(arch=arch, norm=norm, hidden=hidden, groups=groups)
+        try:
+            build_model(spec, sample, 0)
+            built = True
+        except ParameterError:
+            built = False
+        assert accepted == built
 
     def test_subconfig_invariants_surface_as_config_errors(self):
         with pytest.raises(ParameterError):

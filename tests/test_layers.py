@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clta.autodiff import Tensor
-from clta.errors import (DegenerateBatchError, FormatError, ParameterError,
+from clta.errors import (CltaError, DegenerateBatchError, FormatError, ParameterError,
                          ShapeError, TruncatedFileError)
 from clta.layers import (BatchNorm, Conv2d, Dense, GlobalAvgPool, GroupNorm,
                          Identity, IncrementalModel, LayerNorm, NormMode, ReLU,
@@ -30,6 +34,13 @@ class TestDense:
         bound = np.sqrt(6.0 / 100)
         assert np.abs(layer.weight.data).max() <= bound
         assert layer.weight.data.std() > 0.1 * bound
+
+
+class TestConv2d:
+    def test_empty_sizes_rejected(self):
+        for sizes in ((0, 4, 3), (1, 0, 3), (1, 4, 0)):
+            with pytest.raises(ParameterError):
+                Conv2d(*sizes, rng=np.random.default_rng(0))
 
 
 class TestBatchNorm:
@@ -81,6 +92,13 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, [0.2], atol=1e-12)
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
         assert not out.requires_grad
+
+    def test_adapt_modes_detach_their_output(self):
+        rng = np.random.default_rng(6)
+        for mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING):
+            x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            out = BatchNorm(3).forward(x, mode)
+            assert not out.requires_grad, mode
 
     def test_adapt_stats_running_variant(self):
         bn = BatchNorm(1)
@@ -138,6 +156,13 @@ class TestOtherNorms:
     def test_layernorm_handles_batch_of_one(self):
         out = LayerNorm(4).forward(Tensor([[1.0, 2.0, 3.0, 4.0]]), NormMode.TRAIN)
         np.testing.assert_allclose(out.data.mean(), 0.0, atol=1e-10)
+
+    def test_negative_or_nan_eps_rejected_by_every_norm(self):
+        for make in (lambda eps: BatchNorm(4, eps=eps), lambda eps: LayerNorm(4, eps=eps),
+                     lambda eps: GroupNorm(4, 2, eps=eps)):
+            for eps in (-1e-5, float("nan")):
+                with pytest.raises(ParameterError):
+                    make(eps)
 
     def test_groupnorm_divisibility(self):
         with pytest.raises(ParameterError):
@@ -250,6 +275,72 @@ class TestSerialization:
         after = parameter_checksums(model)
         changed = [k for k in sums if sums[k] != after[k]]
         assert changed == ["head.0.weight"]
+
+
+def small_mlp():
+    model = build_micro_mlp(2, norm="batch", seed=0, hidden=4)
+    return add_task_head(model, 2, seed=1)
+
+
+def small_cnn():
+    model = build_micro_cnn(1, norm="group", seed=0, groups=2)
+    return add_task_head(model, 2, seed=1)
+
+
+def header_offsets(model):
+    """Offsets of the snapshot bytes that are not array values: two copies
+    whose every value byte differs serialize alike everywhere else."""
+    blobs = []
+    for byte in (b"\x11", b"\x22"):
+        copy = model.clone()
+        for layer in copy.backbone + copy.heads:
+            for value in vars(layer).values():
+                arr = value.data if isinstance(value, Tensor) else value
+                if isinstance(arr, np.ndarray):
+                    arr[...] = np.frombuffer(byte * 8, dtype="<f8")[0]
+        blobs.append(np.frombuffer(serialize_model(copy), dtype=np.uint8))
+    return np.flatnonzero(blobs[0] == blobs[1]).tolist()
+
+
+SNAPSHOTS = [(serialize_model(m), header_offsets(m)) for m in (small_mlp(), small_cnn())]
+FIRST_ARRAY = 16 + 1 + 8  # file header, dense tag, dense header
+
+
+class TestCorruptSnapshots:
+    def test_ndim_byte_out_of_range(self):
+        blob = bytearray(SNAPSHOTS[0][0])
+        blob[FIRST_ARRAY] = 70
+        with pytest.raises(FormatError, match="70 dimensions"):
+            deserialize_model(bytes(blob))
+
+    def test_huge_layer_header_allocates_nothing(self):
+        blob = bytearray(SNAPSHOTS[0][0])
+        blob[FIRST_ARRAY - 8:FIRST_ARRAY] = struct.pack("<II", 60000, 60000)
+        with pytest.raises(FormatError, match="weight"):
+            deserialize_model(bytes(blob))
+
+    def test_array_shape_must_match_the_header(self):
+        model = small_mlp()
+        model.backbone[1].gamma = Tensor(np.ones(5))
+        with pytest.raises(FormatError, match="gamma"):
+            deserialize_model(serialize_model(model))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.sampled_from([0, 1]),
+           cut=st.none() | st.integers(min_value=0))
+    def test_only_clta_errors_escape(self, data, which, cut):
+        blob, headers = SNAPSHOTS[which]
+        offset = st.sampled_from(headers) | st.integers(0, len(blob) - 1)
+        edits = data.draw(st.lists(st.tuples(offset, st.integers(0, 255)), max_size=4))
+        mutated = bytearray(blob)
+        for pos, value in edits:
+            mutated[pos] = value
+        if cut is not None:
+            mutated = mutated[:cut % (len(blob) + 1)]
+        try:
+            deserialize_model(bytes(mutated))
+        except CltaError:
+            pass
 
 
 class TestBuilders:
