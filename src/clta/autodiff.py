@@ -47,7 +47,7 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """Dense float64 array with an optional gradient and creator record."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = _as_array(values)
@@ -56,7 +56,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._op: str | None = None
         self._parents: tuple[Tensor, ...] | None = None
         self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
@@ -182,7 +181,6 @@ class Tensor:
                     flowing[key] = piece
 
         for node in order:
-            node._op = None
             node._parents = None
             node._vjp = None
 
@@ -201,12 +199,10 @@ def _make(values: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tens
     out.grad = None
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._op = op
         out._parents = parents
         out._vjp = vjp
     else:
         out.requires_grad = False
-        out._op = None
         out._parents = None
         out._vjp = None
     return out

@@ -2,36 +2,36 @@
 
 The on-disk format is plain text, one ``section.key = value`` per line,
 ``#`` comments allowed.  ``_KEY_TABLE`` declares every key once: its type
-and the dataclass field it fills, whose default is the key's default.
-Parsing fills every unspecified key with that default and rejects keys it
-does not know, so typos fail loudly.  The normalized dump writes every key
-back in canonical order; parsing that dump reproduces the configuration
-exactly.
+and the dataclass field it fills, whose default is the key's default and
+whose metadata is its value rule (see ``errors.check_value``).  Parsing
+fills every unspecified key with that default and rejects keys it does not
+know, so typos fail loudly.  The normalized dump writes every key back in
+canonical order from the fields; parsing that dump reproduces the
+configuration exactly.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distill import KDConfig, TeacherStrategy
-from .errors import FormatError, ParameterError
+from .data import SIGMA_LADDER
+from .errors import FormatError, ParameterError, check_fields, check_value
 from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
 
 
 @dataclass
 class DataSpec:
-    kind: str = "synthetic"
-    n_tasks: int = 2
-    classes_per_task: int = 2
-    dim: int | None = 16
+    kind: str = field(default="synthetic", metadata={"choices": ("synthetic", "idx", "cifar")})
+    n_tasks: int = field(default=2, metadata={">=": 1})
+    classes_per_task: int = field(default=2, metadata={">=": 1})
+    dim: int | None = field(default=16, metadata={">=": 1})
     image_shape: tuple | None = None
-    samples_per_class: int = 40
+    samples_per_class: int = field(default=40, metadata={">=": 1})
     shift: float = 0.0
-    blob_std: float = 0.06
+    blob_std: float = field(default=0.06, metadata={">=": 0})
     seed: int | None = None
     num_classes: int = 10
     images: str | None = None
@@ -40,25 +40,30 @@ class DataSpec:
     test_labels: str | None = None
     path: str | None = None
     test_path: str | None = None
-    split_scheme: str = "equal"
+    split_scheme: str = field(default="equal", metadata={"choices": ("equal", "half_first")})
     split_parts: int | None = None
     order_seed: int | None = None
-    corrupt_severity: int = 0
-    corrupt_pattern: str = "none"
+    corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER)})
+    corrupt_pattern: str = field(default="none", metadata={"choices": ("none", "every_other")})
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class ModelSpec:
-    arch: str = "mlp"
-    norm: str = "batch"
-    hidden: int = 64
-    groups: int = 4
+    arch: str = field(default="mlp", metadata={"choices": ("mlp", "cnn")})
+    norm: str = field(default="batch", metadata={"choices": ("batch", "none", "layer", "group")})
+    hidden: int = field(default=64, metadata={">=": 1})
+    groups: int = field(default=4, metadata={">=": 1})
     seed: int | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class ExperimentConfig:
-    values: dict = field(default_factory=dict)
     data: DataSpec = field(default_factory=DataSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
     kd: KDConfig = field(default_factory=KDConfig)
@@ -68,7 +73,10 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     output: str = "runs/experiment"
     config_id: str = "experiment"
-    workers: int = 1
+    workers: int = field(default=1, metadata={">=": 1})
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 # section -> the dataclass its keys fill: the class an ExperimentConfig field
@@ -76,7 +84,11 @@ class ExperimentConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
              if is_dataclass(f.default_factory)} | {"run": ExperimentConfig}
 
+# section -> field name -> field
+_FIELDS = {section: {f.name: f for f in fields(cls)} for section, cls in _SECTIONS.items()}
+
 # key -> (type tag, section, field); the key's default is the field's default
+# and its value rule the field's metadata
 # type tags: int, float, bool, str, intlist, shape (CxHxW), and opt<tag>,
 # which also accepts "none"
 _KEY_TABLE: dict[str, tuple[str, str, str]] = {
@@ -131,32 +143,6 @@ _KEY_TABLE: dict[str, tuple[str, str, str]] = {
     "run.workers": ("int", "run", "workers"),
 }
 
-_CHOICES = {
-    "data.kind": ("synthetic", "idx", "cifar"),
-    "data.split_scheme": ("equal", "half_first"),
-    "corrupt.pattern": ("none", "every_other"),
-    "model.arch": ("mlp", "cnn"),
-    "model.norm": ("batch", "none", "layer", "group"),
-}
-
-# (key, comparison, bound) that every value other than none must satisfy
-_BOUNDS = (
-    ("data.n_tasks", ">=", 1),
-    ("data.classes_per_task", ">=", 1),
-    ("data.samples_per_class", ">=", 1),
-    ("data.dim", ">=", 1),
-    ("data.blob_std", ">=", 0),
-    ("corrupt.severity", ">=", 0),
-    ("corrupt.severity", "<=", 5),
-    ("model.hidden", ">=", 1),
-    ("model.groups", ">=", 1),
-    ("kd.temperature", ">", 0),
-    ("kd.weight", ">=", 0),
-    ("run.workers", ">=", 1),
-)
-_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
-
-
 def _parse_value(key: str, tag: str, text: str):
     if tag.startswith("opt"):
         return None if text in ("none", "") else _parse_value(key, tag[3:], text)
@@ -164,10 +150,7 @@ def _parse_value(key: str, tag: str, text: str):
         if tag == "int":
             return int(text)
         if tag == "float":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParameterError(f"{key}: must be finite, got '{text}'")
-            return value
+            return float(text)
         if tag == "bool":
             if text not in ("true", "false"):
                 raise ValueError(text)
@@ -215,48 +198,53 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FormatError(f"line {lineno}: duplicate key '{key}'")
         raw[key] = value
 
-    parsed, values = {}, {}
+    parsed = {}
     kwargs = {section: {} for section in _SECTIONS}
     for key, (tag, section, name) in _KEY_TABLE.items():
-        if key in raw:
-            value = _parse_value(key, tag, raw[key])
-        else:
-            # a dataclass keeps each plain field default as a class attribute
-            value = getattr(_SECTIONS[section], name)
+        spec = _FIELDS[section][name]
+        value = _parse_value(key, tag, raw[key]) if key in raw else spec.default
+        check_value(key, value, spec.metadata)
         parsed[key] = kwargs[section][name] = value
-        values[key] = _normalize(tag, value)
 
-    for key, choices in _CHOICES.items():
-        if parsed[key] not in choices:
-            raise ParameterError(f"{key}: '{parsed[key]}' is not one of {choices}")
-    for key, op, bound in _BOUNDS:
-        if parsed[key] is not None and not _COMPARE[op](parsed[key], bound):
-            raise ParameterError(f"{key}: must be {op} {bound}, got {parsed[key]}")
     seeds = parsed["run.seeds"]
     if not seeds:
         raise ParameterError("run.seeds: at least one seed is required")
     if len(set(seeds)) != len(seeds):
-        raise ParameterError(f"run.seeds: each seed may appear once, got {values['run.seeds']}")
+        raise ParameterError(f"run.seeds: each seed may appear once, "
+                             f"got {_normalize('intlist', seeds)}")
     if parsed["model.norm"] == "group":
         widths = (parsed["model.hidden"],) if parsed["model.arch"] == "mlp" else CNN_WIDTHS
         if any(width % parsed["model.groups"] for width in widths):
             raise ParameterError(f"model.groups: {parsed['model.groups']} must divide "
                                  f"every layer width {widths}")
+    kind = parsed["data.kind"]
     geometry = (parsed["data.dim"], parsed["data.image_shape"])
-    if parsed["data.kind"] == "synthetic" and geometry.count(None) != 1:
+    if kind == "synthetic" and geometry.count(None) != 1:
         raise ParameterError("data.dim or data.image_shape: exactly one must be set")
+    # the idx and cifar loaders always return images
+    source = (f"data.kind = {kind}" if kind != "synthetic"
+              else "data.dim" if geometry[1] is None else "data.image_shape")
+    vectors = source == "data.dim"
+    if (parsed["model.arch"] == "mlp") != vectors:
+        raise ParameterError(f"model.arch: {parsed['model.arch']} does not take the "
+                             f"{'vector' if vectors else 'image'} inputs of {source}")
 
     run = kwargs.pop("run")
-    try:
-        sections = {section: _SECTIONS[section](**kw) for section, kw in kwargs.items()}
-    except ParameterError as exc:
-        raise ParameterError(f"invalid configuration value: {exc}") from exc
-    return ExperimentConfig(values=values, **sections, **run)
+    sections = {}
+    for section, kw in kwargs.items():
+        try:
+            sections[section] = _SECTIONS[section](**kw)
+        except ParameterError as exc:
+            raise ParameterError(f"{section}: {exc}") from exc
+    return ExperimentConfig(**sections, **run)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces the configuration."""
-    lines = [f"{key} = {cfg.values[key]}" for key in _KEY_TABLE]
+    lines = []
+    for key, (tag, section, name) in _KEY_TABLE.items():
+        owner = cfg if section == "run" else getattr(cfg, section)
+        lines.append(f"{key} = {_normalize(tag, getattr(owner, name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ controllable input-distribution drift.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -236,10 +237,13 @@ def stream_from_datasets(train: Dataset, test: Dataset,
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"{what}: wanted {n} bytes, got {len(data)}")
-    return data
+    """Read ``n`` bytes, checking first that the file still holds them, so a
+    corrupt size never reaches an allocation."""
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if n > left:
+        raise TruncatedFileError(f"{what} at byte {offset}: wanted {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def load_idx(images_path, labels_path, num_classes: int = 10,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode
 
 KD_VARIANTS = ("global", "taskwise", "multiclass", "auxiliary")
@@ -53,22 +53,13 @@ class KDConfig:
     ``weight`` when left unset.
     """
 
-    variant: str = "global"
-    temperature: float = 2.0
-    weight: float = 10.0
-    aux_weight: float | None = None
+    variant: str = field(default="global", metadata={"choices": KD_VARIANTS})
+    temperature: float = field(default=2.0, metadata={">": 0})
+    weight: float = field(default=10.0, metadata={">=": 0})
+    aux_weight: float | None = field(default=None, metadata={">=": 0})
 
     def __post_init__(self):
-        if self.variant not in KD_VARIANTS:
-            raise ParameterError(
-                f"unknown KD variant '{self.variant}', expected one of {KD_VARIANTS}"
-            )
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
-        if self.weight < 0:
-            raise ParameterError(f"KD weight must be >= 0, got {self.weight}")
-        if self.aux_weight is not None and self.aux_weight < 0:
-            raise ParameterError(f"auxiliary weight must be >= 0, got {self.aux_weight}")
+        check_fields(self)
 
     @property
     def effective_aux_weight(self) -> float:
@@ -87,20 +78,13 @@ class TeacherStrategy:
     than the batch estimates.
     """
 
-    kind: str = "frozen"
-    teacher_lr: float = 0.1
-    pretrain_epochs: int = 1
+    kind: str = field(default="frozen", metadata={"choices": STRATEGY_KINDS})
+    teacher_lr: float = field(default=0.1, metadata={">=": 0})
+    pretrain_epochs: int = field(default=1, metadata={">=": 1})
     adapt_with_running: bool = False
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ParameterError(
-                f"unknown teacher strategy '{self.kind}', expected one of {STRATEGY_KINDS}"
-            )
-        if self.teacher_lr < 0:
-            raise ParameterError(f"teacher_lr must be >= 0, got {self.teacher_lr}")
-        if self.pretrain_epochs < 1:
-            raise ParameterError(f"pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
+        check_fields(self)
 
     @property
     def trains_teacher(self) -> bool:

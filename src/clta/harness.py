@@ -30,7 +30,7 @@ from .distill import (
     teacher_forward,
     total_loss,
 )
-from .errors import ContractError, DataError, ParameterError
+from .errors import ContractError, DataError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
 from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
                       evaluate_task_agnostic)
@@ -46,31 +46,19 @@ class TrainConfig:
     and no weight decay.
     """
 
-    epochs: int = 20
-    batch_size: int = 128
-    base_lr: float = 0.1
+    epochs: int = field(default=20, metadata={">=": 1})
+    batch_size: int = field(default=128, metadata={">=": 2})
+    base_lr: float = field(default=0.1, metadata={">": 0})
     lr_decay_epochs: tuple = (6, 12, 16)
-    lr_decay_factor: float = 10.0
-    grad_clip: float | None = None
+    lr_decay_factor: float = field(default=10.0, metadata={">": 1})
+    grad_clip: float | None = field(default=None, metadata={">": 0})
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ParameterError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise ParameterError(f"base_lr must be > 0, got {self.base_lr}")
-        decays = tuple(self.lr_decay_epochs)
-        if any(b <= a for a, b in zip(decays, decays[1:])):
-            raise ParameterError(f"decay epochs must be strictly increasing, got {decays}")
-        if decays and decays[-1] >= self.epochs:
-            raise ParameterError(
-                f"decay epochs {decays} must all be < epochs ({self.epochs})"
-            )
-        if self.lr_decay_factor <= 1:
-            raise ParameterError(f"decay factor must be > 1, got {self.lr_decay_factor}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ParameterError(f"grad_clip must be positive, got {self.grad_clip}")
+        check_fields(self)
+        steps = (*self.lr_decay_epochs, self.epochs)
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ParameterError(f"decay epochs {tuple(self.lr_decay_epochs)} must be strictly "
+                                 f"increasing and < epochs ({self.epochs})")
 
 
 @dataclass
@@ -78,20 +66,17 @@ class WarmupConfig:
     """Head-only warmup with a one-cycle learning rate and early stopping."""
 
     enabled: bool = False
-    max_lr: float = 0.1
-    ramp_epochs: int = 40
+    max_lr: float = field(default=0.1, metadata={">": 0})
+    ramp_epochs: int = field(default=40, metadata={">=": 1})
     max_epochs: int = 200
-    early_stop_patience: int = 20
+    early_stop_patience: int = field(default=20, metadata={">=": 1})
 
     def __post_init__(self):
-        if self.max_lr <= 0:
-            raise ParameterError(f"max_lr must be > 0, got {self.max_lr}")
-        if not 1 <= self.ramp_epochs < self.max_epochs:
+        check_fields(self)
+        if self.ramp_epochs >= self.max_epochs:
             raise ParameterError(
-                f"need 1 <= ramp_epochs < max_epochs, got {self.ramp_epochs} / {self.max_epochs}"
+                f"need ramp_epochs < max_epochs, got {self.ramp_epochs} / {self.max_epochs}"
             )
-        if self.early_stop_patience < 1:
-            raise ParameterError(f"patience must be >= 1, got {self.early_stop_patience}")
 
 
 @dataclass
@@ -244,8 +229,7 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                task_index: int, inputs: np.ndarray, labels_local: np.ndarray,
                kd: KDConfig, strategy: TeacherStrategy, train: TrainConfig,
                warmup: WarmupConfig, seed: int,
-               aux_teacher: IncrementalModel | None = None,
-               epoch_hook=None) -> TaskTrace:
+               aux_teacher: IncrementalModel | None = None) -> TaskTrace:
     """Run one task's training, mutating model (and teacher, per strategy).
 
     ``task_index`` is 1-based; a teacher must be present exactly when it
@@ -323,8 +307,6 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
             trace.bn_kld.append(bn_stats_kld(teacher, model))
         else:
             trace.bn_kld.append(0.0)
-        if epoch_hook is not None:
-            epoch_hook(epoch, trace)
     return trace
 
 

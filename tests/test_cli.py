@@ -35,7 +35,11 @@ class TestValidateVerb:
         for line in ("train.grad_clip = nan", "kd.temperature = inf", "kd.weight = nan",
                      "data.shift = nan", "train.base_lr = nan", "data.n_tasks = 0",
                      "data.dim = 0", "model.hidden = 0", "data.blob_std = -1",
-                     "run.seeds = 0,0"):
+                     "run.seeds = 0,0", "kd.variant = soft", "kd.aux_weight = -1",
+                     "teacher.kind = thawed", "teacher.lr = -0.1",
+                     "teacher.pretrain_epochs = 0", "train.epochs = 0",
+                     "train.batch_size = 1", "train.base_lr = 0", "train.decay_factor = 1",
+                     "train.grad_clip = 0", "warmup.max_lr = 0", "warmup.patience = 0"):
             key = line.split(" = ")[0]
             kept = [other for other in GOOD_CONFIG.splitlines() if not other.startswith(key)]
             path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
@@ -52,6 +56,25 @@ class TestValidateVerb:
             path = write_config(tmp_path, "\n".join(kept + lines) + "\n")
             assert main(["validate", path]) == 1, lines
             assert "model.groups" in capsys.readouterr().err, lines
+
+    def test_cross_field_errors_name_their_section(self, tmp_path, capsys):
+        for line, section in (("train.decay_epochs = 3", "train"),
+                              ("warmup.ramp_epochs = 200", "warmup")):
+            kept = [other for other in GOOD_CONFIG.splitlines()
+                    if not other.startswith(line.split(" = ")[0])]
+            path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+            assert main(["validate", path]) == 1, line
+            assert f"{section}: " in capsys.readouterr().err, line
+
+    def test_arch_that_does_not_fit_the_inputs_exits_one(self, tmp_path, capsys):
+        for lines in (["model.arch = cnn"],
+                      ["data.dim = none", "data.image_shape = 1x8x8"],
+                      ["data.kind = idx"]):
+            keys = [line.split(" = ")[0] for line in lines]
+            kept = [line for line in GOOD_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
+            path = write_config(tmp_path, "\n".join(kept + lines) + "\n")
+            assert main(["validate", path]) == 1, lines
+            assert "model.arch" in capsys.readouterr().err, lines
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.cfg")]) == 1
@@ -78,14 +101,19 @@ class TestRunVerb:
     def test_failing_seeds_exit_two_but_still_write(self, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
-        path = write_config(tmp_path, GOOD_CONFIG + "model.arch = cnn\n")
+        # the files exist, so validation passes, but they are empty
+        files = ""
+        for key in ("images", "labels", "test_images", "test_labels"):
+            (tmp_path / key).write_bytes(b"")
+            files += f"data.{key} = {tmp_path / key}\n"
+        path = write_config(tmp_path, GOOD_CONFIG + "data.kind = idx\nmodel.arch = cnn\n" + files)
         assert main(["run", path]) == 2
         assert (tmp_path / "cli_run" / "results.csv").is_file()
         assert "failed" in capsys.readouterr().err
 
     def test_invalid_config_exits_one_without_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
-        path = write_config(tmp_path, "data.kind = idx\n")
+        path = write_config(tmp_path, "data.kind = idx\nmodel.arch = cnn\n")
         assert main(["run", path]) == 1
         assert not (tmp_path / "cli_run").exists()
 

@@ -1,12 +1,19 @@
+import math
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clta.config import (ModelSpec, dump_config, load_config, parse_config,
-                         validate_config)
-from clta.errors import FormatError, ParameterError
-from clta.experiment import build_model
+from clta.config import (DataSpec, ExperimentConfig, ModelSpec, dump_config,
+                         load_config, parse_config, validate_config)
+from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from clta.distill import KDConfig, TeacherStrategy
+from clta.errors import CltaError, FormatError, ParameterError
+from clta.experiment import build_model, build_stream
+from clta.harness import TrainConfig, WarmupConfig
 
 # key -> (text, attribute path on the parsed config, expected value); every
 # value differs from the key's default and is already in normalized form
@@ -62,9 +69,43 @@ ALL_KEYS = {
     "run.workers": ("2", "workers", 2),
 }
 
+# values of every type tag, in range and out of it, unreadable, non-finite
+# and unset
+TOKENS = ("0", "1", "2", "3", "-1", "64", "1e9", "0.5", "-0.5", "nan", "inf", "-inf",
+          "none", "", "true", "false", "abc", "1,2", "2,1", "0,0", "1x8x8", "3x32x32",
+          "0x8x8", "8x8", "synthetic", "idx", "cifar", "mlp", "cnn", "group", "layer",
+          "global", "auxiliary", "adapt_stats", "half_first", "every_other")
+
+# every dataclass field that carries a range rule
+RANGED_FIELDS = [(cls, f.name) for cls in (DataSpec, ModelSpec, ExperimentConfig, KDConfig,
+                                           TeacherStrategy, TrainConfig, WarmupConfig)
+                 for f in fields(cls) if set(f.metadata) & {">=", ">", "<="}]
+
 FLOAT_KEYS = ("data.shift", "data.blob_std", "kd.temperature", "kd.weight",
               "kd.aux_weight", "teacher.lr", "train.base_lr", "train.decay_factor",
               "train.grad_clip", "warmup.max_lr")
+
+
+@pytest.fixture(scope="module")
+def loader_files(tmp_path_factory):
+    """DataSpec fields for a ten-class IDX pair and CIFAR file on disk."""
+    root = tmp_path_factory.mktemp("loaders")
+    (root / "images.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 10, 4, 4)
+                                      + bytes(160))
+    (root / "labels.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 10) + bytes(range(10)))
+    (root / "batch.bin").write_bytes(b"".join(bytes([c]) + bytes(3072) for c in range(10)))
+    idx = {"images": "images.idx", "labels": "labels.idx",
+           "test_images": "images.idx", "test_labels": "labels.idx"}
+    return {"idx": {"kind": "idx"} | {k: str(root / v) for k, v in idx.items()},
+            "cifar": {"kind": "cifar", "path": str(root / "batch.bin"),
+                      "test_path": str(root / "batch.bin")}}
+
+
+def render(value):
+    """A field value in config text."""
+    if value is None:
+        return "none"
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def attribute(cfg, path):
@@ -108,7 +149,7 @@ class TestParsing:
         assert cfg.seeds == (0, 1, 2)
 
     def test_image_shape_parsing(self):
-        cfg = parse_config("data.dim = none\ndata.image_shape = 1x8x8\n")
+        cfg = parse_config("model.arch = cnn\ndata.dim = none\ndata.image_shape = 1x8x8\n")
         assert cfg.data.image_shape == (1, 8, 8)
         for bad in ("8x8", "1x-4x4", "1x0x4", "1xax4"):
             with pytest.raises(ParameterError) as err:
@@ -216,6 +257,53 @@ class TestValidation:
             built = False
         assert accepted == built
 
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(["mlp", "cnn"]),
+           geometry=st.one_of(
+               st.builds(lambda dim: {"dim": dim}, st.integers(1, 8)),
+               st.builds(lambda *shape: {"dim": None, "image_shape": shape},
+                         st.integers(1, 3), st.integers(1, 8), st.integers(1, 8)),
+               st.sampled_from(["idx", "cifar"])))
+    def test_arch_rule_accepts_exactly_the_buildable_models(self, loader_files, arch,
+                                                            geometry):
+        spec = loader_files[geometry] if isinstance(geometry, str) else geometry
+        text = f"model.arch = {arch}\n" + "".join(
+            f"data.{name} = {render(value)}\n" for name, value in spec.items())
+        try:
+            parse_config(text)
+            accepted = True
+        except ParameterError as exc:
+            assert "model.arch" in str(exc)
+            accepted = False
+        stream = build_stream(DataSpec(**spec), run_seed=0)
+        try:
+            build_model(ModelSpec(arch=arch), stream.tasks[0].train.inputs, 0)
+            built = True
+        except ParameterError:
+            built = False
+        assert accepted == built
+
+    @pytest.mark.parametrize("cls,name", RANGED_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in RANGED_FIELDS])
+    def test_ranged_fields_reject_non_finite_values_from_python(self, cls, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=name):
+                cls(**{name: value})
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=st.dictionaries(
+        st.sampled_from(list(ALL_KEYS)),
+        st.sampled_from(TOKENS + tuple(value for value, _, _ in ALL_KEYS.values())),
+        max_size=8))
+    def test_random_documents_fail_typed_or_round_trip(self, doc):
+        text = "".join(f"{key} = {value}\n" for key, value in doc.items())
+        try:
+            cfg = parse_config(text)
+        except CltaError:
+            return
+        dumped = dump_config(cfg)
+        assert dump_config(parse_config(dumped)) == dumped
+
     def test_subconfig_invariants_surface_as_config_errors(self):
         with pytest.raises(ParameterError):
             parse_config("train.epochs = 0\n")
@@ -258,7 +346,7 @@ class TestRoundTrip:
         assert dump_config(parse_config(dumped)) == dumped
 
     def test_image_shape_dumps_in_canonical_form(self):
-        cfg = parse_config("data.dim = none\ndata.image_shape = 1X8x8\n")
+        cfg = parse_config("model.arch = cnn\ndata.dim = none\ndata.image_shape = 1X8x8\n")
         assert "data.image_shape = 1x8x8\n" in dump_config(cfg)
 
     def test_dump_mentions_every_key_once(self):
@@ -269,6 +357,9 @@ class TestRoundTrip:
         assert "warmup.patience" in keys
         assert dumped.endswith("\n")
 
+    def test_a_config_built_in_python_dumps_like_the_defaults(self):
+        assert dump_config(ExperimentConfig()) == dump_config(parse_config(""))
+
     def test_defaults_round_trip(self):
         dumped = dump_config(parse_config(""))
         assert dump_config(parse_config(dumped)) == dumped
@@ -276,13 +367,13 @@ class TestRoundTrip:
 
 class TestFileValidation:
     def test_idx_kind_requires_existing_files(self, tmp_path):
-        cfg = parse_config("data.kind = idx\n")
+        cfg = parse_config("data.kind = idx\nmodel.arch = cnn\n")
         with pytest.raises(ParameterError) as err:
             validate_config(cfg)
         assert "data.images" in str(err.value)
 
         missing = parse_config(
-            "data.kind = idx\n"
+            "data.kind = idx\nmodel.arch = cnn\n"
             f"data.images = {tmp_path / 'nope.idx'}\n"
             f"data.labels = {tmp_path / 'nope2.idx'}\n"
             f"data.test_images = {tmp_path / 'nope3.idx'}\n"

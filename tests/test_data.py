@@ -10,7 +10,7 @@ from clta.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, SIGMA_LADDER,
                        corrupt_every_other, corrupt_gaussian, load_cifar_binary,
                        load_idx, split_classes, stream_from_datasets,
                        synthetic_stream)
-from clta.errors import (ConsistencyError, DataError, FormatError,
+from clta.errors import (CltaError, ConsistencyError, DataError, FormatError,
                          ParameterError, TruncatedFileError)
 
 
@@ -231,6 +231,66 @@ class TestCifarLoading:
         path.write_bytes(b"\x00" * 100)
         with pytest.raises(FormatError):
             load_cifar_binary(path)
+
+
+IDX_PAIR = (idx_image_bytes(range(12), rows=2, cols=2), idx_label_bytes([0, 1, 2]))
+IDX_HEADERS = (16, 8)
+CIFAR_FILE = b"".join(bytes([label]) + bytes(range(256)) * 12 for label in (3, 7))
+
+
+def mutated(data, blob, header_size):
+    """``blob`` with up to four bytes overwritten, biased toward the header,
+    and perhaps truncated."""
+    offset = st.integers(0, header_size - 1) | st.integers(0, len(blob) - 1)
+    out = bytearray(blob)
+    for pos, value in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)), max_size=4)):
+        out[pos] = value
+    cut = data.draw(st.none() | st.integers(0, len(blob)))
+    return bytes(out if cut is None else out[:cut])
+
+
+class TestCorruptFiles:
+    def write_pair(self, root, images, labels):
+        (root / "img.idx").write_bytes(images)
+        (root / "lab.idx").write_bytes(labels)
+        return root / "img.idx", root / "lab.idx"
+
+    def test_huge_image_header_allocates_nothing(self, tmp_path):
+        header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 1048576, 1024, 16)
+        pair = self.write_pair(tmp_path, header + bytes(8), IDX_PAIR[1])
+        with pytest.raises(TruncatedFileError, match="byte 16"):
+            load_idx(*pair)
+
+    def test_sizes_past_the_index_range(self, tmp_path):
+        header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 2 ** 31, 2 ** 31, 2 ** 31)
+        pair = self.write_pair(tmp_path, header + bytes(8), IDX_PAIR[1])
+        with pytest.raises(TruncatedFileError, match="byte 16"):
+            load_idx(*pair)
+        labels = struct.pack(">II", IDX_LABEL_MAGIC, 2 ** 31) + bytes(3)
+        pair = self.write_pair(tmp_path, IDX_PAIR[0], labels)
+        with pytest.raises(TruncatedFileError, match="byte 8"):
+            load_idx(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.sampled_from([0, 1]))
+    def test_only_clta_errors_escape_idx(self, tmp_path_factory, data, which):
+        pair = list(IDX_PAIR)
+        pair[which] = mutated(data, pair[which], IDX_HEADERS[which])
+        paths = self.write_pair(tmp_path_factory.mktemp("idx"), *pair)
+        try:
+            load_idx(*paths)
+        except CltaError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_only_clta_errors_escape_cifar(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cifar") / "batch.bin"
+        path.write_bytes(mutated(data, CIFAR_FILE, 1))
+        try:
+            load_cifar_binary(path)
+        except CltaError:
+            pass
 
 
 class TestCorruption:

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from clta.config import parse_config
+from clta.config import ModelSpec, parse_config
 from clta.errors import ParameterError
 from clta.experiment import (ExperimentResult, aggregate_csv, aggregate_rows,
                              build_model, build_stream, expected_tasks,
@@ -147,7 +148,7 @@ class TestRunning:
         assert mask_wall(results_csv(seq)) == mask_wall(results_csv(conc))
 
     def test_failed_seed_becomes_a_row(self):
-        cfg = parse_config(BASE_CONFIG + "model.arch = cnn\n")
+        cfg = replace(parse_config(BASE_CONFIG), model=ModelSpec(arch="cnn"))
         row = run_seed(cfg, 0)
         assert row["status"].startswith("failed:")
         assert math.isnan(row["acc_inc"])
@@ -155,7 +156,7 @@ class TestRunning:
         assert row["wall_s"] >= 0.0
 
     def test_failures_do_not_stop_siblings(self):
-        cfg = parse_config(BASE_CONFIG + "model.arch = cnn\nrun.seeds = 0,1\n")
+        cfg = replace(parse_config(BASE_CONFIG + "run.seeds = 0,1\n"), model=ModelSpec(arch="cnn"))
         result = run_experiment(cfg)
         assert len(result.rows) == 2
         assert result.aggregate["seeds_ok"] == 0
@@ -230,13 +231,12 @@ class TestBuilders:
         cfg = parse_config(BASE_CONFIG)
         stream = build_stream(cfg.data, run_seed=0)
         with pytest.raises(ParameterError):
-            build_model(parse_config(BASE_CONFIG + "model.arch = cnn\n").model,
-                        stream.tasks[0].train.inputs, run_seed=0)
+            build_model(ModelSpec(arch="cnn"), stream.tasks[0].train.inputs, run_seed=0)
         model = build_model(cfg.model, stream.tasks[0].train.inputs, run_seed=0)
         assert model.feature_dim == 64
 
     def test_expected_tasks_accounts_for_half_first(self):
         assert expected_tasks(parse_config(BASE_CONFIG)) == 2
-        cfg = parse_config("data.kind = idx\ndata.split_scheme = half_first\n"
+        cfg = parse_config("data.kind = idx\nmodel.arch = cnn\ndata.split_scheme = half_first\n"
                            "data.split_parts = 5\n")
         assert expected_tasks(cfg) == 6

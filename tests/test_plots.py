@@ -1,8 +1,9 @@
 import re
+from dataclasses import replace
 
 import pytest
 
-from clta.config import parse_config
+from clta.config import ModelSpec, parse_config
 from clta.errors import DataError
 from clta.experiment import run_experiment, write_results
 from clta.plots import (accuracy_over_tasks_svg, line_chart, loss_curves_svg,
@@ -104,7 +105,8 @@ class TestWritePlots:
             assert content.startswith("<svg ")
 
     def test_failed_runs_warn_instead_of_crashing(self, tmp_path, capsys):
-        result = run_experiment(parse_config(self.CONFIG + "model.arch = cnn\n"))
+        cfg = replace(parse_config(self.CONFIG), model=ModelSpec(arch="cnn"))
+        result = run_experiment(cfg)
         write_results(result, tmp_path)
         written = write_plots(tmp_path)
         assert written == []
