@@ -14,9 +14,8 @@ from .errors import (CltaError, ConsistencyError, ContractError, DataError,
                      ParameterError, ShapeError, StateError, TruncatedFileError)
 from .experiment import (ExperimentResult, aggregate_rows, build_model,
                          build_stream, run_experiment, run_seed, write_results)
-from .harness import (RunResult, TaskTrace, TrainConfig, WarmupConfig,
-                      epoch_permutation, iter_batches, lr_schedule, one_cycle_lr,
-                      run_stream, sgd_step, train_task, warmup_head)
+from .harness import (RunResult, TaskTrace, TrainConfig, WarmupConfig, lr_schedule,
+                      one_cycle_lr, run_stream, train_task, warmup_head)
 from .layers import (BatchNorm, Conv2d, Dense, GlobalAvgPool, GroupNorm, Identity,
                      IncrementalModel, LayerNorm, NormMode, ReLU, add_task_head,
                      build_micro_cnn, build_micro_mlp, deserialize_model,
@@ -26,6 +25,7 @@ from .metrics import (AccuracyMatrix, MetricsReport, accuracy_metrics,
                       bn_stats_kld, capture_features, compute_report,
                       evaluate_task_agnostic, forgetting_metrics, linear_cka,
                       predict_global, task_confusion)
+from .optim import ce_step, epoch_permutation, iter_batches, sgd_step
 from .plots import (accuracy_over_tasks_svg, line_chart, loss_curves_svg,
                     severity_chart_svg, write_plots)
 

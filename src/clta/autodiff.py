@@ -78,9 +78,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     # ------------------------------------------------------------------
     # operator sugar
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distill import KDConfig, TeacherStrategy
-from .data import SIGMA_LADDER
+from .data import SIGMA_LADDER, split_classes
 from .errors import FormatError, ParameterError, check_fields, check_value
 from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
@@ -32,8 +32,8 @@ class DataSpec:
     samples_per_class: int = field(default=40, metadata={">=": 1})
     shift: float = 0.0
     blob_std: float = field(default=0.06, metadata={">=": 0})
-    seed: int | None = None
-    num_classes: int = 10
+    seed: int | None = field(default=None, metadata={">=": 0})
+    num_classes: int = field(default=10, metadata={">=": 1})
     images: str | None = None
     labels: str | None = None
     test_images: str | None = None
@@ -41,8 +41,8 @@ class DataSpec:
     path: str | None = None
     test_path: str | None = None
     split_scheme: str = field(default="equal", metadata={"choices": ("equal", "half_first")})
-    split_parts: int | None = None
-    order_seed: int | None = None
+    split_parts: int | None = field(default=None, metadata={">=": 1})
+    order_seed: int | None = field(default=None, metadata={">=": 0})
     corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER)})
     corrupt_pattern: str = field(default="none", metadata={"choices": ("none", "every_other")})
 
@@ -56,7 +56,7 @@ class ModelSpec:
     norm: str = field(default="batch", metadata={"choices": ("batch", "none", "layer", "group")})
     hidden: int = field(default=64, metadata={">=": 1})
     groups: int = field(default=4, metadata={">=": 1})
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={">=": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -212,6 +212,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"run.seeds: each seed may appear once, "
                              f"got {_normalize('intlist', seeds)}")
+    for seed in seeds:
+        check_value("run.seeds", seed, {">=": 0})
     if parsed["model.norm"] == "group":
         widths = (parsed["model.hidden"],) if parsed["model.arch"] == "mlp" else CNN_WIDTHS
         if any(width % parsed["model.groups"] for width in widths):
@@ -228,6 +230,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if (parsed["model.arch"] == "mlp") != vectors:
         raise ParameterError(f"model.arch: {parsed['model.arch']} does not take the "
                              f"{'vector' if vectors else 'image'} inputs of {source}")
+    if kind != "synthetic":
+        parts_key = "data.n_tasks" if parsed["data.split_parts"] is None else "data.split_parts"
+        try:
+            split_classes(parsed["data.num_classes"], parsed["data.split_scheme"],
+                          parsed[parts_key])
+        except ParameterError as exc:
+            raise ParameterError(f"{parts_key}: {exc}") from exc
 
     run = kwargs.pop("run")
     sections = {}

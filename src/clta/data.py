@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    ContractError,
     DataError,
     FormatError,
     ParameterError,

@@ -28,6 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .errors import ContractError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode
+from .optim import ce_step, iter_batches, newest_task_parameters
 
 KD_VARIANTS = ("global", "taskwise", "multiclass", "auxiliary")
 
@@ -40,9 +41,6 @@ STRATEGY_KINDS = (
     "pretrain_norm",
     "fix_stats",
 )
-
-_CONTINUOUS = ("continuous_full", "continuous_norm")
-_PRETRAIN = ("pretrain_full", "pretrain_norm")
 
 
 @dataclass
@@ -87,8 +85,25 @@ class TeacherStrategy:
         check_fields(self)
 
     @property
+    def steps_with_student(self) -> bool:  # one teacher step after each student batch
+        return self.kind.startswith("continuous")
+
+    @property
+    def pretrains(self) -> bool:  # teacher epochs on the new task before the student trains
+        return self.kind.startswith("pretrain")
+
+    @property
     def trains_teacher(self) -> bool:
-        return self.kind in _CONTINUOUS or self.kind in _PRETRAIN
+        return self.steps_with_student or self.pretrains
+
+    @property
+    def fixes_student_stats(self) -> bool:  # from task 2 on, the student uses running stats
+        return self.kind == "fix_stats"
+
+    def trained_parameters(self, teacher: IncrementalModel) -> list[Tensor]:
+        """What the teacher's cross-entropy step updates."""
+        norm_only = self.kind.endswith("_norm")
+        return teacher.norm_parameters() if norm_only else newest_task_parameters(teacher)
 
 
 # ----------------------------------------------------------------------
@@ -219,30 +234,6 @@ def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
     return [Tensor(t.data) for t in logits]
 
 
-def _trainable_teacher_params(teacher: IncrementalModel, kind: str) -> list[Tensor]:
-    if kind.endswith("_norm"):
-        return teacher.norm_parameters()
-    params = list(teacher.parameters())
-    return params
-
-
-def _teacher_ce_step(teacher: IncrementalModel, xb: np.ndarray, yb_local: np.ndarray,
-                     strategy: TeacherStrategy) -> float:
-    """One train-mode CE step on the teacher's newest head; returns the loss."""
-    logits = teacher.forward(Tensor(xb), NormMode.TRAIN)
-    loss = ad.cross_entropy(logits[-1], yb_local)
-    value = loss.item()
-    params = _trainable_teacher_params(teacher, strategy.kind)
-    ad.zero_grads(teacher.parameters())
-    loss.backward()
-    if strategy.teacher_lr > 0:
-        for p in params:
-            if p.grad is not None:
-                p.data = p.data - strategy.teacher_lr * p.grad
-    ad.zero_grads(teacher.parameters())
-    return value
-
-
 def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
                      labels_local: np.ndarray, strategy: TeacherStrategy,
                      batch_size: int, seed: int) -> list[float]:
@@ -252,19 +243,15 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
     parameter updates follows the strategy kind.  Returns per-epoch mean
     cross-entropy so callers can check the loss actually went down.
     """
-    if strategy.kind not in _PRETRAIN:
+    if not strategy.pretrains:
         raise ContractError(f"pretrain_teacher called with strategy '{strategy.kind}'")
     n = inputs.shape[0]
+    params = strategy.trained_parameters(teacher)
     history = []
     for epoch in range(strategy.pretrain_epochs):
-        rng = np.random.default_rng((seed, 0x7EAC, epoch))
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            if idx.size < 2:
-                continue
-            losses.append(_teacher_ce_step(teacher, inputs[idx], labels_local[idx], strategy))
+        order = np.random.default_rng((seed, 0x7EAC, epoch)).permutation(n)
+        losses = [ce_step(teacher, params, inputs[idx], labels_local[idx], strategy.teacher_lr,
+                          grad_clip=None) for idx in iter_batches(n, batch_size, order)]
         history.append(float(np.mean(losses)) if losses else float("nan"))
     return history
 
@@ -272,6 +259,7 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
 def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray,
                             yb_local: np.ndarray, strategy: TeacherStrategy) -> float:
     """One SGD step on the teacher for the batch the student just saw."""
-    if strategy.kind not in _CONTINUOUS:
+    if not strategy.steps_with_student:
         raise ContractError(f"continuous_teacher_step called with strategy '{strategy.kind}'")
-    return _teacher_ce_step(teacher, xb, yb_local, strategy)
+    return ce_step(teacher, strategy.trained_parameters(teacher), xb, yb_local,
+                   strategy.teacher_lr, grad_clip=None)

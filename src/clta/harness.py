@@ -34,6 +34,8 @@ from .errors import ContractError, DataError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
 from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
                       evaluate_task_agnostic)
+from .optim import (ce_step, epoch_permutation, iter_batches, newest_task_parameters,
+                    sgd_step)
 
 
 @dataclass
@@ -100,7 +102,7 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# schedules and the optimizer step
+# schedules
 # ----------------------------------------------------------------------
 
 
@@ -125,43 +127,6 @@ def one_cycle_lr(epoch: int, cfg: WarmupConfig) -> float:
     return floor + (cfg.max_lr - floor) * 0.5 * (1.0 + np.cos(np.pi * phase))
 
 
-def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
-    """In-place p <- p - lr * grad with optional global-L2-norm clipping.
-
-    Every passed parameter must carry a gradient; pass exactly the
-    parameters that participated in the loss.
-    """
-    params = list(params)
-    if not params:
-        raise ContractError("sgd_step got an empty parameter list")
-    for p in params:
-        if p.grad is None:
-            raise ContractError("sgd_step: a parameter has no gradient")
-    factor = 1.0
-    if grad_clip is not None:
-        total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-        if total > grad_clip:
-            factor = grad_clip / total
-    for p in params:
-        p.data = p.data - lr * factor * p.grad
-
-
-def epoch_permutation(seed: int, task_index: int, epoch: int, n: int,
-                      stage: int = 0) -> np.ndarray:
-    """Replayable shuffle: one permutation per (seed, task, epoch, stage)."""
-    return np.random.default_rng((seed, task_index, epoch, stage)).permutation(n)
-
-
-def iter_batches(n: int, batch_size: int, order: np.ndarray):
-    """Index slices over a permutation; a trailing singleton is dropped
-    because batch statistics need at least two samples."""
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        if idx.size < 2:
-            continue
-        yield idx
-
-
 # ----------------------------------------------------------------------
 # warmup
 # ----------------------------------------------------------------------
@@ -169,7 +134,7 @@ def iter_batches(n: int, batch_size: int, order: np.ndarray):
 
 def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.ndarray,
                 cfg: WarmupConfig, batch_size: int, seed: int, task_index: int) -> list:
-    """Train only the newest head on frozen backbone features.
+    """Train only the newest head on fixed backbone features.
 
     The backbone (and every running statistic) stays bit-identical: it is
     evaluated once in eval mode and the cached features feed the head.
@@ -259,12 +224,12 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         # the extra head only gives the teacher a cross-entropy on new-task
         # labels; distillation targets always come from the original heads
         add_task_head(teacher, int(labels_local.max()) + 1, seed=(seed, task_index, 9))
-        if strategy.kind.startswith("pretrain"):
+        if strategy.pretrains:
             pretrain_teacher(teacher, inputs, labels_local, strategy,
                              train.batch_size, seed)
 
     student_mode = NormMode.TRAIN
-    if strategy.kind == "fix_stats" and task_index >= 2:
+    if strategy.fixes_student_stats and task_index >= 2:
         student_mode = NormMode.EVAL
 
     n = inputs.shape[0]
@@ -298,7 +263,7 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
             sgd_step(model.parameters(), lr, train.grad_clip)
             ad.zero_grads(model.parameters())
 
-            if teacher is not None and strategy.kind.startswith("continuous"):
+            if teacher is not None and strategy.steps_with_student:
                 continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy)
 
         trace.ce.append(float(np.mean(ce_vals)))
@@ -308,29 +273,6 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         else:
             trace.bn_kld.append(0.0)
     return trace
-
-
-def _train_ce_only(model: IncrementalModel, inputs: np.ndarray,
-                   labels_local: np.ndarray, train: TrainConfig,
-                   seed: int, task_index: int) -> None:
-    """Plain supervised loop used to build the auxiliary network.
-
-    Only the backbone and the newest head take part; older heads see no
-    gradient from a current-task cross-entropy.
-    """
-    n = inputs.shape[0]
-    params = [p for layer in model.backbone for p in layer.parameters()]
-    params += model.heads[-1].parameters()
-    for epoch in range(train.epochs):
-        lr = lr_schedule(epoch, train)
-        order = epoch_permutation(seed, task_index, epoch, n, stage=3)
-        for idx in iter_batches(n, train.batch_size, order):
-            logits = model.forward(Tensor(inputs[idx]), NormMode.TRAIN)
-            loss = ad.cross_entropy(logits[-1], labels_local[idx])
-            ad.zero_grads(model.parameters())
-            loss.backward()
-            sgd_step(params, lr, train.grad_clip)
-            ad.zero_grads(model.parameters())
 
 
 # ----------------------------------------------------------------------
@@ -356,19 +298,21 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
 
     for t in range(1, n_tasks + 1):
         task = stream.tasks[t - 1]
+        inputs, labels = task.train.inputs, task.local_labels(task.train)
         aux = None
         if t >= 2:
             teacher = snapshot_model(model)
-            if kd.variant == "auxiliary":
-                aux = snapshot_model(model)
-                add_task_head(aux, len(task.classes), seed=(seed, t, 5))
-                _train_ce_only(aux, task.train.inputs, task.local_labels(task.train),
-                               train, seed, t)
+            if kd.variant == "auxiliary":  # plain supervised training on this task alone
+                aux = add_task_head(snapshot_model(model), len(task.classes), seed=(seed, t, 5))
+                params = newest_task_parameters(aux)
+                for epoch in range(train.epochs):
+                    order = epoch_permutation(seed, t, epoch, len(inputs), stage=3)
+                    for idx in iter_batches(len(inputs), train.batch_size, order):
+                        ce_step(aux, params, inputs[idx], labels[idx],
+                                lr_schedule(epoch, train), train.grad_clip)
         add_task_head(model, len(task.classes), seed=(seed, t, 1))
-        traces.append(train_task(
-            model, teacher, t, task.train.inputs, task.local_labels(task.train),
-            kd, strategy, train, warmup, seed, aux_teacher=aux,
-        ))
+        traces.append(train_task(model, teacher, t, inputs, labels, kd, strategy, train,
+                                 warmup, seed, aux_teacher=aux))
         seen = int(np.sum(stream.class_counts[:t]))
         order = stream.class_order[:seen]
         for j in range(1, t + 1):

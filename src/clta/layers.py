@@ -38,7 +38,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .errors import (
-    ContractError,
     DegenerateBatchError,
     FormatError,
     ParameterError,
@@ -63,7 +62,7 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
 
 
 class Layer:
-    """Base class: parameters list, mode-aware forward, deep clone."""
+    """Base class: parameters list and mode-aware forward."""
 
     kind: str = "layer"
 
@@ -77,9 +76,6 @@ class Layer:
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         raise NotImplementedError
 
-    def clone(self) -> "Layer":
-        return copy.deepcopy(self)
-
 
 class Dense(Layer):
     kind = "dense"
@@ -92,7 +88,7 @@ class Dense(Layer):
         self.out_features = out_features
         if init == "zeros":
             weight = np.zeros((in_features, out_features))
-        elif init == "kaiming-uniform" or init == "kaiming":
+        elif init == "kaiming":
             if rng is None:
                 raise ParameterError("kaiming init requires an rng")
             weight = kaiming_uniform(rng, (in_features, out_features), in_features)
@@ -313,28 +309,21 @@ class IncrementalModel:
     def total_classes(self) -> int:
         return sum(head.out_features for head in self.heads)
 
-    def clone(self) -> "IncrementalModel":
-        model = IncrementalModel([layer.clone() for layer in self.backbone], self.feature_dim)
-        model.heads = [head.clone() for head in self.heads]
-        return model
 
-
-def add_task_head(model: IncrementalModel, num_classes: int,
-                  init: str = "kaiming-uniform", seed=None) -> IncrementalModel:
+def add_task_head(model: IncrementalModel, num_classes: int, seed=None) -> IncrementalModel:
     """Append a fresh classification head; everything else is untouched.
 
     ``seed`` feeds numpy's generator and may be an int or a tuple of ints.
     """
     if num_classes < 1:
         raise ParameterError(f"a task head needs >= 1 class, got {num_classes}")
-    rng = np.random.default_rng(seed) if init != "zeros" else None
-    model.heads.append(Dense(model.feature_dim, num_classes, init=init, rng=rng))
+    model.heads.append(Dense(model.feature_dim, num_classes, rng=np.random.default_rng(seed)))
     return model
 
 
 def snapshot_model(model: IncrementalModel) -> IncrementalModel:
     """Deep copy for use as a distillation teacher; never aliases the source."""
-    return model.clone()
+    return copy.deepcopy(model)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,9 @@ class TestValidateVerb:
                      "teacher.kind = thawed", "teacher.lr = -0.1",
                      "teacher.pretrain_epochs = 0", "train.epochs = 0",
                      "train.batch_size = 1", "train.base_lr = 0", "train.decay_factor = 1",
-                     "train.grad_clip = 0", "warmup.max_lr = 0", "warmup.patience = 0"):
+                     "train.grad_clip = 0", "warmup.max_lr = 0", "warmup.patience = 0",
+                     "model.seed = -1", "data.seed = -1", "data.order_seed = -1",
+                     "run.seeds = -1"):
             key = line.split(" = ")[0]
             kept = [other for other in GOOD_CONFIG.splitlines() if not other.startswith(key)]
             path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
@@ -75,6 +77,18 @@ class TestValidateVerb:
             path = write_config(tmp_path, "\n".join(kept + lines) + "\n")
             assert main(["validate", path]) == 1, lines
             assert "model.arch" in capsys.readouterr().err, lines
+
+    def test_class_splits_that_do_not_divide_exit_one(self, tmp_path, capsys):
+        image_data = ["data.kind = idx", "model.arch = cnn", "data.dim = none"]
+        for lines, key in ((["data.split_parts = 3"], "data.split_parts"),
+                           (["data.num_classes = 0"], "data.num_classes"),
+                           (["data.num_classes = 9", "data.split_scheme = half_first"],
+                            "data.n_tasks")):
+            kept = [line for line in GOOD_CONFIG.splitlines()
+                    if not line.startswith("data.dim")]
+            path = write_config(tmp_path, "\n".join(kept + image_data + lines) + "\n")
+            assert main(["validate", path]) == 1, lines
+            assert key in capsys.readouterr().err, lines
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.cfg")]) == 1

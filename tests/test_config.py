@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clta.config import (DataSpec, ExperimentConfig, ModelSpec, dump_config,
                          load_config, parse_config, validate_config)
-from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, split_classes
 from clta.distill import KDConfig, TeacherStrategy
 from clta.errors import CltaError, FormatError, ParameterError
 from clta.experiment import build_model, build_stream
@@ -27,7 +27,7 @@ ALL_KEYS = {
     "data.shift": ("0.25", "data.shift", 0.25),
     "data.blob_std": ("0.1", "data.blob_std", 0.1),
     "data.seed": ("7", "data.seed", 7),
-    "data.num_classes": ("20", "data.num_classes", 20),
+    "data.num_classes": ("16", "data.num_classes", 16),
     "data.images": ("a.idx", "data.images", "a.idx"),
     "data.labels": ("b.idx", "data.labels", "b.idx"),
     "data.test_images": ("c.idx", "data.test_images", "c.idx"),
@@ -227,6 +227,13 @@ class TestValidation:
         "model.groups = 0",
         "data.blob_std = -1",
         "run.seeds = 1,2,1",
+        "model.seed = -1",
+        "data.seed = -1",
+        "data.order_seed = -1",
+        "run.seeds = -1",
+        "run.seeds = 0,1,-2",
+        "data.num_classes = 0",
+        "data.split_parts = 0",
     ])
     def test_out_of_range_values_name_the_key(self, line):
         with pytest.raises(ParameterError) as err:
@@ -282,6 +289,28 @@ class TestValidation:
         except ParameterError:
             built = False
         assert accepted == built
+
+    @settings(max_examples=80, deadline=None)
+    @given(num_classes=st.integers(1, 24), scheme=st.sampled_from(["equal", "half_first"]),
+           n_tasks=st.integers(1, 8), split_parts=st.one_of(st.none(), st.integers(1, 8)))
+    def test_class_split_rule_accepts_exactly_the_splittable_streams(
+            self, num_classes, scheme, n_tasks, split_parts):
+        text = (f"data.kind = idx\nmodel.arch = cnn\ndata.dim = none\n"
+                f"data.num_classes = {num_classes}\ndata.split_scheme = {scheme}\n"
+                f"data.n_tasks = {n_tasks}\ndata.split_parts = {render(split_parts)}\n")
+        parts = n_tasks if split_parts is None else split_parts
+        try:
+            split_classes(num_classes, scheme, parts)
+            splittable = True
+        except ParameterError:
+            splittable = False
+        try:
+            parse_config(text)
+            accepted = True
+        except ParameterError as exc:
+            assert ("data.n_tasks" if split_parts is None else "data.split_parts") in str(exc)
+            accepted = False
+        assert accepted == splittable
 
     @pytest.mark.parametrize("cls,name", RANGED_FIELDS,
                              ids=[f"{cls.__name__}.{name}" for cls, name in RANGED_FIELDS])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clta import autodiff as ad
 from clta.autodiff import Tensor, finite_difference_oracle
-from clta.distill import (KDConfig, TeacherStrategy, auxiliary_kd_loss,
+from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_kd_loss,
                           continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
                           pretrain_teacher, taskwise_kd_loss, teacher_forward,
                           teacher_norm_mode, total_loss)
@@ -252,6 +253,14 @@ class TestConfigObjects:
         for kind in ("frozen", "adapt_stats", "fix_stats"):
             assert not TeacherStrategy(kind=kind).trains_teacher
 
+    def test_kind_properties(self):
+        for kind in STRATEGY_KINDS:
+            strategy = TeacherStrategy(kind=kind)
+            assert strategy.steps_with_student == (kind in ("continuous_full",
+                                                            "continuous_norm"))
+            assert strategy.pretrains == (kind in ("pretrain_full", "pretrain_norm"))
+            assert strategy.fixes_student_stats == (kind == "fix_stats")
+
     def test_norm_mode_follows_the_strategy(self):
         assert teacher_norm_mode(TeacherStrategy(kind="adapt_stats")) is NormMode.ADAPT_STATS
         running = TeacherStrategy(kind="adapt_stats", adapt_with_running=True)
@@ -352,16 +361,51 @@ class TestTrainableTeachers:
         allowed = ("gamma", "beta", "running_mean", "running_var")
         assert all(any(tag in k for tag in allowed) for k in changed)
 
-    def test_continuous_step_with_zero_lr_only_moves_statistics(self):
+    @pytest.mark.parametrize("kind", ["continuous_full", "continuous_norm"])
+    def test_continuous_step_with_zero_lr_only_moves_statistics(self, kind):
         teacher, rng = _teacher_with_history(6)
         add_task_head(teacher, 2, seed=(6, 9))
+        for p in teacher.parameters():  # p - 0 * grad would turn -0.0 into 0.0
+            p.data = np.where(p.data == 0.0, -0.0, p.data)
         before = parameter_checksums(teacher)
         x, y = self._task_data(rng, n=16)
-        continuous_teacher_step(teacher, x, y,
-                                TeacherStrategy(kind="continuous_full", teacher_lr=0.0))
+        continuous_teacher_step(teacher, x, y, TeacherStrategy(kind=kind, teacher_lr=0.0))
         after = parameter_checksums(teacher)
         changed = sorted(k for k in before if before[k] != after[k])
+        assert changed
         assert all("running_" in k for k in changed)
+
+    def test_norm_scope_without_normalization_layers_changes_nothing(self):
+        rng = np.random.default_rng(10)
+        teacher = add_task_head(build_micro_mlp(6, norm="none", seed=10), 3, seed=11)
+        add_task_head(teacher, 2, seed=(10, 9))
+        x, y = self._task_data(rng)
+        before = parameter_checksums(teacher)
+        loss = continuous_teacher_step(teacher, x[:16], y[:16],
+                                       TeacherStrategy(kind="continuous_norm", teacher_lr=0.1))
+        history = pretrain_teacher(teacher, x, y,
+                                   TeacherStrategy(kind="pretrain_norm", teacher_lr=0.1,
+                                                   pretrain_epochs=2),
+                                   batch_size=16, seed=0)
+        assert np.isfinite([loss, *history]).all()
+        assert parameter_checksums(teacher) == before
+
+    def test_continuous_full_step_is_plain_sgd_on_backbone_and_newest_head(self):
+        teacher, rng = _teacher_with_history(12)
+        add_task_head(teacher, 2, seed=(12, 9))
+        x, y = self._task_data(rng, n=16)
+        expected = snapshot_model(teacher)
+        logits = expected.forward(Tensor(x), NormMode.TRAIN)
+        ad.cross_entropy(logits[-1], y).backward()
+        stepped = [p for layer in expected.backbone for p in layer.parameters()]
+        stepped += expected.heads[-1].parameters()
+        for p in stepped:
+            p.data = p.data - 0.1 * p.grad
+        old_head = parameter_checksums(teacher)["head.0.weight"]
+        continuous_teacher_step(teacher, x, y,
+                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1))
+        assert parameter_checksums(teacher) == parameter_checksums(expected)
+        assert parameter_checksums(teacher)["head.0.weight"] == old_head
 
     def test_continuous_step_updates_weights_with_positive_lr(self):
         teacher, rng = _teacher_with_history(7)

@@ -292,7 +292,7 @@ def header_offsets(model):
     whose every value byte differs serialize alike everywhere else."""
     blobs = []
     for byte in (b"\x11", b"\x22"):
-        copy = model.clone()
+        copy = snapshot_model(model)
         for layer in copy.backbone + copy.heads:
             for value in vars(layer).values():
                 arr = value.data if isinstance(value, Tensor) else value
