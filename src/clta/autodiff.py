@@ -229,8 +229,8 @@ def _broadcast_binary(op: str, a: Tensor, b: Tensor, forward, dfa, dfb) -> Tenso
 
     def vjp(g: np.ndarray):
         return (
-            _unbroadcast(dfa(g), a.shape),
-            _unbroadcast(dfb(g), b.shape),
+            _unbroadcast(dfa(g), a.shape) if a.requires_grad else None,
+            _unbroadcast(dfb(g), b.shape) if b.requires_grad else None,
         )
 
     return _make(values, op, (a, b), vjp)
@@ -386,49 +386,79 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     def vjp(g: np.ndarray):
         slicer = [slice(None)] * g.ndim
         pieces = []
-        for i in range(len(parts)):
+        for i, part in enumerate(parts):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(slicer)])
+            pieces.append(g[tuple(slicer)] if part.requires_grad else None)
         return tuple(pieces)
 
     return _make(values, "concat", parts, vjp)
 
 
-def normalize(x: Tensor, axes, eps: float, stats=None) -> Tensor:
-    """(x - mean) / sqrt(var + eps) as one graph node.
+def _batch_moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased variance over ``axes``, with the reduced axes kept."""
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    return mean, (centered * centered).mean(axis=axes, keepdims=True)
 
-    With ``stats=None`` the mean and biased variance are taken over ``axes``
-    of ``x`` and the gradient flows through them; otherwise ``stats`` is a
-    fixed ``(mean, var)`` pair of arrays broadcastable to ``x`` and the
-    gradient is ``g / sqrt(var + eps)``.  Values and gradients equal, bit for
-    bit, those of the mean, sub, mul, mean, add_scalar, sqrt, div chain: the
-    VJP repeats that chain's numpy operations in the order backward ran them.
+
+def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = None,
+              beta: Tensor | None = None, moments=None) -> Tensor:
+    """(x - mean) / sqrt(var + eps), then ``* gamma + beta``, as one graph node.
+
+    By default the mean and biased variance are taken over ``axes`` of ``x``
+    and the gradient flows through them.  ``moments`` passes in those same
+    batch statistics, as ``_batch_moments`` computes them, when the caller
+    has them already.  ``stats``, when given, is instead a fixed
+    ``(mean, var)`` pair of arrays broadcastable to ``x``, ``moments`` is
+    ignored, and the gradient is ``g / sqrt(var + eps)``.
+    ``gamma`` and ``beta`` (given together) are per-channel vectors over
+    axis 1.  Values and gradients equal, bit for bit, those of the mean, sub,
+    mul, mean, add_scalar, sqrt, div chain followed by the reshape, mul,
+    reshape, add affine: the VJP repeats those numpy operations in the order
+    backward ran them.
     """
     axes = _norm_axis(axes, x.data.ndim)
-    if stats is None:
-        mean = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - mean
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-    else:
+    if stats is not None:
         mean, var = stats
-        centered = x.data - mean
+    else:
+        mean, var = moments if moments is not None else _batch_moments(x.data, axes)
+    centered = x.data - mean
     if not np.all(np.isfinite(var)):
         raise NumericError("op 'normalize' produced a non-finite variance")
     with np.errstate(invalid="ignore"):
         std = np.sqrt(var + float(eps))
     count = int(np.prod([x.shape[i] for i in axes]))
+    values = centered / std
+    parents = (x,)
+    if gamma is not None:
+        shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
+        if gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
+            raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
+                             f"must both be ({x.shape[1]},)")
+        xhat = values
+        values = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+        parents = (x, gamma, beta)
 
     def vjp(g: np.ndarray):
+        pieces = []
+        if gamma is not None:
+            pieces = [
+                _unbroadcast(g * xhat, shape).reshape(gamma.shape) if gamma.requires_grad else None,
+                _unbroadcast(g, shape).reshape(beta.shape) if beta.requires_grad else None,
+            ]
+            g = g * gamma.data.reshape(shape)
+        if not x.requires_grad:
+            return (None, *pieces)
         gx = g / std
         if stats is not None:
-            return (gx,)
+            return (gx, *pieces)
         gstd = _unbroadcast(-g * centered / (std * std), std.shape)
         gsq = np.broadcast_to(gstd * 0.5 / std, x.shape) / count
         gx = gx + gsq * centered  # centered * centered feeds both factors
         gx = gx + gsq * centered
-        return (gx + np.broadcast_to(_unbroadcast(-gx, mean.shape), x.shape) / count,)
+        return (gx + np.broadcast_to(_unbroadcast(-gx, mean.shape), x.shape) / count, *pieces)
 
-    return _make(centered / std, "normalize", (x,), vjp)
+    return _make(values, "normalize", parents, vjp)
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +474,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     values = a.data @ b.data
 
     def vjp(g: np.ndarray):
-        return (g @ b.data.T, a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(values, "matmul", (a, b), vjp)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one graph node; values and gradients equal
+    those of the matmul, add pair bit for bit."""
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise ShapeError(f"linear expects 2-D input and weight, got {x.shape} and {weight.shape}")
+    if x.shape[1] != weight.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ ({x.shape} @ {weight.shape})")
+    if bias.shape != (weight.shape[1],):
+        raise ShapeError(f"linear: bias shape {bias.shape}, expected ({weight.shape[1]},)")
+    values = x.data @ weight.data + bias.data
+
+    def vjp(g: np.ndarray):
+        return (g @ weight.data.T if x.requires_grad else None,
+                x.data.T @ g if weight.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None)
+
+    return _make(values, "linear", (x, weight, bias), vjp)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -485,23 +535,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         xp = x.data
     cols, oh, ow = _im2col(xp, kh, kw, stride)
     wmat = weight.data.reshape(f, -1)
-    out = np.einsum("fk,nko->nfo", wmat, cols, optimize=True).reshape(n, f, oh, ow)
+    out = np.matmul(wmat, cols).reshape(n, f, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, f, 1, 1)
 
     def vjp(g: np.ndarray):
         gmat = g.reshape(n, f, oh * ow)
-        dw = np.einsum("nfo,nko->fk", gmat, cols, optimize=True).reshape(weight.shape)
-        dcols = np.einsum("fk,nfo->nko", wmat, gmat, optimize=True)
-        dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += dcols[:, :, i, j]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
-        if bias is not None:
-            return (dx, dw, g.sum(axis=(0, 2, 3)))
-        return (dx, dw)
+        dx = dw = None
+        if weight.requires_grad:
+            dw = np.einsum("nfo,nko->fk", gmat, cols, optimize=True).reshape(weight.shape)
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow)
+            dxp = np.zeros_like(xp)
+            span_h, span_w = oh * stride, ow * stride
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + span_h:stride, j:j + span_w:stride] += dcols[:, :, i, j]
+            dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+        if bias is None:
+            return (dx, dw)
+        return (dx, dw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out, "conv2d", parents, vjp)

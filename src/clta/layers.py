@@ -14,9 +14,14 @@ estimates) or by the stored running statistics:
   updated running statistics instead of the batch statistics.
 
 All four modes run the one ``autodiff.normalize`` op, by batch statistics
-or by the running statistics; the adapt modes run it under ``no_grad``, so
-their output is detached.  ``LayerNorm`` and ``GroupNorm`` run the same op
-over their own axes.
+or by the running statistics, with the learned scale and shift folded into
+the same graph node; the adapt modes run it under ``no_grad``, so their
+output is detached.  The batch mean and variance are computed once per call
+and feed both the running update and the op.  ``LayerNorm`` runs the same
+op over its own axes; ``GroupNorm`` normalizes a grouped view and applies
+its scale and shift after reshaping back.  ``Dense`` is one
+``autodiff.linear`` node and ``Conv2d`` one ``autodiff.conv2d`` node, so
+each of these layers adds a single node to the graph.
 
 Running statistics follow the usual deep-learning convention: exponential
 moving average with momentum 0.1, biased variance used to normalize the
@@ -101,7 +106,7 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
-        return ad.matmul(x, self.weight) + self.bias
+        return ad.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Layer):
@@ -183,9 +188,6 @@ class _AffineNorm(Layer):
     def norm_parameters(self):
         return [self.gamma, self.beta]
 
-    def _affine(self, xhat: Tensor, shape: tuple[int, ...]) -> Tensor:
-        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
-
 
 class BatchNorm(_AffineNorm):
     """Per-channel batch normalization with running-statistics state."""
@@ -200,29 +202,32 @@ class BatchNorm(_AffineNorm):
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def _update_running(self, x: np.ndarray, axes: tuple[int, ...]) -> None:
+    def _update_running(self, x: np.ndarray,
+                        axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the batch statistics into the running ones; returns the batch
+        mean and biased variance, with the reduced axes kept."""
         count = int(np.prod([x.shape[a] for a in axes]))
-        batch_mean = x.mean(axis=axes)
-        batch_var = x.var(axis=axes)  # biased
-        unbiased = batch_var * count / (count - 1)
+        batch_mean, batch_var = ad._batch_moments(x, axes)
+        unbiased = batch_var.ravel() * count / (count - 1)
         m = self.momentum
-        self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
+        self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean.ravel()
         self.running_var = (1.0 - m) * self.running_var + m * unbiased
+        return batch_mean, batch_var
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         shape = _channel_shape(x, self.num_features)
         axes = (0,) + tuple(range(2, x.data.ndim))
+        moments = stats = None
         if mode is not NormMode.EVAL:
             if x.shape[0] < 2:
                 raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
                                            f"batch size >= 2, got {x.shape[0]}")
-            self._update_running(x.data, axes)
-        stats = None
+            moments = self._update_running(x.data, axes)
         if mode in (NormMode.EVAL, NormMode.ADAPT_STATS_RUNNING):
             stats = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
         adapting = mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING)
         with no_grad() if adapting else contextlib.nullcontext():
-            return self._affine(ad.normalize(x, axes, self.eps, stats), shape)
+            return ad.normalize(x, axes, self.eps, stats, self.gamma, self.beta, moments)
 
 
 class LayerNorm(_AffineNorm):
@@ -231,8 +236,9 @@ class LayerNorm(_AffineNorm):
     kind = "layernorm"
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
-        shape = _channel_shape(x, self.num_features)
-        return self._affine(ad.normalize(x, tuple(range(1, x.data.ndim)), self.eps), shape)
+        _channel_shape(x, self.num_features)
+        return ad.normalize(x, tuple(range(1, x.data.ndim)), self.eps,
+                            gamma=self.gamma, beta=self.beta)
 
 
 class GroupNorm(_AffineNorm):
@@ -254,7 +260,8 @@ class GroupNorm(_AffineNorm):
         spatial = x.shape[2:]
         grouped = ad.reshape(x, (n, self.groups, self.num_features // self.groups) + spatial)
         xhat = ad.normalize(grouped, tuple(range(2, grouped.data.ndim)), self.eps)
-        return self._affine(ad.reshape(xhat, x.shape), shape)
+        return (ad.reshape(xhat, x.shape) * ad.reshape(self.gamma, shape)
+                + ad.reshape(self.beta, shape))
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +282,8 @@ class IncrementalModel:
         self.heads: list[Dense] = []
         self.feature_dim = feature_dim
 
-    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL,
-                capture_features: bool = False):
+    def features(self, x: Tensor, mode: NormMode = NormMode.EVAL) -> Tensor:
+        """The backbone's output, (batch, feature_dim)."""
         h = x
         for layer in self.backbone:
             h = layer.forward(h, mode)
@@ -284,6 +291,11 @@ class IncrementalModel:
             raise ShapeError(
                 f"backbone produced shape {h.shape}, expected (batch, {self.feature_dim})"
             )
+        return h
+
+    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL,
+                capture_features: bool = False):
+        h = self.features(x, mode)
         logits = [head.forward(h, mode) for head in self.heads]
         if capture_features:
             return logits, h

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .layers import IncrementalModel, NormMode
 
 
@@ -16,7 +16,10 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     """In-place p <- p - lr * grad with optional global-L2-norm clipping.
 
     Every passed parameter must carry a gradient; pass exactly the
-    parameters that participated in the loss.
+    parameters that participated in the loss.  The clipping norm is scaled
+    by the largest gradient magnitude when its plain sum of squares
+    overflows; a non-finite gradient under clipping raises ``NumericError``
+    naming the parameter's index.
     """
     params = list(params)
     if not params:
@@ -26,11 +29,25 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
             raise ContractError("sgd_step: a parameter has no gradient")
     factor = 1.0
     if grad_clip is not None:
-        total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-        if total > grad_clip:
+        with np.errstate(over="ignore"):
+            total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+        if not np.isfinite(total):
+            factor = _overflowing_clip_factor(params, grad_clip)
+        elif total > grad_clip:
             factor = grad_clip / total
     for p in params:
         p.data = p.data - lr * factor * p.grad
+
+
+def _overflowing_clip_factor(params: list[Tensor], grad_clip: float) -> float:
+    """The clip factor when the sum of squared gradients overflows: the norm
+    is taken relative to the largest gradient magnitude, which cannot."""
+    for i, p in enumerate(params):
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"sgd_step: parameter {i} has a non-finite gradient")
+    peak = max(float(np.max(np.abs(p.grad))) for p in params)
+    relative = np.sqrt(sum(float(np.sum(np.square(p.grad / peak))) for p in params))
+    return min(1.0, grad_clip / peak / relative)
 
 
 def epoch_permutation(seed: int, task_index: int, epoch: int, n: int,
@@ -60,8 +77,8 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
     """One train-mode cross-entropy step on the newest head; returns the loss.
     Only ``params`` move, and none does when the list is empty (a norm-only
     scope on a norm-free model) or ``lr`` is zero; running statistics still do."""
-    logits = model.forward(Tensor(xb), NormMode.TRAIN)
-    loss = ad.cross_entropy(logits[-1], yb_local)
+    features = model.features(Tensor(xb), NormMode.TRAIN)
+    loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
     ad.zero_grads(model.parameters())
     loss.backward()
     if params and lr > 0:

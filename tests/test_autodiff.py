@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,247 @@ class TestNormalize:
         x = Tensor(np.array([[1e200, 2.0], [-1e200, 3.0]]))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="variance"):
             ad.normalize(x, (0,), 1e-5)
+
+
+def weighted_sum(out):
+    """A scalar whose gradient reaches every output entry unevenly, so that
+    ops whose plain sum is constant (normalize) still get a real check."""
+    weights = np.random.default_rng(out.data.size).normal(size=out.shape)
+    return (out * Tensor(weights)).sum()
+
+
+def batch_moments(x, axes):
+    """The batch statistics in the form ``normalize``'s ``moments`` takes."""
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    return mean, (centered * centered).mean(axis=axes, keepdims=True)
+
+
+def _affine_normalize_cases(rng):
+    cases = []
+    for shape, axes in (((6, 4), (0,)), ((3, 4, 3, 3), (0, 2, 3))):
+        x = rng.normal(1.0, 2.0, size=shape)
+        gamma, beta = rng.normal(1.0, 0.5, size=4), rng.normal(size=4)
+        for stats in (None, fixed_stats(rng, shape, axes)):
+            def norm(x_, g_, b_, axes=axes, stats=stats):
+                return weighted_sum(ad.normalize(x_, axes, 1e-5, stats, g_, b_))
+            cases += [
+                (lambda t, n=norm, g=gamma, b=beta: n(t, Tensor(g), Tensor(b)), x),
+                (lambda t, n=norm, x=x, b=beta: n(Tensor(x), t, Tensor(b)), gamma),
+                (lambda t, n=norm, x=x, g=gamma: n(Tensor(x), Tensor(g), t), beta),
+            ]
+    return cases
+
+
+def _oracle_cases():
+    """Primitive name -> list of (scalar function of one tensor, point): each
+    case checks ``backward`` against ``finite_difference_oracle`` for one
+    input of the primitive."""
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    row = rng.normal(size=4)
+    pos = np.abs(rng.normal(size=(3, 4))) + 0.5
+    away = np.where(np.abs(a) < 0.1, 0.5, a)  # away from relu's kink
+    x4 = rng.normal(size=(2, 2, 5, 5))
+    w4, b4 = rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    xl, wl, bl = rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+    labels = np.array([0, 3, 1])
+    return {
+        "add": [(lambda t: weighted_sum(t + Tensor(row)), a),
+                (lambda t: weighted_sum(Tensor(a) + t), row)],
+        "sub": [(lambda t: weighted_sum(t - Tensor(b)), a),
+                (lambda t: weighted_sum(Tensor(a) - t), b)],
+        "mul": [(lambda t: weighted_sum(t * Tensor(b)), a),
+                (lambda t: weighted_sum(Tensor(a) * t), b)],
+        "div": [(lambda t: weighted_sum(t / Tensor(pos)), a),
+                (lambda t: weighted_sum(Tensor(a) / t), pos)],
+        "scale": [(lambda t: weighted_sum(ad.scale(t, -2.5)), a)],
+        "add_scalar": [(lambda t: weighted_sum(ad.add_scalar(t, 0.75)), a)],
+        "relu": [(lambda t: weighted_sum(ad.relu(t)), away)],
+        "sigmoid": [(lambda t: weighted_sum(ad.sigmoid(t)), a)],
+        "log": [(lambda t: weighted_sum(ad.log(t)), pos)],
+        "exp": [(lambda t: weighted_sum(ad.exp(t)), a)],
+        "sqrt": [(lambda t: weighted_sum(ad.sqrt(t)), pos)],
+        "log_sigmoid": [(lambda t: weighted_sum(ad.log_sigmoid(t)), a)],
+        "tensor_sum": [(lambda t: weighted_sum(ad.tensor_sum(t, axis=0)), a)],
+        "tensor_mean": [(lambda t: weighted_sum(ad.tensor_mean(t, axis=1, keepdims=True)), a)],
+        "reshape": [(lambda t: weighted_sum(ad.reshape(t, (4, 3))), a)],
+        "flatten": [(lambda t: weighted_sum(ad.flatten(t)), x4)],
+        "concat": [(lambda t: weighted_sum(ad.concat([t, Tensor(b)], axis=1)), a),
+                   (lambda t: weighted_sum(ad.concat([Tensor(a), t], axis=0)), b)],
+        "normalize": [
+            (lambda t: weighted_sum(ad.normalize(t, (0,), 1e-5)), a),
+            (lambda t: weighted_sum(ad.normalize(t, (0, 2, 3), 1e-5)), x4),
+            (lambda t: weighted_sum(ad.normalize(t, (0,), 1e-5,
+                                                 moments=batch_moments(t.data, (0,)))), a),
+            *_affine_normalize_cases(rng),
+        ],
+        "matmul": [(lambda t: weighted_sum(ad.matmul(t, Tensor(wl))), xl),
+                   (lambda t: weighted_sum(ad.matmul(Tensor(xl), t)), wl)],
+        "linear": [(lambda t: weighted_sum(ad.linear(t, Tensor(wl), Tensor(bl))), xl),
+                   (lambda t: weighted_sum(ad.linear(Tensor(xl), t, Tensor(bl))), wl),
+                   (lambda t: weighted_sum(ad.linear(Tensor(xl), Tensor(wl), t)), bl)],
+        "conv2d": [
+            (lambda t: weighted_sum(ad.conv2d(t, Tensor(w4), Tensor(b4), 2, 1)), x4),
+            (lambda t: weighted_sum(ad.conv2d(Tensor(x4), t, Tensor(b4), 2, 1)), w4),
+            (lambda t: weighted_sum(ad.conv2d(Tensor(x4), Tensor(w4), t, 1, 0)), b4),
+        ],
+        "avg_pool2d": [(lambda t: weighted_sum(ad.avg_pool2d(t, 5)), x4)],
+        "softmax_temperature": [(lambda t: weighted_sum(ad.softmax_temperature(t, 2.0)), a)],
+        "log_softmax_temperature": [
+            (lambda t: weighted_sum(ad.log_softmax_temperature(t, 0.5)), a)],
+        "cross_entropy": [(lambda t: ad.cross_entropy(t, labels), a)],
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+# Public functions of clta.autodiff that build no graph node; the same rule
+# as the benchmark's primitive census.
+NOT_PRIMITIVES = {"grad_enabled", "no_grad", "finite_difference_oracle", "zero_grads"}
+
+
+def autodiff_primitives():
+    return sorted(
+        name for name, obj in vars(ad).items()
+        if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+        and not name.startswith("_") and name not in NOT_PRIMITIVES
+    )
+
+
+class TestOracleTable:
+    def test_every_primitive_has_an_oracle_case(self):
+        missing = [name for name in autodiff_primitives() if not ORACLE_CASES.get(name)]
+        assert not missing, f"primitives without a finite_difference_oracle case: {missing}"
+        assert set(ORACLE_CASES) <= set(autodiff_primitives())
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_gradient_matches_oracle(self, name):
+        for i, (f, x) in enumerate(ORACLE_CASES[name]):
+            t = Tensor(x, requires_grad=True)
+            f(t).backward()
+            numeric = finite_difference_oracle(lambda v: f(Tensor(v)), x)
+            np.testing.assert_allclose(t.grad, numeric, rtol=1e-5, atol=1e-7,
+                                       err_msg=f"{name} case {i}")
+
+
+def run_graph(op, inputs):
+    """Values of ``op`` and the gradients of its inputs under ``weighted_sum``."""
+    tensors = [Tensor(v, requires_grad=True) for v in inputs]
+    out = op(*tensors)
+    weighted_sum(out).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_same_bits(left, right):
+    (lv, lg), (rv, rg) = left, right
+    np.testing.assert_array_equal(lv, rv)
+    assert len(lg) == len(rg)
+    for a, b in zip(lg, rg):
+        np.testing.assert_array_equal(a, b)
+
+
+def einsum_conv2d(x, w, b, stride, padding):
+    """The einsum conv2d, forward and gradients written out in numpy."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    wmat = w.reshape(f, -1)
+    out = np.einsum("fk,nko->nfo", wmat, cols, optimize=True).reshape(n, f, oh, ow)
+    out = out + b.reshape(1, f, 1, 1)
+    g = np.random.default_rng(out.size).normal(size=out.shape)  # weighted_sum's weights
+    gmat = g.reshape(n, f, oh * ow)
+    dw = np.einsum("nfo,nko->fk", gmat, cols, optimize=True).reshape(w.shape)
+    dcols = np.einsum("fk,nfo->nko", wmat, gmat, optimize=True).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += dcols[:, :, i, j]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, [dx, dw, g.sum(axis=(0, 2, 3))]
+
+
+class TestFusedOps:
+    """Each fused op against the graph or formulas it replaced, bit for bit."""
+
+    rng = np.random.default_rng(23)
+
+    def test_linear_equals_matmul_plus_add(self):
+        inputs = [self.rng.normal(size=(7, 5)), self.rng.normal(size=(5, 3)),
+                  self.rng.normal(size=3)]
+        assert_same_bits(run_graph(ad.linear, inputs),
+                         run_graph(lambda x, w, b: ad.matmul(x, w) + b, inputs))
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("shape,axes", NORMALIZE_CASES)
+    def test_affine_normalize_equals_the_chain(self, shape, axes, fixed):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        channels = (1, shape[1]) + (1,) * (len(shape) - 2)
+        stats = fixed_stats(rng, shape, axes) if fixed else None
+        inputs = [rng.normal(1.5, 2.0, size=shape), rng.normal(1.0, 0.5, size=shape[1]),
+                  rng.normal(size=shape[1])]
+
+        def chain(x, gamma, beta):
+            xhat = ad.normalize(x, axes, 1e-5, stats)
+            return xhat * ad.reshape(gamma, channels) + ad.reshape(beta, channels)
+
+        def fused(x, gamma, beta):
+            return ad.normalize(x, axes, 1e-5, stats, gamma, beta)
+
+        assert_same_bits(run_graph(fused, inputs), run_graph(chain, inputs))
+
+    @pytest.mark.parametrize("affine", [False, True])
+    @pytest.mark.parametrize("shape,axes", NORMALIZE_CASES)
+    def test_moments_equal_the_batch_statistics(self, shape, axes, affine):
+        rng = np.random.default_rng(sum(shape))
+        inputs = [rng.normal(1.5, 2.0, size=shape)]
+        if affine:
+            inputs += [rng.normal(1.0, 0.5, size=shape[1]), rng.normal(size=shape[1])]
+
+        def given(x, *affine_params):
+            return ad.normalize(x, axes, 1e-5, None, *affine_params,
+                                moments=batch_moments(x.data, axes))
+
+        def computed(x, *affine_params):
+            return ad.normalize(x, axes, 1e-5, None, *affine_params)
+
+        assert_same_bits(run_graph(given, inputs), run_graph(computed, inputs))
+
+    # The three layers of build_micro_cnn on a 3x32x32 batch of 4.  The bit
+    # equality is a property of the BLAS: einsum contracts through one gemm
+    # over the whole batch, matmul through one gemm per sample, and OpenBLAS
+    # picks its small-matrix kernels for products as small as 4 filters x 18
+    # taps, where the last bit can differ.
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((4, 3, 32, 32), (8, 3, 3, 3)),
+        ((4, 8, 16, 16), (16, 8, 3, 3)),
+        ((4, 16, 8, 8), (32, 16, 3, 3)),
+    ])
+    def test_conv2d_equals_the_einsum_formulas(self, x_shape, w_shape):
+        inputs = [self.rng.normal(size=x_shape), self.rng.normal(size=w_shape),
+                  self.rng.normal(size=w_shape[0])]
+        fused = run_graph(lambda x, w, b: ad.conv2d(x, w, b, 2, 1), inputs)
+        assert_same_bits(fused, einsum_conv2d(*inputs, 2, 1))
+
+    @pytest.mark.parametrize("op,shapes", [
+        (lambda x, w, b: ad.conv2d(x, w, b, 2, 1), [(3, 2, 6, 6), (4, 2, 3, 3), (4,)]),
+        (ad.linear, [(7, 5), (5, 3), (3,)]),
+    ])
+    def test_an_input_that_needs_no_gradient_gets_none(self, op, shapes):
+        inputs = [self.rng.normal(size=s) for s in shapes]
+        _, (_, dw, db) = run_graph(op, inputs)
+        data = Tensor(inputs[0])
+        w, b = (Tensor(v, requires_grad=True) for v in inputs[1:])
+        out = op(data, w, b)
+        pieces = out._vjp(np.ones_like(out.data))
+        assert pieces[0] is None
+        weighted_sum(out).backward()
+        assert data.grad is None
+        np.testing.assert_array_equal(w.grad, dw)
+        np.testing.assert_array_equal(b.grad, db)
 
 
 class TestGraphRules:

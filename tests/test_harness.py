@@ -5,12 +5,13 @@ from clta import autodiff as ad
 from clta.autodiff import Tensor
 from clta.data import synthetic_stream
 from clta.distill import KDConfig, TeacherStrategy
-from clta.errors import ContractError, DataError, ParameterError
+from clta.errors import ContractError, DataError, NumericError, ParameterError
 from clta.harness import (TrainConfig, WarmupConfig, epoch_permutation,
                           iter_batches, lr_schedule, one_cycle_lr, run_stream,
                           sgd_step, train_task, warmup_head)
 from clta.layers import (NormMode, add_task_head, build_micro_mlp, model_checksum,
                          parameter_checksums, snapshot_model)
+from clta.optim import ce_step, newest_task_parameters
 
 
 class TestTrainConfig:
@@ -108,6 +109,60 @@ class TestSgdStep:
         p = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ContractError):
             sgd_step([p], lr=0.1)
+
+    def test_clipping_survives_a_norm_that_overflows(self):
+        """Squaring 1e160 overflows; the step must still be clipped to norm 1,
+        not skipped by an infinite norm."""
+        a = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0]), requires_grad=True)
+        a.grad, b.grad = np.array([3e160, 0.0]), np.array([4e160])
+        sgd_step([a, b], lr=0.1, grad_clip=1.0)
+        np.testing.assert_allclose(a.data, [1.0 - 0.06, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(b.data, [1.0 - 0.08], rtol=1e-12)
+
+    def test_finite_norm_keeps_its_bits(self):
+        rng = np.random.default_rng(4)
+        grads = [rng.normal(size=(3, 2)) * 10.0, rng.normal(size=2)]
+        params = [Tensor(np.ones_like(g), requires_grad=True) for g in grads]
+        for p, g in zip(params, grads):
+            p.grad = g
+        sgd_step(params, lr=0.5, grad_clip=1.0)
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        for p, g in zip(params, grads):
+            np.testing.assert_array_equal(p.data, 1.0 - 0.5 * (1.0 / total) * g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_names_the_parameter(self, bad):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0]), np.array([0.5, bad])
+        with pytest.raises(NumericError, match="parameter 1"):
+            sgd_step([a, b], lr=0.1, grad_clip=1.0)
+
+
+class TestCeStep:
+    def test_steps_the_newest_head_without_running_the_others(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2])
+        models = [build_micro_mlp(5, seed=3) for _ in range(2)]
+        for model in models:
+            for t, classes in enumerate((2, 4, 3)):
+                add_task_head(model, classes, seed=t)
+        stepped, reference = models
+
+        def must_not_run(*args):
+            raise AssertionError("an old head ran")
+
+        for head in stepped.heads[:-1]:
+            head.forward = must_not_run
+        loss = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None)
+
+        logits = reference.forward(Tensor(x), NormMode.TRAIN)
+        expected = ad.cross_entropy(logits[-1], y)
+        expected.backward()
+        sgd_step(newest_task_parameters(reference), 0.1)
+        assert loss == expected.item()
+        assert parameter_checksums(stepped) == parameter_checksums(reference)
 
 
 class TestBatching:

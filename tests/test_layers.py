@@ -113,6 +113,21 @@ class TestBatchNorm:
                 bn.forward(Tensor(np.ones((1, 3))), mode)
         bn.forward(Tensor(np.ones((1, 3))), NormMode.EVAL)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5)])
+    @pytest.mark.parametrize("mode", [NormMode.TRAIN, NormMode.ADAPT_STATS,
+                                      NormMode.ADAPT_STATS_RUNNING])
+    def test_running_update_equals_numpy_mean_and_var(self, shape, mode):
+        """The running statistics take the batch moments the op normalizes
+        by; they equal numpy's ``mean`` and biased ``var`` bit for bit."""
+        x = np.random.default_rng(len(shape)).normal(2.0, 3.0, size=shape)
+        axes = (0,) + tuple(range(2, len(shape)))
+        count = x.size // shape[1]
+        bn = BatchNorm(3)
+        bn.forward(Tensor(x), mode)
+        np.testing.assert_array_equal(bn.running_mean, 0.9 * np.zeros(3) + 0.1 * x.mean(axis=axes))
+        unbiased = x.var(axis=axes) * count / (count - 1)
+        np.testing.assert_array_equal(bn.running_var, 0.9 * np.ones(3) + 0.1 * unbiased)
+
     def test_gamma_beta_gradients_flow_in_train_and_eval(self):
         rng = np.random.default_rng(5)
         for mode in (NormMode.TRAIN, NormMode.EVAL):
