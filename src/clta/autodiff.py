@@ -9,6 +9,12 @@ by the backward pass; a second backward on the same scalar raises.
 Gradients accumulate: a tensor used twice receives the sum of both
 contributions, and the caller is responsible for zeroing grads between
 optimization steps.
+
+Op outputs are not checked for NaN or inf; a non-finite value propagates
+(``relu`` passes NaN on) until it crosses a boundary that is checked: the
+``Tensor`` constructor, through which data enters the graph, the variance
+in ``normalize``, the training losses, the gradients in ``optim.sgd_step``
+and the evaluation logits in ``metrics.predict_global``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParameterError, ShapeError
+from .errors import ContractError, DataError, NumericError, ParameterError, ShapeError
 
 _state = threading.local()
 
@@ -188,9 +194,8 @@ def _coerce(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(values: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"op '{op}' produced non-finite values")
+def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    # no finiteness check here: a NaN or inf propagates to a boundary check
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(values, dtype=np.float64)
     out.grad = None
@@ -233,7 +238,7 @@ def _broadcast_binary(op: str, a: Tensor, b: Tensor, forward, dfa, dfb) -> Tenso
             _unbroadcast(dfb(g), b.shape) if b.requires_grad else None,
         )
 
-    return _make(values, op, (a, b), vjp)
+    return _make(values, (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -263,46 +268,46 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-    return _make(a.data * factor, "scale", (a,), lambda g: (g * factor,))
+    return _make(a.data * factor, (a,), lambda g: (g * factor,))
 
 
 def add_scalar(a: Tensor, offset: float) -> Tensor:
     offset = float(offset)
-    return _make(a.data + offset, "add_scalar", (a,), lambda g: (g,))
+    return _make(a.data + offset, (a,), lambda g: (g,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))  # passes NaN on
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
-    return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
+    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.log(a.data)
-    return _make(values, "log", (a,), lambda g: (g / a.data,))
+    return _make(values, (a,), lambda g: (g / a.data,))
 
 
 def exp(a: Tensor) -> Tensor:
     values = np.exp(a.data)
-    return _make(values, "exp", (a,), lambda g: (g * values,))
+    return _make(values, (a,), lambda g: (g * values,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):
         values = np.sqrt(a.data)
-    return _make(values, "sqrt", (a,), lambda g: (g * 0.5 / values,))
+    return _make(values, (a,), lambda g: (g * 0.5 / values,))
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
     # log sigma(x) = -softplus(-x), computed without overflow on either tail
     x = a.data
     values = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-    return _make(values, "log_sigmoid", (a,), lambda g: (g * _stable_sigmoid(-x),))
+    return _make(values, (a,), lambda g: (g * _stable_sigmoid(-x),))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -336,7 +341,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(values, "sum", (a,), vjp)
+    return _make(values, (a,), vjp)
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -352,7 +357,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy() / count,)
 
-    return _make(values, "mean", (a,), vjp)
+    return _make(values, (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -361,7 +366,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         values = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {old} as {shape}") from exc
-    return _make(values, "reshape", (a,), lambda g: (g.reshape(old),))
+    return _make(values, (a,), lambda g: (g.reshape(old),))
 
 
 def flatten(a: Tensor) -> Tensor:
@@ -391,7 +396,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
             pieces.append(g[tuple(slicer)] if part.requires_grad else None)
         return tuple(pieces)
 
-    return _make(values, "concat", parts, vjp)
+    return _make(values, parts, vjp)
 
 
 def _batch_moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -458,7 +463,7 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
         gx = gx + gsq * centered
         return (gx + np.broadcast_to(_unbroadcast(-gx, mean.shape), x.shape) / count, *pieces)
 
-    return _make(values, "normalize", parents, vjp)
+    return _make(values, parents, vjp)
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +482,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
-    return _make(values, "matmul", (a, b), vjp)
+    return _make(values, (a, b), vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -496,7 +501,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 x.data.T @ g if weight.requires_grad else None,
                 g.sum(axis=0) if bias.requires_grad else None)
 
-    return _make(values, "linear", (x, weight, bias), vjp)
+    return _make(values, (x, weight, bias), vjp)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -557,7 +562,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         return (dx, dw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, "conv2d", parents, vjp)
+    return _make(out, parents, vjp)
 
 
 def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
@@ -573,7 +578,7 @@ def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
         expanded = np.repeat(np.repeat(g, k, axis=2), k, axis=3)
         return (expanded / (k * k),)
 
-    return _make(values, "avg_pool2d", (x,), vjp)
+    return _make(values, (x,), vjp)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +605,7 @@ def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
         inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner) / temperature,)
 
-    return _make(p, "softmax_temperature", (logits,), vjp)
+    return _make(p, (logits,), vjp)
 
 
 def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
@@ -616,7 +621,7 @@ def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
     def vjp(g: np.ndarray):
         return ((g - p * g.sum(axis=-1, keepdims=True)) / temperature,)
 
-    return _make(logp, "log_softmax_temperature", (logits,), vjp)
+    return _make(logp, (logits,), vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -631,7 +636,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: {n} rows but {y.shape} labels")
     if np.any(y < 0) or np.any(y >= num_classes):
-        raise IndexError(f"cross_entropy: label outside [0, {num_classes})")
+        raise DataError(f"cross_entropy: labels must lie in [0, {num_classes}), "
+                        f"got {y.min()}..{y.max()}")
     shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
@@ -643,7 +649,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         grad = g.reshape(()) * p / n
         return (grad.reshape(logits.shape),)
 
-    return _make(np.asarray(value), "cross_entropy", (logits,), vjp)
+    return _make(np.asarray(value), (logits,), vjp)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,8 @@ class DataSpec:
     classes_per_task: int = field(default=2, metadata={">=": 1})
     dim: int | None = field(default=16, metadata={">=": 1})
     image_shape: tuple | None = None
-    samples_per_class: int = field(default=40, metadata={">=": 1})
+    # the 80/20 split keeps a test sample per class from 3 samples on
+    samples_per_class: int = field(default=40, metadata={">=": 3})
     shift: float = 0.0
     blob_std: float = field(default=0.06, metadata={">=": 0})
     seed: int | None = field(default=None, metadata={">=": 0})

@@ -220,18 +220,22 @@ def teacher_norm_mode(strategy: TeacherStrategy) -> NormMode:
 
 
 def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
-                    strategy: TeacherStrategy) -> list[Tensor]:
-    """Per-head teacher logits, detached from any gradient graph.
+                    strategy: TeacherStrategy, n_old: int) -> list[Tensor]:
+    """Logits of the teacher's first ``n_old`` heads, computed under
+    ``no_grad`` and so detached from any gradient graph.
 
-    Under the statistics-adaptation strategy this call also moves the
-    teacher's running normalization statistics toward the batch; all other
+    A trained teacher carries one extra head for its own cross-entropy on
+    the new task, which gives no targets and is not run.  Under the
+    statistics-adaptation strategy this call also moves the teacher's
+    running normalization statistics toward the batch; all other
     strategies leave the snapshot untouched here.
     """
     if teacher is None:
         raise ContractError("teacher_forward called without a teacher snapshot")
+    mode = teacher_norm_mode(strategy)
     with no_grad():
-        logits = teacher.forward(x, teacher_norm_mode(strategy))
-    return [Tensor(t.data) for t in logits]
+        features = teacher.features(x, mode)
+        return [head.forward(features, mode) for head in teacher.heads[:n_old]]
 
 
 def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,

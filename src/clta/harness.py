@@ -10,6 +10,7 @@ task is the teacher strategy's business.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .distill import (
     teacher_forward,
     total_loss,
 )
-from .errors import ContractError, DataError, ParameterError, check_fields
+from .errors import ContractError, DataError, NumericError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
 from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
                       evaluate_task_agnostic)
@@ -154,7 +155,7 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
         for idx in iter_batches(inputs.shape[0], batch_size, order):
             logits = head.forward(Tensor(feats[idx]), NormMode.EVAL)
             loss = ad.cross_entropy(logits, labels_local[idx])
-            losses.append(loss.item())
+            losses.append(_finite_loss(loss, task_index, epoch, "warmup CE"))
             ad.zero_grads(head.parameters())
             loss.backward()
             sgd_step(head.parameters(), lr)
@@ -174,6 +175,14 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
 # ----------------------------------------------------------------------
 # per-task training
 # ----------------------------------------------------------------------
+
+
+def _finite_loss(loss: Tensor, task_index: int, epoch: int, term: str) -> float:
+    """The loss as a float; a NaN or inf raises, naming where it appeared."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"task {task_index}, epoch {epoch}: non-finite {term} loss {value}")
+    return value
 
 
 def _kd_term(variant: str, student_logits, teacher_logits, aux_logits, kd: KDConfig):
@@ -241,23 +250,24 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
             xb = Tensor(inputs[idx])
             logits = model.forward(xb, student_mode)
             ce = ad.cross_entropy(logits[-1], labels_local[idx])
+            ce_vals.append(_finite_loss(ce, task_index, epoch, "CE"))
 
             if teacher is None:
                 total = ce
                 kd_vals.append(0.0)
             else:
-                teacher_logits = teacher_forward(teacher, xb, strategy)[:n_old]
+                teacher_logits = teacher_forward(teacher, xb, strategy, n_old)
                 aux_logits = None
                 if kd.variant == "auxiliary":
                     with no_grad():
-                        aux_out = aux_teacher.forward(xb, NormMode.EVAL)
-                    aux_logits = Tensor(aux_out[-1].data)
+                        aux_logits = aux_teacher.heads[-1].forward(
+                            aux_teacher.features(xb, NormMode.EVAL), NormMode.EVAL)
                 kd_t = _kd_term(kd.variant, logits, teacher_logits, aux_logits, kd)
-                kd_vals.append(kd_t.item())
+                kd_vals.append(_finite_loss(kd_t, task_index, epoch, "KD"))
                 weight = 1.0 if kd.variant == "auxiliary" else kd.weight
                 total = total_loss(ce, kd_t, weight)
+                _finite_loss(total, task_index, epoch, "total")
 
-            ce_vals.append(ce.item())
             ad.zero_grads(model.parameters())
             total.backward()
             sgd_step(model.parameters(), lr, train.grad_clip)

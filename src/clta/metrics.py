@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .errors import ContractError, DataError, DegenerateBatchError, StateError
+from .errors import ContractError, DataError, DegenerateBatchError, NumericError, StateError
 from .layers import IncrementalModel, NormMode
 
 
@@ -133,6 +133,9 @@ def predict_global(model: IncrementalModel, inputs: np.ndarray, class_order: np.
         for start in range(0, inputs.shape[0], batch_size):
             logits = model.forward(Tensor(inputs[start:start + batch_size]), NormMode.EVAL)
             stacked = np.concatenate([t.data for t in logits], axis=1)
+            if not np.all(np.isfinite(stacked)):  # argmax would pick a NaN silently
+                raise NumericError(f"non-finite logits for inputs {start}.."
+                                   f"{start + stacked.shape[0] - 1}")
             out.append(np.argmax(stacked, axis=1))
     return class_order[np.concatenate(out)]
 
@@ -226,14 +229,14 @@ def bn_stats_kld(model_a: IncrementalModel, model_b: IncrementalModel) -> float:
             f"batch-norm layer counts differ: {len(layers_a)} vs {len(layers_b)}"
         )
     terms = []
-    for la, lb in zip(layers_a, layers_b):
+    for i, (la, lb) in enumerate(zip(layers_a, layers_b)):
         if la.num_features != lb.num_features:
             raise ContractError(
                 f"channel counts differ: {la.num_features} vs {lb.num_features}"
             )
         va, vb = la.running_var, lb.running_var
-        if np.any(va <= 0) or np.any(vb <= 0):
-            raise StateError("non-positive running variance")
+        if not (np.all(va > 0) and np.all(vb > 0)):  # NaN fails the test too
+            raise StateError(f"batch-norm layer {i}: running variance not positive")
         mu_a, mu_b = la.running_mean, lb.running_mean
         kl = 0.5 * np.log(vb / va) + (va + (mu_a - mu_b) ** 2) / (2.0 * vb) - 0.5
         terms.append(kl)

@@ -4,6 +4,8 @@ pretrained teachers and the auxiliary network share."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -16,10 +18,10 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     """In-place p <- p - lr * grad with optional global-L2-norm clipping.
 
     Every passed parameter must carry a gradient; pass exactly the
-    parameters that participated in the loss.  The clipping norm is scaled
-    by the largest gradient magnitude when its plain sum of squares
-    overflows; a non-finite gradient under clipping raises ``NumericError``
-    naming the parameter's index.
+    parameters that participated in the loss.  A non-finite gradient raises
+    ``NumericError`` naming the parameter's index, with or without
+    clipping.  The clipping norm is scaled by the largest gradient magnitude
+    when its plain sum of squares overflows.
     """
     params = list(params)
     if not params:
@@ -28,23 +30,25 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
         if p.grad is None:
             raise ContractError("sgd_step: a parameter has no gradient")
     factor = 1.0
-    if grad_clip is not None:
-        with np.errstate(over="ignore"):
-            total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-        if not np.isfinite(total):
-            factor = _overflowing_clip_factor(params, grad_clip)
-        elif total > grad_clip:
-            factor = grad_clip / total
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+    if not np.isfinite(total):
+        factor = _overflowing_clip_factor(params, grad_clip)
+    elif grad_clip is not None and total > grad_clip:
+        factor = grad_clip / total
     for p in params:
         p.data = p.data - lr * factor * p.grad
 
 
-def _overflowing_clip_factor(params: list[Tensor], grad_clip: float) -> float:
-    """The clip factor when the sum of squared gradients overflows: the norm
-    is taken relative to the largest gradient magnitude, which cannot."""
+def _overflowing_clip_factor(params: list[Tensor], grad_clip: float | None) -> float:
+    """The clip factor when the sum of squared gradients is not finite: a
+    non-finite gradient raises, and otherwise the norm is taken relative to
+    the largest gradient magnitude, which cannot overflow."""
     for i, p in enumerate(params):
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"sgd_step: parameter {i} has a non-finite gradient")
+    if grad_clip is None:
+        return 1.0
     peak = max(float(np.max(np.abs(p.grad))) for p in params)
     relative = np.sqrt(sum(float(np.sum(np.square(p.grad / peak))) for p in params))
     return min(1.0, grad_clip / peak / relative)
@@ -79,9 +83,12 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
     scope on a norm-free model) or ``lr`` is zero; running statistics still do."""
     features = model.features(Tensor(xb), NormMode.TRAIN)
     loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"ce_step: non-finite cross-entropy {value}")
     ad.zero_grads(model.parameters())
     loss.backward()
     if params and lr > 0:
         sgd_step(params, lr, grad_clip)
     ad.zero_grads(model.parameters())
-    return loss.item()
+    return value

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from clta import autodiff as ad
 from clta.autodiff import Tensor, finite_difference_oracle, no_grad
-from clta.errors import ContractError, NumericError, ParameterError, ShapeError
+from clta.errors import ContractError, DataError, NumericError, ParameterError, ShapeError
 
 
 def check_grad(f, x, rtol=1e-6, atol=1e-8):
@@ -506,9 +506,25 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ad.log_softmax_temperature(Tensor(np.zeros((1, 3))), -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite_values(self, bad):
+        with pytest.raises(NumericError):
+            Tensor([0.5, bad])
+
+    def test_op_outputs_are_not_checked(self):
+        """Non-finite values propagate to the boundary checks; ``relu``
+        passes a NaN on instead of turning it into 0."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            big = ad.exp(Tensor([1000.0, 0.0]))
+            holes = ad.relu(ad.log(Tensor([-1.0, 2.0, 0.0])))
+        assert big.data[0] == np.inf
+        assert np.isnan(holes.data[0])
+        np.testing.assert_array_equal(holes.data[1:], [np.log(2.0), 0.0])
+
     def test_cross_entropy_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(DataError, match=r"\[0, 3\)"):
+                ad.cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
     def test_cross_entropy_count_mismatch(self):
         with pytest.raises(ShapeError):

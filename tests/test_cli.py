@@ -41,7 +41,8 @@ class TestValidateVerb:
                      "train.batch_size = 1", "train.base_lr = 0", "train.decay_factor = 1",
                      "train.grad_clip = 0", "warmup.max_lr = 0", "warmup.patience = 0",
                      "model.seed = -1", "data.seed = -1", "data.order_seed = -1",
-                     "run.seeds = -1"):
+                     "run.seeds = -1", "data.samples_per_class = 1",
+                     "data.samples_per_class = 2"):
             key = line.split(" = ")[0]
             kept = [other for other in GOOD_CONFIG.splitlines() if not other.startswith(key)]
             path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")

@@ -222,6 +222,7 @@ class TestValidation:
         "data.n_tasks = 0",
         "data.classes_per_task = 0",
         "data.samples_per_class = 0",
+        "data.samples_per_class = 2",
         "data.dim = 0",
         "model.hidden = 0",
         "model.groups = 0",

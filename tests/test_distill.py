@@ -10,7 +10,7 @@ from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_k
                           pretrain_teacher, taskwise_kd_loss, teacher_forward,
                           teacher_norm_mode, total_loss)
 from clta.errors import ContractError, ParameterError
-from clta.layers import (NormMode, add_task_head, build_micro_mlp,
+from clta.layers import (Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
 
 
@@ -282,7 +282,7 @@ class TestTeacherForward:
     def test_logits_are_detached(self):
         teacher, rng = _teacher_with_history()
         logits = teacher_forward(teacher, Tensor(rng.uniform(size=(8, 6))),
-                                 TeacherStrategy(kind="frozen"))
+                                 TeacherStrategy(kind="frozen"), 1)
         assert len(logits) == 1
         assert not logits[0].requires_grad
 
@@ -290,14 +290,14 @@ class TestTeacherForward:
         teacher, rng = _teacher_with_history()
         before = model_checksum(teacher)
         teacher_forward(teacher, Tensor(rng.uniform(size=(8, 6)) + 0.5),
-                        TeacherStrategy(kind="frozen"))
+                        TeacherStrategy(kind="frozen"), 1)
         assert model_checksum(teacher) == before
 
     def test_adapt_stats_moves_only_running_statistics(self):
         teacher, rng = _teacher_with_history()
         sums_before = parameter_checksums(teacher)
         shifted = rng.uniform(size=(8, 6)) + 0.5
-        teacher_forward(teacher, Tensor(shifted), TeacherStrategy(kind="adapt_stats"))
+        teacher_forward(teacher, Tensor(shifted), TeacherStrategy(kind="adapt_stats"), 1)
         sums_after = parameter_checksums(teacher)
         changed = sorted(k for k in sums_before if sums_before[k] != sums_after[k])
         assert changed
@@ -309,13 +309,33 @@ class TestTeacherForward:
         x = rng.uniform(size=(16, 6)) + 1.0
         pre_activation = x @ teacher.backbone[0].weight.data + teacher.backbone[0].bias.data
         expected = 0.9 * bn.running_mean + 0.1 * pre_activation.mean(axis=0)
-        teacher_forward(teacher, Tensor(x), TeacherStrategy(kind="adapt_stats"))
+        teacher_forward(teacher, Tensor(x), TeacherStrategy(kind="adapt_stats"), 1)
         np.testing.assert_allclose(bn.running_mean, expected, rtol=1e-12)
+
+    def test_runs_the_backbone_and_the_old_heads_only(self, monkeypatch):
+        """A trained teacher's extra head gives no targets, so it is not run."""
+        teacher, rng = _teacher_with_history()
+        add_task_head(teacher, 2, seed=9)
+        x = Tensor(rng.uniform(size=(8, 6)))
+        expected = [t.data for t in teacher.forward(x, NormMode.EVAL)[:1]]
+        calls = []
+        original = Dense.forward
+
+        def counted(self, h, mode):
+            calls.append(self)
+            return original(self, h, mode)
+
+        monkeypatch.setattr(Dense, "forward", counted)
+        logits = teacher_forward(teacher, x, TeacherStrategy(kind="continuous_full"), 1)
+        dense = [layer for layer in teacher.backbone if isinstance(layer, Dense)]
+        assert calls == dense + teacher.heads[:1]
+        assert len(logits) == 1 and not logits[0].requires_grad
+        np.testing.assert_array_equal(logits[0].data, expected[0])
 
     def test_missing_teacher_rejected(self):
         with pytest.raises(ContractError):
             teacher_forward(None, Tensor(np.zeros((2, 6))),
-                            TeacherStrategy(kind="frozen"))
+                            TeacherStrategy(kind="frozen"), 1)
 
 
 class TestTrainableTeachers:

@@ -139,6 +139,21 @@ class TestSgdStep:
         with pytest.raises(NumericError, match="parameter 1"):
             sgd_step([a, b], lr=0.1, grad_clip=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_without_clipping_names_the_parameter(self, bad):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0]), np.array([0.5, bad])
+        with pytest.raises(NumericError, match="parameter 1"):
+            sgd_step([a, b], lr=0.1)
+        np.testing.assert_array_equal(b.data, [1.0, 2.0])
+
+    def test_overflowing_finite_gradient_without_clipping_steps_in_full(self):
+        p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
+        p.grad = np.array([3e160, -1.0])
+        sgd_step([p], lr=0.5)
+        np.testing.assert_array_equal(p.data, [1.0 - 0.5 * 3e160, 1.5])
+
 
 class TestCeStep:
     def test_steps_the_newest_head_without_running_the_others(self):
@@ -163,6 +178,19 @@ class TestCeStep:
         sgd_step(newest_task_parameters(reference), 0.1)
         assert loss == expected.item()
         assert parameter_checksums(stepped) == parameter_checksums(reference)
+
+
+    def test_non_finite_loss_raises_before_a_parameter_moves(self):
+        model = build_micro_mlp(5, seed=3)
+        add_task_head(model, 3, seed=0)
+        model.heads[-1].weight.data[0, 0] = np.nan
+        before = [p.data.copy() for p in model.parameters()]
+        rng = np.random.default_rng(8)
+        with pytest.raises(NumericError, match="ce_step"):
+            ce_step(model, newest_task_parameters(model), rng.normal(size=(6, 5)),
+                    np.array([0, 1, 2, 0, 1, 2]), 0.1, None)
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
 
 
 class TestBatching:
@@ -243,6 +271,14 @@ class TestWarmupHead:
         assert len(history) < 300
 
 
+    def test_non_finite_loss_names_task_epoch_and_term(self):
+        model, x, y = self._setup(3)
+        model.heads[-1].weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="task 4, epoch 0: non-finite warmup CE"):
+            warmup_head(model, x, y, WarmupConfig(enabled=True, max_epochs=10, ramp_epochs=3),
+                        batch_size=16, seed=0, task_index=4)
+
+
 def desk_config(**overrides):
     base = dict(epochs=4, batch_size=16, lr_decay_epochs=(2, 3))
     base.update(overrides)
@@ -264,6 +300,23 @@ class TestTrainTask:
         assert trace.ce[-1] < trace.ce[0]
         assert trace.kd == [0.0] * 4
         assert trace.bn_kld == [0.0] * 4
+
+    def test_non_finite_losses_name_task_epoch_and_term(self):
+        rng = np.random.default_rng(5)
+        x, y = two_class_task(rng)
+        model = self._fresh(5)
+        model.heads[-1].weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="task 1, epoch 0: non-finite CE"):
+            train_task(model, None, 1, x, y, KDConfig(), TeacherStrategy(),
+                       desk_config(), WarmupConfig(), seed=0)
+        # a NaN in an old student head reaches the KD term but not the CE
+        model = self._fresh(5)
+        teacher = snapshot_model(model)
+        add_task_head(model, 2, seed=(5, 2))
+        model.heads[0].weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="task 2, epoch 0: non-finite KD"):
+            train_task(model, teacher, 2, x, y, KDConfig(), TeacherStrategy(),
+                       desk_config(), WarmupConfig(), seed=0)
 
     def test_teacher_presence_contract(self):
         rng = np.random.default_rng(1)

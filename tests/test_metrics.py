@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clta.errors import ContractError, DegenerateBatchError, StateError
+from clta.errors import ContractError, DegenerateBatchError, NumericError, StateError
 from clta.layers import (BatchNorm, Dense, IncrementalModel, NormMode,
                          add_task_head, build_micro_mlp)
 from clta.metrics import (AccuracyMatrix, accuracy_metrics, bn_stats_kld,
@@ -160,6 +160,13 @@ class TestTaskAgnosticPrediction:
         np.testing.assert_array_equal(
             predict_global(model, x, np.array([4, 1, 0])), [4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise_instead_of_an_argmax(self, bad):
+        model = identity_model(4, [2, 2])
+        model.heads[1].bias.data[1] = bad
+        with pytest.raises(NumericError, match="non-finite logits"):
+            predict_global(model, np.eye(4) * 0.9, np.arange(4))
+
     def test_accuracy_counts_global_matches(self):
         model = identity_model(4, [2, 2])
         x = np.eye(4) * 0.9
@@ -283,6 +290,14 @@ class TestBnStatsKld:
         bad.batchnorm_layers()[0].running_var[:] = 0.0
         with pytest.raises(StateError):
             bn_stats_kld(a, bad)
+
+    def test_nan_variance_rejected_in_either_model(self):
+        a = _bn_model([0.0, 0.0], [1.0, 1.0])
+        bad = _bn_model([0.0, 0.0], [1.0, 1.0])
+        bad.batchnorm_layers()[0].running_var[0] = np.nan
+        for pair in ((a, bad), (bad, a)):
+            with pytest.raises(StateError, match="layer 0"):
+                bn_stats_kld(*pair)
 
 
 class TestCaptureFeatures:

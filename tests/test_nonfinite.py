@@ -29,6 +29,9 @@ from clta.errors import NumericError
 from clta.harness import TrainConfig, WarmupConfig, run_stream
 from clta.layers import build_micro_cnn, build_micro_mlp
 
+# inf and NaN arithmetic warns on its way to the check that raises
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 PHASES = ("train", "teacher", "eval", "backward")
 # harness-level function -> the phase its ops belong to
 _PHASE_OF = {"train_task": "train", "teacher_forward": "teacher",
