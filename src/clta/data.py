@@ -257,6 +257,10 @@ def load_idx(images_path, labels_path, num_classes: int = 10,
             raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
         n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "image dimensions"))
         raw = _read_exact(fh, n * rows * cols, "image pixels")
+        # numpy sizes an array by its nonzero dimensions, so even a file of
+        # zero images must name an image whose float64 pixels are addressable
+        if rows * cols > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+            raise FormatError(f"image dimensions {rows}x{cols} are too large")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols) / 255.0
     with open(labels_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, "label header"))

@@ -271,6 +271,18 @@ class TestCorruptFiles:
         with pytest.raises(TruncatedFileError, match="byte 8"):
             load_idx(*pair)
 
+    def test_empty_file_with_oversized_images(self, tmp_path):
+        header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 0x2A000002, 0x62000002)
+        pair = self.write_pair(tmp_path, header, IDX_PAIR[1])
+        with pytest.raises(FormatError, match="too large"):
+            load_idx(*pair)
+
+    def test_empty_file_loads(self, tmp_path):
+        header = struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28)
+        labels = struct.pack(">II", IDX_LABEL_MAGIC, 0)
+        ds = load_idx(*self.write_pair(tmp_path, header, labels))
+        assert ds.inputs.shape == (0, 1, 28, 28)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), which=st.sampled_from([0, 1]))
     def test_only_clta_errors_escape_idx(self, tmp_path_factory, data, which):
