@@ -20,29 +20,31 @@ and the evaluation logits in ``metrics.predict_global``.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError, ParameterError, ShapeError
 
-_state = threading.local()
+# Process-global: clta is not thread-safe, and ``run.workers`` trains
+# seeds in separate processes.
+_grad_enabled = True
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _grad_enabled
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable recording of the computation graph inside the block."""
-    previous = grad_enabled()
-    _state.grad_enabled = False
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = previous
+        _grad_enabled = previous
 
 
 def _as_array(values) -> np.ndarray:

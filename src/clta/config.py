@@ -16,8 +16,9 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .distill import KDConfig, TeacherStrategy
-from .data import SIGMA_LADDER, split_classes
-from .errors import FormatError, ParameterError, check_fields, check_value
+from .data import SIGMA_LADDER, cifar_record_count, read_idx_header, split_classes
+from .errors import (ConsistencyError, FormatError, ParameterError, check_fields,
+                     check_value)
 from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
 
@@ -259,15 +260,31 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check constraints that reach outside the document, such as file paths."""
+    """Check what reaches outside the document: each data file that
+    ``data.kind`` needs exists and passes its loader's size checks, IDX
+    headers (magic, rank, sizes against the file length, image count against
+    label count) and CIFAR file lengths.  Reads no array bodies."""
     required = {"idx": ("images", "labels", "test_images", "test_labels"),
                 "cifar": ("path", "test_path")}.get(cfg.data.kind, ())
+    counts = {}
     for name in required:
         value = getattr(cfg.data, name)
         if value is None:
             raise ParameterError(f"data.{name}: required for data.kind = {cfg.data.kind}")
         if not os.path.isfile(value):
             raise ParameterError(f"data.{name}: file not found: {value}")
+        try:
+            if cfg.data.kind == "cifar":
+                cifar_record_count(os.path.getsize(value))
+            else:
+                with open(value, "rb") as fh:
+                    counts[name] = read_idx_header(fh, "label" if "label" in name else "image")[0]
+        except FormatError as exc:
+            raise type(exc)(f"data.{name}: {exc}") from exc
+    for images, labels in (("images", "labels"), ("test_images", "test_labels")):
+        if images in counts and counts[images] != counts[labels]:
+            raise ConsistencyError(f"data.{labels}: {counts[labels]} labels for the "
+                                   f"{counts[images]} images of data.{images}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,6 +10,7 @@ controllable input-distribution drift.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -245,6 +246,35 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
+def read_idx_header(fh, what: str) -> tuple[int, ...]:
+    """Check an IDX header and return the sizes it declares: (count, rows,
+    cols) for ``what = "image"``, (count,) for ``"label"``.
+
+    The magic must match, a rank byte other than the expected one is named
+    as such, and the file must hold the body the sizes declare.  Reads no
+    body bytes.
+    """
+    magic = IDX_IMAGE_MAGIC if what == "image" else IDX_LABEL_MAGIC
+    (found,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} header"))
+    if found >> 8 == magic >> 8 and found != magic:
+        raise FormatError(f"{what} file has rank {found & 0xFF}, expected {magic & 0xFF}")
+    if found != magic:
+        raise FormatError(f"bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
+    sizes = struct.unpack(f">{magic & 0xFF}I", _read_exact(fh, 4 * (magic & 0xFF),
+                                                           f"{what} dimensions"))
+    offset = fh.tell()
+    body = math.prod(sizes)
+    left = os.fstat(fh.fileno()).st_size - offset
+    if body > left:
+        raise TruncatedFileError(f"{what} body at byte {offset}: header declares "
+                                 f"{body} bytes, {left} left")
+    # numpy sizes an array by its nonzero dimensions, so even a file of
+    # zero images must name an image whose float64 pixels are addressable
+    if math.prod(sizes[1:]) > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise FormatError(f"{what} dimensions {'x'.join(map(str, sizes[1:]))} are too large")
+    return sizes
+
+
 def load_idx(images_path, labels_path, num_classes: int = 10,
              split: str = "train") -> Dataset:
     """Read an images/labels file pair in the big-endian IDX format.
@@ -252,35 +282,34 @@ def load_idx(images_path, labels_path, num_classes: int = 10,
     Pixel bytes are scaled to [0,1]; image and label counts must agree.
     """
     with open(images_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, "image header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "image dimensions"))
-        raw = _read_exact(fh, n * rows * cols, "image pixels")
-        # numpy sizes an array by its nonzero dimensions, so even a file of
-        # zero images must name an image whose float64 pixels are addressable
-        if rows * cols > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
-            raise FormatError(f"image dimensions {rows}x{cols} are too large")
+        n, rows, cols = read_idx_header(fh, "image")
+        raw = fh.read(n * rows * cols)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols) / 255.0
     with open(labels_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
-        (n_labels,) = struct.unpack(">I", _read_exact(fh, 4, "label count"))
-        labels = np.frombuffer(_read_exact(fh, n_labels, "label bytes"), dtype=np.uint8)
+        (n_labels,) = read_idx_header(fh, "label")
+        labels = np.frombuffer(fh.read(n_labels), dtype=np.uint8)
     if n != n_labels:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
     return Dataset(images, labels.astype(np.int64), num_classes, split)
+
+
+CIFAR_RECORD = 1 + 3 * 32 * 32
+
+
+def cifar_record_count(size: int) -> int:
+    """Records in a CIFAR binary file of ``size`` bytes: one label byte and
+    3072 pixel bytes (3x32x32) each, and at least one."""
+    if size == 0 or size % CIFAR_RECORD != 0:
+        raise FormatError(f"file size {size} is not a nonzero multiple of {CIFAR_RECORD}")
+    return size // CIFAR_RECORD
 
 
 def load_cifar_binary(path, num_classes: int = 10, split: str = "train") -> Dataset:
     """Read records of 1 label byte + 3072 pixel bytes (3x32x32)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    record = 1 + 3 * 32 * 32
-    if len(raw) == 0 or len(raw) % record != 0:
-        raise FormatError(f"file size {len(raw)} is not a multiple of {record}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
+    cifar_record_count(len(raw))
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = data[:, 0].astype(np.int64)
     images = data[:, 1:].reshape(-1, 3, 32, 32) / 255.0
     return Dataset(images, labels, num_classes, split)

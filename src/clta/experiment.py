@@ -2,8 +2,10 @@
 
 A crashed seed does not take the experiment down: it becomes a row whose
 ``status`` records the error while its metrics stay empty, and the
-aggregate is computed over the seeds that finished.  Running seeds
-concurrently gives byte-identical output to running them one by one.
+aggregate is computed over the seeds that finished.  With ``run.workers``
+above one, seeds train in worker processes, which gives byte-identical
+output to running them one by one; a worker the OS kills leaves its seed a
+failed row too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,9 @@ def expected_tasks(cfg: ExperimentConfig) -> int:
     return parts
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Train one seed through the stream; never raises, failures become data."""
+def _empty_row(cfg: ExperimentConfig, seed: int) -> dict:
     n_tasks = expected_tasks(cfg)
-    row = {
+    return {
         "config_id": cfg.config_id,
         "seed": seed,
         "status": "ok",
@@ -96,6 +96,15 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
         "a_k": [math.nan] * n_tasks,
         "traces": [],
     }
+
+
+def _failure(exc: Exception) -> str:
+    return f"failed: {type(exc).__name__}: {exc}"
+
+
+def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
+    """Train one seed through the stream; never raises, failures become data."""
+    row = _empty_row(cfg, seed)
     started = time.perf_counter()
     try:
         stream = build_stream(cfg.data, seed)
@@ -118,7 +127,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
             } for tr in result.traces],
         )
     except Exception as exc:
-        row["status"] = f"failed: {type(exc).__name__}: {exc}"
+        row["status"] = _failure(exc)
         row["wall_s"] = time.perf_counter() - started
     return row
 
@@ -146,12 +155,28 @@ def aggregate_rows(rows: list) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda s: run_seed(cfg, s), cfg.seeds))
+    """Run every seed, in seed order; with ``cfg.workers`` above one, in a
+    pool of at most one worker process per seed (fork starts every worker at
+    once).  A seed whose worker died becomes a failed row."""
+    workers = min(cfg.workers, len(cfg.seeds))
+    if workers > 1:
+        # imported here so that `import clta` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_seed, cfg, s) for s in cfg.seeds]
+            rows = [_collect(future, cfg, s) for future, s in zip(futures, cfg.seeds)]
     else:
         rows = [run_seed(cfg, s) for s in cfg.seeds]
     return ExperimentResult(cfg, rows, aggregate_rows(rows))
+
+
+def _collect(future, cfg: ExperimentConfig, seed: int) -> dict:
+    """A worker's row; ``run_seed`` never raises, so an exception here means
+    the worker is gone (``BrokenProcessPool``) and the row is lost."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return _empty_row(cfg, seed) | {"status": _failure(exc)}
 
 
 # ----------------------------------------------------------------------

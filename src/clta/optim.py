@@ -21,7 +21,10 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     parameters that participated in the loss.  A non-finite gradient raises
     ``NumericError`` naming the parameter's index, with or without
     clipping.  The clipping norm is scaled by the largest gradient magnitude
-    when its plain sum of squares overflows.
+    when its plain sum of squares overflows.  When the step's bound
+    ``lr * factor * norm`` is not finite, the updated values are checked
+    before any is written, and one that overflows raises ``NumericError``
+    naming its parameter; a finite bound skips that pass.
     """
     params = list(params)
     if not params:
@@ -31,13 +34,23 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
             raise ContractError("sgd_step: a parameter has no gradient")
     factor = 1.0
     with np.errstate(over="ignore"):
-        total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-    if not np.isfinite(total):
+        total = float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params)))
+    if not math.isfinite(total):
         factor = _overflowing_clip_factor(params, grad_clip)
     elif grad_clip is not None and total > grad_clip:
         factor = grad_clip / total
-    for p in params:
-        p.data = p.data - lr * factor * p.grad
+    step = lr * factor
+    if math.isfinite(step * total):
+        for p in params:
+            p.data = p.data - step * p.grad
+        return
+    with np.errstate(over="ignore"):
+        updated = [p.data - step * p.grad for p in params]
+    for i, data in enumerate(updated):
+        if not np.all(np.isfinite(data)):
+            raise NumericError(f"sgd_step: the update of parameter {i} overflows")
+    for p, data in zip(params, updated):
+        p.data = data
 
 
 def _overflowing_clip_factor(params: list[Tensor], grad_clip: float | None) -> float:

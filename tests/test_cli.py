@@ -1,6 +1,8 @@
 import os
+import struct
 
 from clta.cli import main
+from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 
 GOOD_CONFIG = (
     "data.n_tasks = 2\n"
@@ -49,6 +51,15 @@ class TestValidateVerb:
             assert main(["validate", path]) == 1, line
             err = capsys.readouterr().err
             assert key in err and "duplicate" not in err, line
+
+    def test_empty_idx_file_exits_one_and_names_the_key(self, tmp_path, capsys):
+        files = ""
+        for key in ("images", "labels", "test_images", "test_labels"):
+            (tmp_path / key).write_bytes(b"")
+            files += f"data.{key} = {tmp_path / key}\n"
+        path = write_config(tmp_path, GOOD_CONFIG + "data.kind = idx\nmodel.arch = cnn\n" + files)
+        assert main(["validate", path]) == 1
+        assert "data.images" in capsys.readouterr().err
 
     def test_group_counts_the_model_cannot_use_exit_one(self, tmp_path, capsys):
         for lines in (["model.norm = group", "model.groups = 5"],
@@ -116,10 +127,14 @@ class TestRunVerb:
     def test_failing_seeds_exit_two_but_still_write(self, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
-        # the files exist, so validation passes, but they are empty
+        # the headers are sound, so validation passes, but every label byte
+        # is outside the ten classes, which only the loader sees
         files = ""
         for key in ("images", "labels", "test_images", "test_labels"):
-            (tmp_path / key).write_bytes(b"")
+            blob = (struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes([200] * 4)
+                    if "labels" in key else
+                    struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2) + bytes(16))
+            (tmp_path / key).write_bytes(blob)
             files += f"data.{key} = {tmp_path / key}\n"
         path = write_config(tmp_path, GOOD_CONFIG + "data.kind = idx\nmodel.arch = cnn\n" + files)
         assert main(["run", path]) == 2

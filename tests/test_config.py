@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from clta.config import (DataSpec, ExperimentConfig, ModelSpec, dump_config,
                          load_config, parse_config, validate_config)
-from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, split_classes
+from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_idx, split_classes
 from clta.distill import KDConfig, TeacherStrategy
-from clta.errors import CltaError, FormatError, ParameterError
+from clta.errors import CltaError, ConsistencyError, DataError, FormatError, ParameterError
 from clta.experiment import build_model, build_stream
 from clta.harness import TrainConfig, WarmupConfig
 
@@ -412,6 +412,76 @@ class TestFileValidation:
         with pytest.raises(ParameterError) as err:
             validate_config(missing)
         assert "not found" in str(err.value)
+
+    IMAGES = struct.pack(">IIII", IDX_IMAGE_MAGIC, 10, 4, 4) + bytes(160)
+    LABELS = struct.pack(">II", IDX_LABEL_MAGIC, 10) + bytes(range(10))
+
+    def idx_config(self, root, images=IMAGES, labels=LABELS):
+        (root / "images.idx").write_bytes(images)
+        (root / "labels.idx").write_bytes(labels)
+        return parse_config(
+            "data.kind = idx\nmodel.arch = cnn\n"
+            + "".join(f"data.{key} = {root / (('labels' if 'labels' in key else 'images') + '.idx')}\n"
+                      for key in ("images", "labels", "test_images", "test_labels")))
+
+    @pytest.mark.parametrize("images, labels, key, error, match", [
+        (b"", LABELS, "data.images", FormatError, "image header"),
+        (IMAGES, b"", "data.labels", FormatError, "label header"),
+        (struct.pack(">IIII", 0x00000999, 10, 4, 4) + bytes(160), LABELS,
+         "data.images", FormatError, "magic"),
+        (struct.pack(">III", 0x00000802, 10, 16) + bytes(160), LABELS,
+         "data.images", FormatError, "rank 2, expected 3"),
+        (IMAGES[:-1], LABELS, "data.images", FormatError, "159 left"),
+        (IMAGES, LABELS[:-1], "data.labels", FormatError, "9 left"),
+        (struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 0x2A000002, 0x62000002), LABELS,
+         "data.images", FormatError, "too large"),
+        (IMAGES, struct.pack(">II", IDX_LABEL_MAGIC, 9) + bytes(9),
+         "data.labels", ConsistencyError, "9 labels for the 10 images"),
+    ])
+    def test_idx_headers_are_checked_and_name_the_key(self, tmp_path, images, labels, key,
+                                                      error, match):
+        with pytest.raises(error, match=match) as err:
+            validate_config(self.idx_config(tmp_path, images, labels))
+        assert str(err.value).startswith(key + ":")
+
+    @pytest.mark.parametrize("size", [0, 3073 * 2 - 1, 100])
+    def test_cifar_length_must_be_a_nonzero_multiple_of_the_record(self, tmp_path, size):
+        (tmp_path / "batch.bin").write_bytes(bytes(size))
+        (tmp_path / "test.bin").write_bytes(bytes(3073))
+        cfg = parse_config(f"data.kind = cifar\nmodel.arch = cnn\n"
+                           f"data.path = {tmp_path / 'batch.bin'}\n"
+                           f"data.test_path = {tmp_path / 'test.bin'}\n")
+        with pytest.raises(FormatError, match="data.path: file size"):
+            validate_config(cfg)
+
+    def test_sound_files_pass(self, tmp_path, loader_files):
+        for spec in loader_files.values():
+            validate_config(parse_config("model.arch = cnn\n" + "".join(
+                f"data.{name} = {value}\n" for name, value in spec.items())))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["images", "labels"]))
+    def test_validated_idx_files_fail_the_loader_only_on_their_contents(
+            self, tmp_path_factory, data, which):
+        """Header bytes overwritten or the file cut: whatever validation
+        accepts, the loader rejects at most for its label values."""
+        blobs = {"images": self.IMAGES, "labels": self.LABELS}
+        blob = bytearray(blobs[which])
+        header = 16 if which == "images" else 8
+        for pos, value in data.draw(st.lists(st.tuples(st.integers(0, header - 1),
+                                                       st.integers(0, 255)), max_size=3)):
+            blob[pos] = value
+        blobs[which] = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        root = tmp_path_factory.mktemp("idx")
+        cfg = self.idx_config(root, blobs["images"], blobs["labels"])
+        try:
+            validate_config(cfg)
+        except FormatError:
+            return
+        try:
+            load_idx(cfg.data.images, cfg.data.labels, cfg.data.num_classes)
+        except DataError:
+            pass
 
     def test_synthetic_kind_needs_no_files(self):
         validate_config(parse_config(""))

@@ -1,10 +1,16 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clta import experiment
+from clta.cli import main
 from clta.config import ModelSpec, parse_config
 from clta.errors import ParameterError
 from clta.experiment import (ExperimentResult, aggregate_csv, aggregate_rows,
@@ -24,6 +30,32 @@ BASE_CONFIG = (
     "train.decay_epochs = 2\n"
     "run.config_id = unit\n"
 )
+
+
+def _run_seed_dying_on_seed_1(cfg, seed):
+    """A worker the OS kills: seed 1 ends its process without a result."""
+    if seed == 1:
+        os._exit(3)
+    return run_seed(cfg, seed)
+
+
+class _StubPool:
+    """Runs each submitted call in-process and records the pool sizes asked for."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def hand_row(seed=0, wall=1.5):
@@ -146,6 +178,41 @@ class TestRunning:
         conc = run_experiment(parse_config(
             BASE_CONFIG + "run.seeds = 0,1,2\nrun.workers = 3\n"))
         assert mask_wall(results_csv(seq)) == mask_wall(results_csv(conc))
+
+    def test_pool_has_no_more_workers_than_seeds(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+        monkeypatch.setattr(_StubPool, "sizes", [])
+        result = run_experiment(parse_config(BASE_CONFIG + "run.seeds = 3,1\nrun.workers = 8\n"))
+        assert _StubPool.sizes == [2]
+        assert [r["seed"] for r in result.rows] == [3, 1]
+        run_experiment(parse_config(BASE_CONFIG + "run.seeds = 3\nrun.workers = 8\n"))
+        assert _StubPool.sizes == [2]
+
+    def test_a_killed_worker_leaves_a_failed_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "run_seed", _run_seed_dying_on_seed_1)
+        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG + "run.seeds = 0,1\nrun.workers = 2\nrun.output = out\n")
+        assert main(["run", str(path)]) == 2
+        doc = json.loads((tmp_path / "out" / "results.json").read_text())
+        rows = doc["rows"]
+        assert [r["seed"] for r in rows] == [0, 1]
+        assert rows[1]["status"].startswith("failed: BrokenProcessPool: ")
+        # the pool's other worker may be stopped before its result is in
+        assert rows[0]["status"] == "ok" or rows[0]["status"].startswith(
+            "failed: BrokenProcessPool: ")
+        assert len(rows[1]["a_k"]) == 2
+        csv_seeds = [line.split(",")[1] for line in
+                     (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]]
+        assert csv_seeds == ["0", "1"]
+        assert "seed 1: failed: BrokenProcessPool" in capsys.readouterr().err
+
+    def test_import_does_not_load_multiprocessing(self):
+        code = "import sys, clta; print('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(experiment.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=os.environ | {"PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_failed_seed_becomes_a_row(self):
         cfg = replace(parse_config(BASE_CONFIG), model=ModelSpec(arch="cnn"))

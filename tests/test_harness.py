@@ -154,6 +154,24 @@ class TestSgdStep:
         sgd_step([p], lr=0.5)
         np.testing.assert_array_equal(p.data, [1.0 - 0.5 * 3e160, 1.5])
 
+    @pytest.mark.parametrize("grad, lr", [(1e308, 10.0), (1e200, 1e200)])
+    def test_update_that_overflows_names_the_parameter(self, grad, lr):
+        """The first case overflows the sum of squares, the second only the
+        step; neither may write an infinite parameter."""
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a.grad, b.grad = np.array([0.0]), np.array([grad, 0.0])
+        with pytest.raises(NumericError, match="parameter 1"):
+            sgd_step([a, b], lr=lr)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [1.0, 2.0])
+
+    def test_update_with_an_infinite_bound_but_finite_values_is_written(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        p.grad = np.array([1e300])
+        sgd_step([p], lr=1e8)
+        np.testing.assert_array_equal(p.data, [1.0 - 1e8 * 1e300])
+
 
 class TestCeStep:
     def test_steps_the_newest_head_without_running_the_others(self):
