@@ -236,13 +236,17 @@ def stream_from_datasets(train: Dataset, test: Dataset,
 # ----------------------------------------------------------------------
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Read ``n`` bytes, checking first that the file still holds them, so a
-    corrupt size never reaches an allocation."""
+def _check_left(fh, n: int, what: str) -> None:
+    """Raise unless the file still holds ``n`` bytes past its position, so a
+    corrupt size never reaches a read or an allocation."""
     offset = fh.tell()
     left = os.fstat(fh.fileno()).st_size - offset
     if n > left:
         raise TruncatedFileError(f"{what} at byte {offset}: wanted {n} bytes, {left} left")
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    _check_left(fh, n, what)
     return fh.read(n)
 
 
@@ -262,12 +266,7 @@ def read_idx_header(fh, what: str) -> tuple[int, ...]:
         raise FormatError(f"bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
     sizes = struct.unpack(f">{magic & 0xFF}I", _read_exact(fh, 4 * (magic & 0xFF),
                                                            f"{what} dimensions"))
-    offset = fh.tell()
-    body = math.prod(sizes)
-    left = os.fstat(fh.fileno()).st_size - offset
-    if body > left:
-        raise TruncatedFileError(f"{what} body at byte {offset}: header declares "
-                                 f"{body} bytes, {left} left")
+    _check_left(fh, math.prod(sizes), f"{what} body")
     # numpy sizes an array by its nonzero dimensions, so even a file of
     # zero images must name an image whose float64 pixels are addressable
     if math.prod(sizes[1:]) > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:

@@ -3,9 +3,9 @@
 A crashed seed does not take the experiment down: it becomes a row whose
 ``status`` records the error while its metrics stay empty, and the
 aggregate is computed over the seeds that finished.  With ``run.workers``
-above one, seeds train in worker processes, which gives byte-identical
-output to running them one by one; a worker the OS kills leaves its seed a
-failed row too.
+above one, this process and worker processes train seeds side by side,
+which gives byte-identical output to running them one by one; a worker the
+OS kills leaves its seed a failed row too.
 """
 
 from __future__ import annotations
@@ -155,18 +155,24 @@ def aggregate_rows(rows: list) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every seed, in seed order; with ``cfg.workers`` above one, in a
-    pool of at most one worker process per seed (fork starts every worker at
-    once).  A seed whose worker died becomes a failed row."""
-    workers = min(cfg.workers, len(cfg.seeds))
-    if workers > 1:
+    """Run every seed; rows come in seed order.  With ``cfg.workers`` above
+    one, the seeds are dealt round-robin over that many trainers, at most one
+    per seed: this process trains the seeds dealt to the first trainer while
+    a pool of the other trainers' worker processes trains the rest.  A seed
+    whose worker died becomes a failed row."""
+    seeds = cfg.seeds
+    trainers = min(cfg.workers, len(seeds))
+    if trainers == 1:
+        rows = [run_seed(cfg, s) for s in seeds]
+    else:
         # imported here so that `import clta` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_seed, cfg, s) for s in cfg.seeds]
-            rows = [_collect(future, cfg, s) for future, s in zip(futures, cfg.seeds)]
-    else:
-        rows = [run_seed(cfg, s) for s in cfg.seeds]
+        with ProcessPoolExecutor(max_workers=trainers - 1) as pool:
+            futures = [pool.submit(run_seed, cfg, s) if i % trainers else None
+                       for i, s in enumerate(seeds)]
+            own = [run_seed(cfg, s) if f is None else None for f, s in zip(futures, seeds)]
+            rows = [row if f is None else _collect(f, cfg, s)
+                    for f, row, s in zip(futures, own, seeds)]
     return ExperimentResult(cfg, rows, aggregate_rows(rows))
 
 
