@@ -47,18 +47,13 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array with an optional gradient and creator record."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = _as_array(values)
+        arr = np.ascontiguousarray(values, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor constructed with non-finite values")
         self.data = arr
@@ -71,20 +66,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -629,11 +614,10 @@ def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
     _check_class_axis(logits, "cross_entropy")
-    squeeze = logits.data.ndim == 1
-    z = logits.data.reshape(1, -1) if squeeze else logits.data
+    z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"cross_entropy expects (batch, classes) logits, got {logits.shape}")
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    y = np.asarray(labels, dtype=np.int64)
     n, num_classes = z.shape
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: {n} rows but {y.shape} labels")
@@ -648,8 +632,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def vjp(g: np.ndarray):
         p = np.exp(logp)
         p[np.arange(n), y] -= 1.0
-        grad = g.reshape(()) * p / n
-        return (grad.reshape(logits.shape),)
+        return (g.reshape(()) * p / n,)
 
     return _make(np.asarray(value), (logits,), vjp)
 

@@ -38,7 +38,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -207,8 +206,8 @@ def synthetic_stream(n_tasks: int, classes_per_task: int, samples_per_class: int
             test_idx.extend(range(base + n_train, base + samples_per_class))
         tasks.append(Task(
             classes=classes,
-            train=Dataset(xs[train_idx], ys[train_idx], num_classes, "train"),
-            test=Dataset(xs[test_idx], ys[test_idx], num_classes, "test"),
+            train=Dataset(xs[train_idx], ys[train_idx], num_classes),
+            test=Dataset(xs[test_idx], ys[test_idx], num_classes),
         ))
     return TaskStream(tasks)
 
@@ -223,10 +222,8 @@ def stream_from_datasets(train: Dataset, test: Dataset,
         te_mask = np.isin(test.labels, group)
         tasks.append(Task(
             classes=group,
-            train=Dataset(train.inputs[tr_mask], train.labels[tr_mask],
-                          train.num_classes, "train"),
-            test=Dataset(test.inputs[te_mask], test.labels[te_mask],
-                         test.num_classes, "test"),
+            train=Dataset(train.inputs[tr_mask], train.labels[tr_mask], train.num_classes),
+            test=Dataset(test.inputs[te_mask], test.labels[te_mask], test.num_classes),
         ))
     return TaskStream(tasks)
 
@@ -236,17 +233,18 @@ def stream_from_datasets(train: Dataset, test: Dataset,
 # ----------------------------------------------------------------------
 
 
-def _check_left(fh, n: int, what: str) -> None:
-    """Raise unless the file still holds ``n`` bytes past its position, so a
-    corrupt size never reaches a read or an allocation."""
+def check_left(fh, n: int, what: str) -> None:
+    """Raise unless the seekable stream still holds ``n`` bytes past its
+    position, so a corrupt size never reaches a read or an allocation."""
     offset = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - offset
+    left = fh.seek(0, os.SEEK_END) - offset
+    fh.seek(offset)
     if n > left:
         raise TruncatedFileError(f"{what} at byte {offset}: wanted {n} bytes, {left} left")
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    _check_left(fh, n, what)
+def read_exact(fh, n: int, what: str) -> bytes:
+    check_left(fh, n, what)
     return fh.read(n)
 
 
@@ -259,14 +257,14 @@ def read_idx_header(fh, what: str) -> tuple[int, ...]:
     body bytes.
     """
     magic = IDX_IMAGE_MAGIC if what == "image" else IDX_LABEL_MAGIC
-    (found,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} header"))
+    (found,) = struct.unpack(">I", read_exact(fh, 4, f"{what} header"))
     if found >> 8 == magic >> 8 and found != magic:
         raise FormatError(f"{what} file has rank {found & 0xFF}, expected {magic & 0xFF}")
     if found != magic:
         raise FormatError(f"bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
-    sizes = struct.unpack(f">{magic & 0xFF}I", _read_exact(fh, 4 * (magic & 0xFF),
-                                                           f"{what} dimensions"))
-    _check_left(fh, math.prod(sizes), f"{what} body")
+    sizes = struct.unpack(f">{magic & 0xFF}I", read_exact(fh, 4 * (magic & 0xFF),
+                                                          f"{what} dimensions"))
+    check_left(fh, math.prod(sizes), f"{what} body")
     # numpy sizes an array by its nonzero dimensions, so even a file of
     # zero images must name an image whose float64 pixels are addressable
     if math.prod(sizes[1:]) > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
@@ -274,8 +272,7 @@ def read_idx_header(fh, what: str) -> tuple[int, ...]:
     return sizes
 
 
-def load_idx(images_path, labels_path, num_classes: int = 10,
-             split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Read an images/labels file pair in the big-endian IDX format.
 
     Pixel bytes are scaled to [0,1]; image and label counts must agree.
@@ -289,7 +286,7 @@ def load_idx(images_path, labels_path, num_classes: int = 10,
         labels = np.frombuffer(fh.read(n_labels), dtype=np.uint8)
     if n != n_labels:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
-    return Dataset(images, labels.astype(np.int64), num_classes, split)
+    return Dataset(images, labels.astype(np.int64), num_classes)
 
 
 CIFAR_RECORD = 1 + 3 * 32 * 32
@@ -303,7 +300,7 @@ def cifar_record_count(size: int) -> int:
     return size // CIFAR_RECORD
 
 
-def load_cifar_binary(path, num_classes: int = 10, split: str = "train") -> Dataset:
+def load_cifar_binary(path, num_classes: int = 10) -> Dataset:
     """Read records of 1 label byte + 3072 pixel bytes (3x32x32)."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -311,7 +308,7 @@ def load_cifar_binary(path, num_classes: int = 10, split: str = "train") -> Data
     data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = data[:, 0].astype(np.int64)
     images = data[:, 1:].reshape(-1, 3, 32, 32) / 255.0
-    return Dataset(images, labels, num_classes, split)
+    return Dataset(images, labels, num_classes)
 
 
 # ----------------------------------------------------------------------
@@ -324,19 +321,16 @@ class CorruptionSpec:
     """Gaussian-noise severity on a fixed ladder; severity 0 is identity."""
 
     severity: int
-    sigmas: tuple = SIGMA_LADDER
 
     def __post_init__(self):
-        if not 0 <= self.severity <= len(self.sigmas):
+        if not 0 <= self.severity <= len(SIGMA_LADDER):
             raise ParameterError(
-                f"severity must be in 0..{len(self.sigmas)}, got {self.severity}"
+                f"severity must be in 0..{len(SIGMA_LADDER)}, got {self.severity}"
             )
-        if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
-            raise ParameterError("sigma ladder must be strictly increasing")
 
     @property
     def sigma(self) -> float:
-        return 0.0 if self.severity == 0 else float(self.sigmas[self.severity - 1])
+        return 0.0 if self.severity == 0 else SIGMA_LADDER[self.severity - 1]
 
 
 def corrupt_gaussian(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
@@ -346,14 +340,14 @@ def corrupt_gaussian(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Datas
     rng = np.random.default_rng(seed)
     noisy = np.clip(dataset.inputs + rng.normal(0.0, spec.sigma, size=dataset.inputs.shape),
                     0.0, 1.0)
-    return Dataset(noisy, dataset.labels, dataset.num_classes, dataset.split)
+    return Dataset(noisy, dataset.labels, dataset.num_classes)
 
 
 def corrupt_every_other(stream: TaskStream, spec: CorruptionSpec, seed: int) -> TaskStream:
     """Apply the noise to tasks 2, 4, ... so the stream alternates clean/noisy."""
     tasks = []
     for i, task in enumerate(stream.tasks):
-        if (i + 1) % 2 == 0 and spec.severity > 0:
+        if (i + 1) % 2 == 0:
             tasks.append(Task(
                 classes=task.classes,
                 train=corrupt_gaussian(task.train, spec, seed=(seed * 1000 + 2 * i)),

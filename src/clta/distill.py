@@ -120,29 +120,20 @@ def _check_pair(student: Tensor, teacher: Tensor, name: str) -> None:
         )
 
 
-def _softmax_np(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = logits / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def global_kd_loss(student_logits: Tensor, teacher_logits: Tensor,
-                   temperature: float = 2.0) -> Tensor:
+                   temperature: float) -> Tensor:
     """Cross-entropy between teacher and student softmaxes over old classes.
 
     Minimized (at the teacher's entropy) exactly when the two temperature
     softmaxes agree.
     """
     _check_pair(student_logits, teacher_logits, "global KD")
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
-    targets = Tensor(_softmax_np(teacher_logits.data, temperature))
+    targets = Tensor(ad.softmax_temperature(teacher_logits, temperature).data)
     logp = ad.log_softmax_temperature(student_logits, temperature)
     return -ad.tensor_mean(ad.tensor_sum(targets * logp, axis=1))
 
 
-def taskwise_kd_loss(pairs, temperature: float = 2.0) -> Tensor:
+def taskwise_kd_loss(pairs, temperature: float) -> Tensor:
     """Sum over old tasks of KL(teacher softmax || student softmax).
 
     ``pairs`` holds one (student logits, teacher logits) tuple per old
@@ -154,7 +145,7 @@ def taskwise_kd_loss(pairs, temperature: float = 2.0) -> Tensor:
     total = None
     for i, (student, teacher) in enumerate(pairs):
         _check_pair(student, teacher, f"taskwise KD (task {i})")
-        p = _softmax_np(teacher.data, temperature)
+        p = ad.softmax_temperature(teacher, temperature).data
         with np.errstate(divide="ignore"):
             plogp = np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)
         logq = ad.log_softmax_temperature(student, temperature)

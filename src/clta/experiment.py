@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,16 +46,16 @@ def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
         )
     else:
         if spec.kind == "idx":
-            train = load_idx(spec.images, spec.labels, spec.num_classes, "train")
-            test = load_idx(spec.test_images, spec.test_labels, spec.num_classes, "test")
+            train = load_idx(spec.images, spec.labels, spec.num_classes)
+            test = load_idx(spec.test_images, spec.test_labels, spec.num_classes)
         else:
-            train = load_cifar_binary(spec.path, spec.num_classes, "train")
-            test = load_cifar_binary(spec.test_path, spec.num_classes, "test")
+            train = load_cifar_binary(spec.path, spec.num_classes)
+            test = load_cifar_binary(spec.test_path, spec.num_classes)
         parts = spec.split_parts if spec.split_parts is not None else spec.n_tasks
         groups = split_classes(spec.num_classes, spec.split_scheme, parts,
                                order_seed=spec.order_seed)
         stream = stream_from_datasets(train, test, groups)
-    if spec.corrupt_pattern == "every_other" and spec.corrupt_severity > 0:
+    if spec.corrupt_pattern == "every_other":
         stream = corrupt_every_other(stream, CorruptionSpec(spec.corrupt_severity), seed)
     return stream
 
@@ -119,12 +119,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
             forg_final=report.forg_final,
             wall_s=result.wall_s,
             a_k=[float(v) for v in report.a_k],
-            traces=[{
-                "ce": list(tr.ce),
-                "kd": list(tr.kd),
-                "bn_kld": list(tr.bn_kld),
-                "warmup_ce": list(tr.warmup_ce),
-            } for tr in result.traces],
+            traces=[asdict(tr) for tr in result.traces],
         )
     except Exception as exc:
         row["status"] = _failure(exc)
@@ -212,13 +207,11 @@ def _round6(obj):
 
 def results_csv(result: ExperimentResult) -> str:
     n_tasks = max(len(r["a_k"]) for r in result.rows)
-    header = ["config_id", "seed", "acc_inc", "acc_final", "forg_inc",
-              "forg_final", "wall_s"] + [f"a_k_{i}" for i in range(1, n_tasks + 1)]
+    header = ["config_id", "seed", *_METRIC_NAMES] + [f"a_k_{i}" for i in range(1, n_tasks + 1)]
     lines = [",".join(header)]
     for row in result.rows:
         cells = [row["config_id"], str(row["seed"])]
-        cells += [format_number(row[name]) for name in _METRIC_NAMES[:4]]
-        cells.append(format_number(row["wall_s"]))
+        cells += [format_number(row[name]) for name in _METRIC_NAMES]
         cells += [format_number(v) for v in row["a_k"]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -97,7 +97,6 @@ class RunResult:
     accuracy_matrix: AccuracyMatrix
     traces: list
     wall_s: float
-    seed: int
     model: IncrementalModel
     teacher: IncrementalModel | None = None
 
@@ -331,4 +330,4 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
                        evaluate_task_agnostic(model, test.inputs, test.labels, order))
 
     wall = time.perf_counter() - started
-    return RunResult(matrix, traces, wall, seed, model=model, teacher=teacher)
+    return RunResult(matrix, traces, wall, model=model, teacher=teacher)

@@ -42,13 +42,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import (
-    DegenerateBatchError,
-    FormatError,
-    ParameterError,
-    ShapeError,
-    TruncatedFileError,
-)
+from .data import read_exact
+from .errors import DegenerateBatchError, FormatError, ParameterError, ShapeError
 
 SNAPSHOT_MAGIC = b"CLTA"
 SNAPSHOT_VERSION = 1
@@ -293,13 +288,9 @@ class IncrementalModel:
             )
         return h
 
-    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL,
-                capture_features: bool = False):
+    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL) -> list[Tensor]:
         h = self.features(x, mode)
-        logits = [head.forward(h, mode) for head in self.heads]
-        if capture_features:
-            return logits, h
-        return logits
+        return [head.forward(h, mode) for head in self.heads]
 
     def parameters(self) -> list[Tensor]:
         params: list[Tensor] = []
@@ -322,7 +313,7 @@ class IncrementalModel:
         return sum(head.out_features for head in self.heads)
 
 
-def add_task_head(model: IncrementalModel, num_classes: int, seed=None) -> IncrementalModel:
+def add_task_head(model: IncrementalModel, num_classes: int, seed) -> IncrementalModel:
     """Append a fresh classification head; everything else is untouched.
 
     ``seed`` feeds numpy's generator and may be an int or a tuple of ints.
@@ -426,25 +417,14 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(buf: io.BytesIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"snapshot ended early: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def _read_array(buf: io.BytesIO) -> np.ndarray:
     offset = buf.tell()
-    (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
+    (ndim,) = struct.unpack("<B", read_exact(buf, 1, "array rank"))
     if ndim > _MAX_NDIM:
         raise FormatError(f"array at byte {offset}: {ndim} dimensions, at most {_MAX_NDIM}")
-    shape = struct.unpack(f"<{ndim}I", _read_exact(buf, 4 * ndim))
-    size = math.prod(shape) * 8
-    left = buf.getbuffer().nbytes - buf.tell()
-    if size > left:
-        raise TruncatedFileError(f"array at byte {offset}: shape {shape} needs {size} bytes, "
-                                 f"{left} left")
-    return np.frombuffer(_read_exact(buf, size), dtype="<f8").reshape(shape).copy()
+    shape = struct.unpack(f"<{ndim}I", read_exact(buf, 4 * ndim, "array shape"))
+    raw = read_exact(buf, math.prod(shape) * 8, f"array of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 def _write_layer(buf: io.BytesIO, layer: Layer) -> None:
@@ -457,12 +437,13 @@ def _write_layer(buf: io.BytesIO, layer: Layer) -> None:
 
 def _read_layer(buf: io.BytesIO) -> Layer:
     offset = buf.tell()
-    (tag,) = struct.unpack("<B", _read_exact(buf, 1))
+    (tag,) = struct.unpack("<B", read_exact(buf, 1, "layer tag"))
     cls = _TAG_TYPES.get(tag)
     if cls is None:
         raise FormatError(f"unknown layer tag {tag} at byte {offset}")
     _, fmt, header, arrays = _RECORDS[cls]
-    fields = dict(zip(header, struct.unpack(fmt, _read_exact(buf, struct.calcsize(fmt)))))
+    raw = read_exact(buf, struct.calcsize(fmt), f"{cls.kind} header")
+    fields = dict(zip(header, struct.unpack(fmt, raw)))
     state = {}
     for name, dims in arrays.items():
         state[name] = _read_array(buf)
@@ -500,17 +481,17 @@ def serialize_model(model: IncrementalModel) -> bytes:
 
 def deserialize_model(blob: bytes) -> IncrementalModel:
     buf = io.BytesIO(blob)
-    magic = _read_exact(buf, 4)
+    magic = read_exact(buf, 4, "magic")
     if magic != SNAPSHOT_MAGIC:
         raise FormatError(f"bad snapshot magic {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(buf, 4))
+    (version,) = struct.unpack("<I", read_exact(buf, 4, "version"))
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
-    (feature_dim,) = struct.unpack("<I", _read_exact(buf, 4))
-    (n_backbone,) = struct.unpack("<I", _read_exact(buf, 4))
+    (feature_dim,) = struct.unpack("<I", read_exact(buf, 4, "feature size"))
+    (n_backbone,) = struct.unpack("<I", read_exact(buf, 4, "backbone layer count"))
     backbone = [_read_layer(buf) for _ in range(n_backbone)]
     model = IncrementalModel(backbone, feature_dim)
-    (n_heads,) = struct.unpack("<I", _read_exact(buf, 4))
+    (n_heads,) = struct.unpack("<I", read_exact(buf, 4, "head count"))
     for _ in range(n_heads):
         head = _read_layer(buf)
         if not isinstance(head, Dense):

@@ -16,6 +16,8 @@ from .autodiff import Tensor, no_grad
 from .errors import ContractError, DataError, DegenerateBatchError, NumericError, StateError
 from .layers import IncrementalModel, NormMode
 
+EVAL_BATCH = 256  # rows per evaluation forward pass
+
 
 class AccuracyMatrix:
     """Lower-triangular matrix of a_{k,j}: accuracy on task j after task k.
@@ -111,8 +113,8 @@ def compute_report(m: AccuracyMatrix) -> MetricsReport:
 # ----------------------------------------------------------------------
 
 
-def predict_global(model: IncrementalModel, inputs: np.ndarray, class_order: np.ndarray,
-                   batch_size: int = 256) -> np.ndarray:
+def predict_global(model: IncrementalModel, inputs: np.ndarray,
+                   class_order: np.ndarray) -> np.ndarray:
     """Global class prediction: argmax over all heads' concatenated logits.
 
     ``class_order`` maps a concatenated-logit column to its global class
@@ -130,8 +132,8 @@ def predict_global(model: IncrementalModel, inputs: np.ndarray, class_order: np.
         )
     out = []
     with no_grad():
-        for start in range(0, inputs.shape[0], batch_size):
-            logits = model.forward(Tensor(inputs[start:start + batch_size]), NormMode.EVAL)
+        for start in range(0, inputs.shape[0], EVAL_BATCH):
+            logits = model.forward(Tensor(inputs[start:start + EVAL_BATCH]), NormMode.EVAL)
             stacked = np.concatenate([t.data for t in logits], axis=1)
             if not np.all(np.isfinite(stacked)):  # argmax would pick a NaN silently
                 raise NumericError(f"non-finite logits for inputs {start}.."
@@ -141,12 +143,11 @@ def predict_global(model: IncrementalModel, inputs: np.ndarray, class_order: np.
 
 
 def evaluate_task_agnostic(model: IncrementalModel, inputs: np.ndarray,
-                           labels: np.ndarray, class_order: np.ndarray,
-                           batch_size: int = 256) -> float:
+                           labels: np.ndarray, class_order: np.ndarray) -> float:
     """Fraction of samples whose concatenated-head argmax hits the label."""
     if inputs.shape[0] == 0:
         raise DataError("cannot evaluate on an empty test set")
-    predicted = predict_global(model, inputs, class_order, batch_size)
+    predicted = predict_global(model, inputs, class_order)
     return float(np.mean(predicted == np.asarray(labels)))
 
 
@@ -201,15 +202,11 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(cross / (xx * yy))
 
 
-def capture_features(model: IncrementalModel, inputs: np.ndarray,
-                     batch_size: int = 256) -> np.ndarray:
+def capture_features(model: IncrementalModel, inputs: np.ndarray) -> np.ndarray:
     """Backbone output (pre-head representation) for a batch of inputs."""
-    chunks = []
     with no_grad():
-        for start in range(0, inputs.shape[0], batch_size):
-            _, feats = model.forward(Tensor(inputs[start:start + batch_size]),
-                                     NormMode.EVAL, capture_features=True)
-            chunks.append(feats.data)
+        chunks = [model.features(Tensor(inputs[start:start + EVAL_BATCH])).data
+                  for start in range(0, inputs.shape[0], EVAL_BATCH)]
     return np.concatenate(chunks, axis=0)
 
 

@@ -15,6 +15,8 @@ from .errors import DataError
 
 PALETTE = ("#1b6ca8", "#d1495b", "#3a7d44", "#8d6a9f", "#c77b30", "#4f6d7a")
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 58
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 30
@@ -33,8 +35,7 @@ def _span(values):
     return lo, hi
 
 
-def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 640, height: int = 420) -> str:
+def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render named (xs, ys) series as one polyline each.
 
     ``series`` is a list of (name, xs, ys) triples; all series share the
@@ -50,8 +51,8 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
 
     x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
     y_lo, y_hi = _span([y for _, _, ys in series for y in ys])
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -61,16 +62,16 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
 
     x_axis_y = _MARGIN_TOP + plot_h
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="18" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.2f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
-        f'<line x1="{_MARGIN_LEFT}" y1="{x_axis_y}" x2="{width - _MARGIN_RIGHT}" '
+        f'<line x1="{_MARGIN_LEFT}" y1="{x_axis_y}" x2="{_WIDTH - _MARGIN_RIGHT}" '
         f'y2="{x_axis_y}" stroke="black" stroke-width="1"/>',
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
         f'y2="{x_axis_y}" stroke="black" stroke-width="1"/>',
     ]
-    for value, anchor_x in ((x_lo, _MARGIN_LEFT), (x_hi, width - _MARGIN_RIGHT)):
+    for value, anchor_x in ((x_lo, _MARGIN_LEFT), (x_hi, _WIDTH - _MARGIN_RIGHT)):
         parts.append(
             f'<text x="{anchor_x}" y="{x_axis_y + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{value:.4g}</text>'
@@ -82,7 +83,7 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
         )
     if xlabel:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="{_HEIGHT - 8}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
         )
     if ylabel:
@@ -97,7 +98,7 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN_RIGHT - 4}" y="{_MARGIN_TOP + 16 + 16 * i}" '
+            f'<text x="{_WIDTH - _MARGIN_RIGHT - 4}" y="{_MARGIN_TOP + 16 + 16 * i}" '
             f'text-anchor="end" font-family="sans-serif" font-size="11" '
             f'fill="{color}">{_escape(name)}</text>'
         )
@@ -132,8 +133,9 @@ def severity_chart_svg(points_by_method: dict) -> str:
                       xlabel="severity", ylabel="incremental accuracy")
 
 
-def write_plots(run_dir, out_dir=None) -> list:
-    """Build charts from a run directory's results.json; returns written paths.
+def write_plots(run_dir) -> list:
+    """Draw charts from a run directory's results.json into that directory;
+    returns the written paths.
 
     Rows without traces are skipped with a warning on stderr instead of
     failing the whole call.
@@ -141,8 +143,6 @@ def write_plots(run_dir, out_dir=None) -> list:
     results_path = os.path.join(run_dir, "results.json")
     with open(results_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    out_dir = run_dir if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     row = next((r for r in doc["rows"] if r["status"] == "ok"), None)
     if row is None:
@@ -155,12 +155,12 @@ def write_plots(run_dir, out_dir=None) -> list:
         if not trace["ce"]:
             print(f"plots: task {t} trace is empty, skipping", file=sys.stderr)
             continue
-        path = os.path.join(out_dir, f"loss_task_{t}.svg")
+        path = os.path.join(run_dir, f"loss_task_{t}.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(loss_curves_svg(trace, t))
         written.append(path)
     if row["a_k"] and all(v is not None for v in row["a_k"]):
-        path = os.path.join(out_dir, "accuracy_over_tasks.svg")
+        path = os.path.join(run_dir, "accuracy_over_tasks.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(accuracy_over_tasks_svg(row["a_k"]))
         written.append(path)

@@ -481,11 +481,6 @@ class TestGraphRules:
         assert not out.requires_grad
         assert ad.grad_enabled()
 
-    def test_detach_cuts_the_graph(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        out = (t.detach() * 2.0).sum()
-        assert not out.requires_grad
-
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ContractError):
@@ -495,7 +490,7 @@ class TestGraphRules:
         t = Tensor(np.ones(2), requires_grad=True)
         (t * 3.0).sum().backward()
         assert t.grad is not None
-        t.zero_grad()
+        ad.zero_grads([t])
         assert t.grad is None
 
 

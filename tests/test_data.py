@@ -17,23 +17,23 @@ from clta.errors import (CltaError, ConsistencyError, DataError, FormatError,
 class TestDataset:
     def test_count_mismatch(self):
         with pytest.raises(DataError):
-            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 4, "train")
+            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 4)
 
     def test_label_range(self):
         with pytest.raises(DataError):
-            Dataset(np.zeros((2, 2)), np.array([0, 4]), 4, "train")
+            Dataset(np.zeros((2, 2)), np.array([0, 4]), 4)
         with pytest.raises(DataError):
-            Dataset(np.zeros((2, 2)), np.array([-1, 0]), 4, "train")
+            Dataset(np.zeros((2, 2)), np.array([-1, 0]), 4)
 
     def test_inputs_must_live_in_unit_interval(self):
         with pytest.raises(DataError):
-            Dataset(np.full((2, 2), 1.5), np.array([0, 1]), 4, "train")
+            Dataset(np.full((2, 2), 1.5), np.array([0, 1]), 4)
 
 
 class TestTaskAndStream:
     def _dataset(self, labels, num_classes=6):
         labels = np.asarray(labels)
-        return Dataset(np.full((len(labels), 2), 0.5), labels, num_classes, "train")
+        return Dataset(np.full((len(labels), 2), 0.5), labels, num_classes)
 
     def test_task_rejects_foreign_labels(self):
         with pytest.raises(DataError):
@@ -151,8 +151,8 @@ class TestStreamFromDatasets:
     def test_slices_along_class_groups(self):
         rng = np.random.default_rng(0)
         labels = np.repeat(np.arange(4), 6)
-        train = Dataset(rng.uniform(size=(24, 3)), labels, 4, "train")
-        test = Dataset(rng.uniform(size=(24, 3)), labels, 4, "test")
+        train = Dataset(rng.uniform(size=(24, 3)), labels, 4)
+        test = Dataset(rng.uniform(size=(24, 3)), labels, 4)
         stream = stream_from_datasets(train, test, [np.array([1, 3]), np.array([0, 2])])
         assert len(stream) == 2
         np.testing.assert_array_equal(np.unique(stream.tasks[0].train.labels), [1, 3])
@@ -309,7 +309,7 @@ class TestCorruption:
     def _dataset(self, seed=0, n=50):
         rng = np.random.default_rng(seed)
         return Dataset(rng.uniform(0.2, 0.8, size=(n, 6)),
-                       rng.integers(0, 4, size=n), 4, "train")
+                       rng.integers(0, 4, size=n), 4)
 
     def test_severity_ladder(self):
         assert CorruptionSpec(0).sigma == 0.0
@@ -319,10 +319,6 @@ class TestCorruption:
             CorruptionSpec(6)
         with pytest.raises(ParameterError):
             CorruptionSpec(-1)
-
-    def test_ladder_must_increase(self):
-        with pytest.raises(ParameterError):
-            CorruptionSpec(1, sigmas=(0.1, 0.1, 0.2, 0.3, 0.4))
 
     def test_severity_zero_is_identity(self):
         ds = self._dataset()
@@ -364,7 +360,7 @@ class TestCorruption:
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=100))
 def test_corruption_never_leaves_unit_interval(severity, seed):
     rng = np.random.default_rng(seed)
-    ds = Dataset(rng.uniform(size=(20, 3)), rng.integers(0, 2, size=20), 2, "train")
+    ds = Dataset(rng.uniform(size=(20, 3)), rng.integers(0, 2, size=20), 2)
     noisy = corrupt_gaussian(ds, CorruptionSpec(severity), seed=seed)
     assert noisy.inputs.min() >= 0.0
     assert noisy.inputs.max() <= 1.0

@@ -214,7 +214,8 @@ class TestIncrementalModel:
     def test_capture_features_returns_backbone_output(self):
         model = self._model()
         x = Tensor(np.random.default_rng(1).uniform(size=(4, 6)))
-        logits, feats = model.forward(x, NormMode.EVAL, capture_features=True)
+        feats = model.features(x, NormMode.EVAL)
+        logits = model.forward(x, NormMode.EVAL)
         assert feats.shape == (4, 16)
         manual = feats.data @ model.heads[0].weight.data + model.heads[0].bias.data
         np.testing.assert_allclose(logits[0].data, manual, rtol=1e-12)
@@ -339,6 +340,20 @@ class TestCorruptSnapshots:
         model.backbone[1].gamma = Tensor(np.ones(5))
         with pytest.raises(FormatError, match="gamma"):
             deserialize_model(serialize_model(model))
+
+    def test_every_cut_names_its_byte_offset(self):
+        blob = SNAPSHOTS[0][0]
+        for cut in range(len(blob)):
+            with pytest.raises(TruncatedFileError, match="at byte"):
+                deserialize_model(blob[:cut])
+
+    def test_every_cut_of_a_cnn_names_its_byte_offset(self):
+        # a cut inside an array's values fails in the read that a cut at its
+        # first or second value byte fails in, so those stand for the rest
+        blob, headers = SNAPSHOTS[1]
+        for cut in sorted({h + k for h in headers for k in range(3)} - {len(blob)}):
+            with pytest.raises(TruncatedFileError, match="at byte"):
+                deserialize_model(blob[:cut])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), which=st.sampled_from([0, 1]),

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clta.autodiff import Tensor, no_grad
 from clta.errors import ContractError, DegenerateBatchError, NumericError, StateError
 from clta.layers import (BatchNorm, Dense, IncrementalModel, NormMode,
                          add_task_head, build_micro_mlp)
-from clta.metrics import (AccuracyMatrix, accuracy_metrics, bn_stats_kld,
+from clta.metrics import (EVAL_BATCH, AccuracyMatrix, accuracy_metrics, bn_stats_kld,
                           capture_features, compute_report, evaluate_task_agnostic,
                           forgetting_metrics, linear_cka, predict_global,
                           task_confusion)
@@ -307,6 +308,13 @@ class TestCaptureFeatures:
         feats = capture_features(model, np.random.default_rng(0).uniform(size=(9, 6)))
         assert feats.shape == (9, 16)
         assert isinstance(feats, np.ndarray)
+
+    def test_equals_the_backbone_across_chunks(self):
+        model = build_micro_mlp(4, norm="batch", seed=3, hidden=8)
+        x = np.random.default_rng(2).uniform(size=(EVAL_BATCH + 44, 4))
+        with no_grad():
+            whole = model.features(Tensor(x), NormMode.EVAL).data
+        np.testing.assert_allclose(capture_features(model, x), whole, rtol=1e-12)
 
     def test_eval_statistics_are_used(self):
         model = build_micro_mlp(4, norm="batch", seed=2, hidden=8)
