@@ -12,9 +12,9 @@ import json
 import os
 import sys
 
-from .config import load_config, validate_config
+from .config import ExperimentConfig, load_config, validate_config
 from .errors import CltaError
-from .experiment import run_experiment, write_results
+from .experiment import METRIC_NAMES, run_experiment, write_results
 from .plots import write_plots
 
 OUTPUT_ROOT_ENV = "CLTA_OUTPUT_ROOT"
@@ -45,26 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        validate_config(cfg)
-    except (CltaError, OSError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 1
+def _cmd_validate(cfg: ExperimentConfig) -> int:
     print(f"configuration ok: {cfg.config_id} "
           f"({len(cfg.seeds)} seed{'s' if len(cfg.seeds) != 1 else ''})")
     return 0
 
 
-def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        validate_config(cfg)
-    except (CltaError, OSError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 1
-    out_dir = _resolve_output(args.output if args.output else cfg.output)
+def _cmd_run(cfg: ExperimentConfig, output: str | None) -> int:
+    out_dir = _resolve_output(output or cfg.output)
     result = run_experiment(cfg)
     written = write_results(result, out_dir)
     for path in written:
@@ -75,11 +63,7 @@ def _cmd_run(args) -> int:
     return 2 if failed else 0
 
 
-def _cmd_plot(args) -> int:
-    run_dir = _resolve_output(args.run_dir)
-    if not os.path.isfile(os.path.join(run_dir, "results.json")):
-        print(f"no results.json under {run_dir}", file=sys.stderr)
-        return 1
+def _cmd_plot(run_dir: str) -> int:
     try:
         written = write_plots(run_dir)
     except (CltaError, OSError, ValueError, KeyError) as exc:
@@ -90,19 +74,14 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    run_dir = _resolve_output(args.run_dir)
-    path = os.path.join(run_dir, "results.json")
-    if not os.path.isfile(path):
-        print(f"no results.json under {run_dir}", file=sys.stderr)
-        return 1
+def _cmd_report(run_dir: str) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, "results.json"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         agg = doc["aggregate"]
         print(f"experiment {doc['config_id']}: "
               f"{agg['seeds_ok']}/{agg['seeds_total']} seeds finished")
-        for name in ("acc_inc", "acc_final", "forg_inc", "forg_final", "wall_s"):
+        for name in METRIC_NAMES:
             mean, std = agg[f"{name}_mean"], agg[f"{name}_std"]
             if mean is None:
                 print(f"  {name:<12} n/a")
@@ -118,14 +97,22 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run and validate start from a valid configuration, plot and report
+    from a run directory holding results.json; either missing exits 1."""
     args = _build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "validate": _cmd_validate,
-        "plot": _cmd_plot,
-        "report": _cmd_report,
-    }[args.command]
-    return handler(args)
+    if args.command in ("run", "validate"):
+        try:
+            cfg = load_config(args.config)
+            validate_config(cfg)
+        except (CltaError, OSError) as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 1
+        return _cmd_run(cfg, args.output) if args.command == "run" else _cmd_validate(cfg)
+    run_dir = _resolve_output(args.run_dir)
+    if not os.path.isfile(os.path.join(run_dir, "results.json")):
+        print(f"no results.json under {run_dir}", file=sys.stderr)
+        return 1
+    return _cmd_plot(run_dir) if args.command == "plot" else _cmd_report(run_dir)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,24 @@
 """Flat dotted-key experiment configuration.
 
 The on-disk format is plain text, one ``section.key = value`` per line,
-``#`` comments allowed.  ``_KEY_TABLE`` declares every key once: its type
-and the dataclass field it fills, whose default is the key's default and
-whose metadata is its value rule (see ``errors.check_value``).  Parsing
-fills every unspecified key with that default and rejects keys it does not
-know, so typos fail loudly.  The normalized dump writes every key back in
-canonical order from the fields; parsing that dump reproduces the
-configuration exactly.
+``#`` comments allowed.  Each key is a field of a config dataclass, and
+the field declares it once: its annotation gives the key's type, its
+default the key's default and its metadata the key's value rule (see
+``errors.check_value``).  A key is spelled ``<section>.<field>``, where the
+section is the ``ExperimentConfig`` field holding the dataclass (``run``
+for ExperimentConfig's own fields, ``teacher`` for ``strategy``), except
+six keys that ``_KEY_NAMES`` spells out, such as ``corrupt.severity`` for
+``data.corrupt_severity``.  Parsing fills every unspecified key with its
+default and rejects keys it does not know, so typos fail loudly.  The
+normalized dump writes every key back in canonical order from the fields;
+parsing that dump reproduces the configuration exactly.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import Field, dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 from .distill import KDConfig, TeacherStrategy
 from .data import SIGMA_LADDER, cifar_record_count, read_idx_header, split_classes
@@ -29,7 +34,7 @@ class DataSpec:
     n_tasks: int = field(default=2, metadata={">=": 1})
     classes_per_task: int = field(default=2, metadata={">=": 1})
     dim: int | None = field(default=16, metadata={">=": 1})
-    image_shape: tuple | None = None
+    image_shape: tuple[int, int, int] | None = None
     # the 80/20 split keeps a test sample per class from 3 samples on
     samples_per_class: int = field(default=40, metadata={">=": 3})
     shift: float = 0.0
@@ -72,7 +77,7 @@ class ExperimentConfig:
     strategy: TeacherStrategy = field(default_factory=TeacherStrategy)
     train: TrainConfig = field(default_factory=TrainConfig)
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     output: str = "runs/experiment"
     config_id: str = "experiment"
     workers: int = field(default=1, metadata={">=": 1})
@@ -86,64 +91,45 @@ class ExperimentConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
              if is_dataclass(f.default_factory)} | {"run": ExperimentConfig}
 
-# section -> field name -> field
-_FIELDS = {section: {f.name: f for f in fields(cls)} for section, cls in _SECTIONS.items()}
-
-# key -> (type tag, section, field); the key's default is the field's default
-# and its value rule the field's metadata
-# type tags: int, float, bool, str, intlist, shape (CxHxW), and opt<tag>,
-# which also accepts "none"
-_KEY_TABLE: dict[str, tuple[str, str, str]] = {
-    "data.kind": ("str", "data", "kind"),
-    "data.n_tasks": ("int", "data", "n_tasks"),
-    "data.classes_per_task": ("int", "data", "classes_per_task"),
-    "data.dim": ("optint", "data", "dim"),
-    "data.image_shape": ("optshape", "data", "image_shape"),
-    "data.samples_per_class": ("int", "data", "samples_per_class"),
-    "data.shift": ("float", "data", "shift"),
-    "data.blob_std": ("float", "data", "blob_std"),
-    "data.seed": ("optint", "data", "seed"),
-    "data.num_classes": ("int", "data", "num_classes"),
-    "data.images": ("optstr", "data", "images"),
-    "data.labels": ("optstr", "data", "labels"),
-    "data.test_images": ("optstr", "data", "test_images"),
-    "data.test_labels": ("optstr", "data", "test_labels"),
-    "data.path": ("optstr", "data", "path"),
-    "data.test_path": ("optstr", "data", "test_path"),
-    "data.split_scheme": ("str", "data", "split_scheme"),
-    "data.split_parts": ("optint", "data", "split_parts"),
-    "data.order_seed": ("optint", "data", "order_seed"),
-    "corrupt.severity": ("int", "data", "corrupt_severity"),
-    "corrupt.pattern": ("str", "data", "corrupt_pattern"),
-    "model.arch": ("str", "model", "arch"),
-    "model.norm": ("str", "model", "norm"),
-    "model.hidden": ("int", "model", "hidden"),
-    "model.groups": ("int", "model", "groups"),
-    "model.seed": ("optint", "model", "seed"),
-    "kd.variant": ("str", "kd", "variant"),
-    "kd.temperature": ("float", "kd", "temperature"),
-    "kd.weight": ("float", "kd", "weight"),
-    "kd.aux_weight": ("optfloat", "kd", "aux_weight"),
-    "teacher.kind": ("str", "strategy", "kind"),
-    "teacher.lr": ("float", "strategy", "teacher_lr"),
-    "teacher.pretrain_epochs": ("int", "strategy", "pretrain_epochs"),
-    "teacher.adapt_with_running": ("bool", "strategy", "adapt_with_running"),
-    "train.epochs": ("int", "train", "epochs"),
-    "train.batch_size": ("int", "train", "batch_size"),
-    "train.base_lr": ("float", "train", "base_lr"),
-    "train.decay_epochs": ("intlist", "train", "lr_decay_epochs"),
-    "train.decay_factor": ("float", "train", "lr_decay_factor"),
-    "train.grad_clip": ("optfloat", "train", "grad_clip"),
-    "warmup.enabled": ("bool", "warmup", "enabled"),
-    "warmup.max_lr": ("float", "warmup", "max_lr"),
-    "warmup.ramp_epochs": ("int", "warmup", "ramp_epochs"),
-    "warmup.max_epochs": ("int", "warmup", "max_epochs"),
-    "warmup.patience": ("int", "warmup", "early_stop_patience"),
-    "run.seeds": ("intlist", "run", "seeds"),
-    "run.output": ("str", "run", "output"),
-    "run.config_id": ("str", "run", "config_id"),
-    "run.workers": ("int", "run", "workers"),
+# section.field -> key, for the keys not spelled that way; the other
+# strategy keys start with "teacher."
+_KEY_NAMES = {
+    "data.corrupt_severity": "corrupt.severity",
+    "data.corrupt_pattern": "corrupt.pattern",
+    "strategy.teacher_lr": "teacher.lr",
+    "train.lr_decay_epochs": "train.decay_epochs",
+    "train.lr_decay_factor": "train.decay_factor",
+    "warmup.early_stop_patience": "warmup.patience",
 }
+
+# annotation -> type tag (shape is CxHxW); ``X | None`` takes the tag
+# opt<X>, which also accepts "none"
+_TAGS = {int: "int", float: "float", bool: "bool", str: "str",
+         tuple[int, ...]: "intlist", tuple[int, int, int]: "shape"}
+
+
+def _tag(hint) -> str:
+    args = get_args(hint)
+    return "opt" + _TAGS[args[0]] if type(None) in args else _TAGS[hint]
+
+
+def _key_table() -> dict[str, tuple[str, str, Field]]:
+    """key -> (type tag, section, field), in section then field declaration
+    order; the key's default is the field's default and its value rule the
+    field's metadata."""
+    table = {}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        prefix = "teacher" if section == "strategy" else section
+        for f in fields(cls):
+            if not is_dataclass(f.default_factory):  # not one of the run's sections
+                key = _KEY_NAMES.get(f"{section}.{f.name}", f"{prefix}.{f.name}")
+                table[key] = (_tag(hints[f.name]), section, f)
+    return table
+
+
+_KEY_TABLE = _key_table()
+
 
 def _parse_value(key: str, tag: str, text: str):
     if tag.startswith("opt"):
@@ -202,11 +188,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     parsed = {}
     kwargs = {section: {} for section in _SECTIONS}
-    for key, (tag, section, name) in _KEY_TABLE.items():
-        spec = _FIELDS[section][name]
+    for key, (tag, section, spec) in _KEY_TABLE.items():
         value = _parse_value(key, tag, raw[key]) if key in raw else spec.default
         check_value(key, value, spec.metadata)
-        parsed[key] = kwargs[section][name] = value
+        parsed[key] = kwargs[section][spec.name] = value
 
     seeds = parsed["run.seeds"]
     if not seeds:
@@ -253,9 +238,9 @@ def parse_config(text: str) -> ExperimentConfig:
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces the configuration."""
     lines = []
-    for key, (tag, section, name) in _KEY_TABLE.items():
+    for key, (tag, section, spec) in _KEY_TABLE.items():
         owner = cfg if section == "run" else getattr(cfg, section)
-        lines.append(f"{key} = {_normalize(tag, getattr(owner, name))}")
+        lines.append(f"{key} = {_normalize(tag, getattr(owner, spec.name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ from .harness import run_stream
 from .layers import IncrementalModel, build_micro_cnn, build_micro_mlp
 from .metrics import compute_report
 
-_METRIC_NAMES = ("acc_inc", "acc_final", "forg_inc", "forg_final", "wall_s")
+METRIC_NAMES = ("acc_inc", "acc_final", "forg_inc", "forg_final", "wall_s")
 
 
 def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
@@ -88,11 +88,7 @@ def _empty_row(cfg: ExperimentConfig, seed: int) -> dict:
         "config_id": cfg.config_id,
         "seed": seed,
         "status": "ok",
-        "acc_inc": math.nan,
-        "acc_final": math.nan,
-        "forg_inc": math.nan,
-        "forg_final": math.nan,
-        "wall_s": math.nan,
+        **dict.fromkeys(METRIC_NAMES, math.nan),
         "a_k": [math.nan] * n_tasks,
         "traces": [],
     }
@@ -113,10 +109,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
                             cfg.train, cfg.warmup, seed)
         report = compute_report(result.accuracy_matrix)
         row.update(
-            acc_inc=report.acc_inc,
-            acc_final=report.acc_final,
-            forg_inc=report.forg_inc,
-            forg_final=report.forg_final,
+            {name: getattr(report, name) for name in METRIC_NAMES if name != "wall_s"},
             wall_s=result.wall_s,
             a_k=[float(v) for v in report.a_k],
             traces=[asdict(tr) for tr in result.traces],
@@ -138,7 +131,7 @@ def aggregate_rows(rows: list) -> dict:
     """Mean and sample standard deviation of each metric over finished seeds."""
     ok = [r for r in rows if r["status"] == "ok"]
     agg = {"seeds_total": len(rows), "seeds_ok": len(ok)}
-    for name in _METRIC_NAMES:
+    for name in METRIC_NAMES:
         values = [r[name] for r in ok]
         if not values:
             agg[f"{name}_mean"] = math.nan
@@ -207,11 +200,11 @@ def _round6(obj):
 
 def results_csv(result: ExperimentResult) -> str:
     n_tasks = max(len(r["a_k"]) for r in result.rows)
-    header = ["config_id", "seed", *_METRIC_NAMES] + [f"a_k_{i}" for i in range(1, n_tasks + 1)]
+    header = ["config_id", "seed", *METRIC_NAMES] + [f"a_k_{i}" for i in range(1, n_tasks + 1)]
     lines = [",".join(header)]
     for row in result.rows:
         cells = [row["config_id"], str(row["seed"])]
-        cells += [format_number(row[name]) for name in _METRIC_NAMES]
+        cells += [format_number(row[name]) for name in METRIC_NAMES]
         cells += [format_number(v) for v in row["a_k"]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -221,7 +214,7 @@ def aggregate_csv(result: ExperimentResult) -> str:
     header = ["config_id", "seeds_ok", "seeds_total"]
     cells = [result.config.config_id, str(result.aggregate["seeds_ok"]),
              str(result.aggregate["seeds_total"])]
-    for name in _METRIC_NAMES:
+    for name in METRIC_NAMES:
         header += [f"{name}_mean", f"{name}_std"]
         cells += [format_number(result.aggregate[f"{name}_mean"]),
                   format_number(result.aggregate[f"{name}_std"])]

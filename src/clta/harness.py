@@ -52,7 +52,7 @@ class TrainConfig:
     epochs: int = field(default=20, metadata={">=": 1})
     batch_size: int = field(default=128, metadata={">=": 2})
     base_lr: float = field(default=0.1, metadata={">": 0})
-    lr_decay_epochs: tuple = (6, 12, 16)
+    lr_decay_epochs: tuple[int, ...] = (6, 12, 16)
     lr_decay_factor: float = field(default=10.0, metadata={">": 1})
     grad_clip: float | None = field(default=None, metadata={">": 0})
 
@@ -211,8 +211,9 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
     all-zero on the first task.  The batch-norm KLD trace compares teacher
     and student statistics at each epoch's end (zero when inapplicable).
     """
-    if inputs.shape[0] == 0:
-        raise DataError(f"task {task_index} has no training data")
+    if inputs.shape[0] < 2:  # a lone sample makes no batch, so nothing would train
+        raise DataError(f"task {task_index} needs at least 2 training samples, "
+                        f"got {inputs.shape[0]}")
     if task_index >= 2 and teacher is None:
         raise ContractError(f"task {task_index} needs a teacher snapshot")
     if task_index == 1 and teacher is not None:

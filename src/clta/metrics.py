@@ -204,6 +204,8 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
 
 def capture_features(model: IncrementalModel, inputs: np.ndarray) -> np.ndarray:
     """Backbone output (pre-head representation) for a batch of inputs."""
+    if inputs.shape[0] == 0:
+        raise DataError("empty input batch")
     with no_grad():
         chunks = [model.features(Tensor(inputs[start:start + EVAL_BATCH])).data
                   for start in range(0, inputs.shape[0], EVAL_BATCH)]

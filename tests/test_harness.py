@@ -355,6 +355,15 @@ class TestTrainTask:
                        KDConfig(), TeacherStrategy(), desk_config(), WarmupConfig(),
                        seed=0)
 
+    def test_one_sample_task_rejected(self):
+        """A lone sample makes no batch: without the check no step runs and
+        the trace records NaN means."""
+        model = self._fresh(2)
+        with pytest.raises(DataError, match="task 1 needs at least 2 training samples, got 1"):
+            train_task(model, None, 1, np.zeros((1, 8)), np.zeros(1, dtype=np.int64),
+                       KDConfig(), TeacherStrategy(), desk_config(), WarmupConfig(),
+                       seed=0)
+
     def test_auxiliary_variant_needs_the_aux_network(self):
         rng = np.random.default_rng(3)
         model = self._fresh(3)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clta.autodiff import Tensor, no_grad
-from clta.errors import ContractError, DegenerateBatchError, NumericError, StateError
+from clta.errors import (ContractError, DataError, DegenerateBatchError, NumericError,
+                         StateError)
 from clta.layers import (BatchNorm, Dense, IncrementalModel, NormMode,
                          add_task_head, build_micro_mlp)
 from clta.metrics import (EVAL_BATCH, AccuracyMatrix, accuracy_metrics, bn_stats_kld,
@@ -321,3 +322,8 @@ class TestCaptureFeatures:
         before = model.batchnorm_layers()[0].running_mean.copy()
         capture_features(model, np.random.default_rng(1).uniform(size=(5, 4)))
         np.testing.assert_array_equal(model.batchnorm_layers()[0].running_mean, before)
+
+    def test_empty_input_rejected(self):
+        model = build_micro_mlp(4, norm="batch", seed=2, hidden=8)
+        with pytest.raises(DataError, match="empty input batch"):
+            capture_features(model, np.zeros((0, 4)))
