@@ -8,13 +8,12 @@ environment variable reroutes relative output paths under one root.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import ExperimentConfig, load_config, validate_config
 from .errors import CltaError
-from .experiment import METRIC_NAMES, run_experiment, write_results
+from .experiment import METRIC_NAMES, load_run, run_experiment, write_results
 from .plots import write_plots
 
 OUTPUT_ROOT_ENV = "CLTA_OUTPUT_ROOT"
@@ -64,35 +63,25 @@ def _cmd_run(cfg: ExperimentConfig, output: str | None) -> int:
 
 
 def _cmd_plot(run_dir: str) -> int:
-    try:
-        written = write_plots(run_dir)
-    except (CltaError, OSError, ValueError, KeyError) as exc:
-        print(f"plotting failed: {exc}", file=sys.stderr)
-        return 2
-    for path in written:
+    for path in write_plots(run_dir):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_report(run_dir: str) -> int:
-    try:
-        with open(os.path.join(run_dir, "results.json"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        agg = doc["aggregate"]
-        print(f"experiment {doc['config_id']}: "
-              f"{agg['seeds_ok']}/{agg['seeds_total']} seeds finished")
-        for name in METRIC_NAMES:
-            mean, std = agg[f"{name}_mean"], agg[f"{name}_std"]
-            if mean is None:
-                print(f"  {name:<12} n/a")
-            else:
-                print(f"  {name:<12} {mean:.4f} +/- {std:.4f}")
-        for row in doc["rows"]:
-            if row["status"] != "ok":
-                print(f"  seed {row['seed']}: {row['status']}")
-    except (ValueError, KeyError) as exc:
-        print(f"cannot read report: {exc}", file=sys.stderr)
-        return 2
+    doc = load_run(run_dir)
+    agg = doc["aggregate"]
+    print(f"experiment {doc['config_id']}: "
+          f"{agg['seeds_ok']}/{agg['seeds_total']} seeds finished")
+    for name in METRIC_NAMES:
+        mean, std = agg[f"{name}_mean"], agg[f"{name}_std"]
+        if mean is None or std is None:
+            print(f"  {name:<12} n/a")
+        else:
+            print(f"  {name:<12} {mean:.4f} +/- {std:.4f}")
+    for row in doc["rows"]:
+        if row["status"] != "ok":
+            print(f"  seed {row['seed']}: {row['status']}")
     return 0
 
 
@@ -112,7 +101,11 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(run_dir, "results.json")):
         print(f"no results.json under {run_dir}", file=sys.stderr)
         return 1
-    return _cmd_plot(run_dir) if args.command == "plot" else _cmd_report(run_dir)
+    try:
+        return _cmd_plot(run_dir) if args.command == "plot" else _cmd_report(run_dir)
+    except (CltaError, OSError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -233,7 +233,7 @@ def stream_from_datasets(train: Dataset, test: Dataset,
 # ----------------------------------------------------------------------
 
 
-def check_left(fh, n: int, what: str) -> None:
+def _check_left(fh, n: int, what: str) -> None:
     """Raise unless the seekable stream still holds ``n`` bytes past its
     position, so a corrupt size never reaches a read or an allocation."""
     offset = fh.tell()
@@ -243,8 +243,8 @@ def check_left(fh, n: int, what: str) -> None:
         raise TruncatedFileError(f"{what} at byte {offset}: wanted {n} bytes, {left} left")
 
 
-def read_exact(fh, n: int, what: str) -> bytes:
-    check_left(fh, n, what)
+def _read_exact(fh, n: int, what: str) -> bytes:
+    _check_left(fh, n, what)
     return fh.read(n)
 
 
@@ -257,14 +257,14 @@ def read_idx_header(fh, what: str) -> tuple[int, ...]:
     body bytes.
     """
     magic = IDX_IMAGE_MAGIC if what == "image" else IDX_LABEL_MAGIC
-    (found,) = struct.unpack(">I", read_exact(fh, 4, f"{what} header"))
+    (found,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} header"))
     if found >> 8 == magic >> 8 and found != magic:
         raise FormatError(f"{what} file has rank {found & 0xFF}, expected {magic & 0xFF}")
     if found != magic:
         raise FormatError(f"bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
-    sizes = struct.unpack(f">{magic & 0xFF}I", read_exact(fh, 4 * (magic & 0xFF),
-                                                          f"{what} dimensions"))
-    check_left(fh, math.prod(sizes), f"{what} body")
+    sizes = struct.unpack(f">{magic & 0xFF}I", _read_exact(fh, 4 * (magic & 0xFF),
+                                                           f"{what} dimensions"))
+    _check_left(fh, math.prod(sizes), f"{what} body")
     # numpy sizes an array by its nonzero dimensions, so even a file of
     # zero images must name an image whose float64 pixels are addressable
     if math.prod(sizes[1:]) > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:

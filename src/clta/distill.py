@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import ContractError, ParameterError, check_fields
+from .errors import ContractError, DataError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode
 from .optim import ce_step, iter_batches, newest_task_parameters
 
@@ -241,13 +241,15 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
     if not strategy.pretrains:
         raise ContractError(f"pretrain_teacher called with strategy '{strategy.kind}'")
     n = inputs.shape[0]
+    if n < 2:  # a lone sample makes no batch
+        raise DataError(f"teacher pretraining needs at least 2 samples, got {n}")
     params = strategy.trained_parameters(teacher)
     history = []
     for epoch in range(strategy.pretrain_epochs):
         order = np.random.default_rng((seed, 0x7EAC, epoch)).permutation(n)
         losses = [ce_step(teacher, params, inputs[idx], labels_local[idx], strategy.teacher_lr,
                           grad_clip=None) for idx in iter_batches(n, batch_size, order)]
-        history.append(float(np.mean(losses)) if losses else float("nan"))
+        history.append(float(np.mean(losses)))
     return history
 
 

@@ -41,7 +41,7 @@ class DegenerateBatchError(DataError):
 
 
 class FormatError(CltaError):
-    """A file does not match its declared binary format."""
+    """A file does not match its declared format."""
 
 
 class ConsistencyError(FormatError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -22,7 +23,7 @@ from .config import DataSpec, ExperimentConfig, ModelSpec, dump_config
 from .data import (CorruptionSpec, TaskStream, corrupt_every_other,
                    load_cifar_binary, load_idx, split_classes,
                    stream_from_datasets, synthetic_stream)
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .harness import run_stream
 from .layers import IncrementalModel, build_micro_cnn, build_micro_mlp
 from .metrics import compute_report
@@ -246,3 +247,68 @@ def write_results(result: ExperimentResult, out_dir) -> list:
             fh.write(content)
         written.append(path)
     return written
+
+
+def _is_number(value) -> bool:
+    """A JSON number that a float holds finitely."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# the parts of results.json that `clta report` and `write_plots` read: a dict
+# is an object with these keys, a one-item list an array of such items, and
+# a leaf names its JSON type and test
+_LEAVES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+}
+_RUN_SHAPE = {
+    "config_id": "a string",
+    "aggregate": {"seeds_ok": "an integer", "seeds_total": "an integer",
+                  **{f"{name}_{stat}": "a number or null"
+                     for name in METRIC_NAMES for stat in ("mean", "std")}},
+    "rows": [{"seed": "an integer", "status": "a string", "a_k": ["a number or null"],
+              "traces": [{"ce": ["a number"], "kd": ["a number"]}]}],
+}
+
+
+def _json_kind(value, describe) -> str:
+    return ("an object" if isinstance(value, dict) else "an array"
+            if isinstance(value, list) else describe(value))
+
+
+def _check_shape(value, shape, path: str) -> None:
+    """Raise ``FormatError`` at the first place ``value`` departs from ``shape``."""
+    if isinstance(shape, dict) and isinstance(value, dict):
+        for key, inner in shape.items():
+            where = f"{path}.{key}" if path else key
+            if key not in value:
+                raise FormatError(f"results.json: {where}: missing")
+            _check_shape(value[key], inner, where)
+        # a trace's kd curve is plotted against its ce curve's epochs
+        if "kd" in shape and len(value["kd"]) != len(value["ce"]):
+            raise FormatError(f"results.json: {path}.kd: {len(value['kd'])} values, "
+                              f"ce has {len(value['ce'])}")
+    elif isinstance(shape, list) and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, (dict, list)) or not _LEAVES[shape](value):
+        raise FormatError(f"results.json: {path or 'document'}: expected "
+                          f"{_json_kind(shape, str)}, got "
+                          f"{_json_kind(value, lambda v: json.dumps(v)[:40])}")
+
+
+def load_run(run_dir) -> dict:
+    """Read a run directory's results.json and check every part that
+    ``clta report`` and ``write_plots`` read; a document of another shape
+    raises ``FormatError`` naming the JSON path at fault (``aggregate``,
+    ``rows[0].traces[1].ce``)."""
+    with open(os.path.join(run_dir, "results.json"), "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"results.json is not JSON: {exc}") from None
+    _check_shape(doc, _RUN_SHAPE, "")
+    return doc

@@ -141,6 +141,9 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
     Stops early once the epoch-mean loss has not improved for
     ``early_stop_patience`` epochs.  Returns the per-epoch loss history.
     """
+    if inputs.shape[0] < 2:  # a lone sample makes no batch
+        raise DataError(f"task {task_index}: warmup needs at least 2 samples, "
+                        f"got {inputs.shape[0]}")
     head = model.heads[-1]
     feats = capture_features(model, inputs)
 

@@ -33,20 +33,16 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
-import io
 import math
-import struct
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .data import read_exact
-from .errors import DegenerateBatchError, FormatError, ParameterError, ShapeError
+from .errors import DegenerateBatchError, ParameterError, ShapeError
 
-SNAPSHOT_MAGIC = b"CLTA"
-SNAPSHOT_VERSION = 1
+MOMENTUM = 0.1  # batch norm: the batch's weight in each running-statistics update
 
 
 class NormMode(Enum):
@@ -80,20 +76,11 @@ class Layer:
 class Dense(Layer):
     kind = "dense"
 
-    def __init__(self, in_features: int, out_features: int,
-                 init: str = "kaiming", rng: np.random.Generator | None = None):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         if out_features < 1:
             raise ParameterError(f"dense layer needs >= 1 output, got {out_features}")
-        self.in_features = in_features
         self.out_features = out_features
-        if init == "zeros":
-            weight = np.zeros((in_features, out_features))
-        elif init == "kaiming":
-            if rng is None:
-                raise ParameterError("kaiming init requires an rng")
-            weight = kaiming_uniform(rng, (in_features, out_features), in_features)
-        else:
-            raise ParameterError(f"unknown init scheme '{init}'")
+        weight = kaiming_uniform(rng, (in_features, out_features), in_features)
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
@@ -108,19 +95,13 @@ class Conv2d(Layer):
     kind = "conv2d"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None):
+                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
         if min(in_channels, out_channels, kernel_size) < 1:
             raise ParameterError(f"conv layer sizes must be >= 1, got {in_channels} -> "
                                  f"{out_channels} channels, kernel {kernel_size}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
-        if rng is None:
-            raise ParameterError("conv layer requires an rng for initialization")
         weight = kaiming_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in)
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
@@ -143,9 +124,6 @@ class Identity(Layer):
     """Placeholder for removed normalization (the no-norm ablation)."""
 
     kind = "identity"
-
-    def __init__(self, num_features: int = 0):
-        self.num_features = num_features
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         return x
@@ -189,11 +167,8 @@ class BatchNorm(_AffineNorm):
 
     kind = "batchnorm"
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        if not 0.0 < momentum <= 1.0:
-            raise ParameterError(f"momentum must be in (0, 1], got {momentum}")
+    def __init__(self, num_features: int, eps: float = 1e-5):
         super().__init__(num_features, eps)
-        self.momentum = momentum
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
@@ -204,9 +179,8 @@ class BatchNorm(_AffineNorm):
         count = int(np.prod([x.shape[a] for a in axes]))
         batch_mean, batch_var = ad._batch_moments(x, axes)
         unbiased = batch_var.ravel() * count / (count - 1)
-        m = self.momentum
-        self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean.ravel()
-        self.running_var = (1.0 - m) * self.running_var + m * unbiased
+        self.running_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean.ravel()
+        self.running_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased
         return batch_mean, batch_var
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
@@ -342,7 +316,7 @@ def _norm_layer(norm: str, num_features: int, groups: int) -> Layer:
     if norm == "group":
         return GroupNorm(num_features, groups)
     if norm == "none":
-        return Identity(num_features)
+        return Identity()
     raise ParameterError(f"unknown normalization variant '{norm}'")
 
 
@@ -379,145 +353,36 @@ def build_micro_cnn(in_channels: int, norm: str = "batch", seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# snapshot serialization
+# checksums
 # ----------------------------------------------------------------------
-
-_PER_CHANNEL = ("num_features",)
-_AFFINE = dict.fromkeys(("gamma", "beta"), _PER_CHANNEL)
-
-# layer class -> (tag byte, header struct format, header fields, the shape of
-# each state array in header fields); each constructor takes its header fields
-_RECORDS: dict[type, tuple] = {
-    Dense: (1, "<II", ("in_features", "out_features"),
-            {"weight": ("in_features", "out_features"), "bias": ("out_features",)}),
-    Conv2d: (2, "<IIIII", ("in_channels", "out_channels", "kernel_size", "stride", "padding"),
-             {"weight": ("out_channels", "in_channels", "kernel_size", "kernel_size"),
-              "bias": ("out_channels",)}),
-    BatchNorm: (3, "<Idd", ("num_features", "momentum", "eps"),
-                {**_AFFINE, "running_mean": _PER_CHANNEL, "running_var": _PER_CHANNEL}),
-    LayerNorm: (4, "<Id", ("num_features", "eps"), _AFFINE),
-    GroupNorm: (5, "<IId", ("num_features", "groups", "eps"), _AFFINE),
-    ReLU: (6, "<", (), {}),
-    Identity: (7, "<I", _PER_CHANNEL, {}),
-    GlobalAvgPool: (8, "<", (), {}),
-}
-_TAG_TYPES = {record[0]: cls for cls, record in _RECORDS.items()}
-_MAX_NDIM = 4  # no layer holds an array of more dimensions
-
-
-def _state(layer: Layer, name: str) -> np.ndarray:
-    value = getattr(layer, name)
-    return value.data if isinstance(value, Tensor) else value
-
-
-def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    buf.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        buf.write(struct.pack("<I", dim))
-    buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_array(buf: io.BytesIO) -> np.ndarray:
-    offset = buf.tell()
-    (ndim,) = struct.unpack("<B", read_exact(buf, 1, "array rank"))
-    if ndim > _MAX_NDIM:
-        raise FormatError(f"array at byte {offset}: {ndim} dimensions, at most {_MAX_NDIM}")
-    shape = struct.unpack(f"<{ndim}I", read_exact(buf, 4 * ndim, "array shape"))
-    raw = read_exact(buf, math.prod(shape) * 8, f"array of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
-def _write_layer(buf: io.BytesIO, layer: Layer) -> None:
-    tag, fmt, header, arrays = _RECORDS[type(layer)]
-    buf.write(struct.pack("<B", tag))
-    buf.write(struct.pack(fmt, *(getattr(layer, name) for name in header)))
-    for name in arrays:
-        _write_array(buf, _state(layer, name))
-
-
-def _read_layer(buf: io.BytesIO) -> Layer:
-    offset = buf.tell()
-    (tag,) = struct.unpack("<B", read_exact(buf, 1, "layer tag"))
-    cls = _TAG_TYPES.get(tag)
-    if cls is None:
-        raise FormatError(f"unknown layer tag {tag} at byte {offset}")
-    _, fmt, header, arrays = _RECORDS[cls]
-    raw = read_exact(buf, struct.calcsize(fmt), f"{cls.kind} header")
-    fields = dict(zip(header, struct.unpack(fmt, raw)))
-    state = {}
-    for name, dims in arrays.items():
-        state[name] = _read_array(buf)
-        expected = tuple(fields[d] for d in dims)
-        if state[name].shape != expected:
-            raise FormatError(f"{cls.kind} record at byte {offset}: {name} has shape "
-                              f"{state[name].shape}, its header says {expected}")
-    # the arrays are read and checked first, so nothing below allocates more
-    # than the snapshot holds
-    if cls is Dense:
-        fields["init"] = "zeros"
-    elif cls is Conv2d:
-        fields["rng"] = np.random.default_rng(0)
-    layer = cls(**fields)
-    for name, arr in state.items():
-        setattr(layer, name, Tensor(arr, requires_grad=True)
-                if isinstance(getattr(layer, name), Tensor) else arr)
-    return layer
-
-
-def serialize_model(model: IncrementalModel) -> bytes:
-    """Versioned flat binary snapshot; round-trips bit-exactly."""
-    buf = io.BytesIO()
-    buf.write(SNAPSHOT_MAGIC)
-    buf.write(struct.pack("<I", SNAPSHOT_VERSION))
-    buf.write(struct.pack("<I", model.feature_dim))
-    buf.write(struct.pack("<I", len(model.backbone)))
-    for layer in model.backbone:
-        _write_layer(buf, layer)
-    buf.write(struct.pack("<I", len(model.heads)))
-    for head in model.heads:
-        _write_layer(buf, head)
-    return buf.getvalue()
-
-
-def deserialize_model(blob: bytes) -> IncrementalModel:
-    buf = io.BytesIO(blob)
-    magic = read_exact(buf, 4, "magic")
-    if magic != SNAPSHOT_MAGIC:
-        raise FormatError(f"bad snapshot magic {magic!r}")
-    (version,) = struct.unpack("<I", read_exact(buf, 4, "version"))
-    if version != SNAPSHOT_VERSION:
-        raise FormatError(f"unsupported snapshot version {version}")
-    (feature_dim,) = struct.unpack("<I", read_exact(buf, 4, "feature size"))
-    (n_backbone,) = struct.unpack("<I", read_exact(buf, 4, "backbone layer count"))
-    backbone = [_read_layer(buf) for _ in range(n_backbone)]
-    model = IncrementalModel(backbone, feature_dim)
-    (n_heads,) = struct.unpack("<I", read_exact(buf, 4, "head count"))
-    for _ in range(n_heads):
-        head = _read_layer(buf)
-        if not isinstance(head, Dense):
-            raise FormatError("snapshot head record is not a dense layer")
-        model.heads.append(head)
-    return model
-
-
-def model_checksum(model: IncrementalModel) -> str:
-    return hashlib.sha256(serialize_model(model)).hexdigest()
 
 
 def parameter_checksums(model: IncrementalModel) -> dict[str, str]:
-    """Per-array checksums, keyed by layer position and array name.
+    """Per-array checksums, keyed by layer position and array name
+    (``backbone.1.batchnorm.running_mean``, ``head.0.weight``).
 
+    Each digest covers the array's shape and values.  The arrays are the
+    layer's own attributes: its parameters and any running statistics.
     Lets tests pin down exactly which state a strategy touched.
     """
+    layers = [(f"backbone.{i}.{layer.kind}", layer) for i, layer in enumerate(model.backbone)]
+    layers += [(f"head.{i}", head) for i, head in enumerate(model.heads)]
     sums: dict[str, str] = {}
-
-    def put(key: str, arr: np.ndarray) -> None:
-        sums[key] = hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
-
-    for i, layer in enumerate(model.backbone):
-        for name in _RECORDS[type(layer)][3]:
-            put(f"backbone.{i}.{layer.kind}.{name}", _state(layer, name))
-    for i, head in enumerate(model.heads):
-        put(f"head.{i}.weight", head.weight.data)
-        put(f"head.{i}.bias", head.bias.data)
+    for prefix, layer in layers:
+        for name, value in vars(layer).items():
+            arr = value.data if isinstance(value, Tensor) else value
+            if isinstance(arr, np.ndarray):
+                digest = hashlib.sha256(repr(arr.shape).encode())
+                digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                sums[f"{prefix}.{name}"] = digest.hexdigest()
     return sums
+
+
+def model_checksum(model: IncrementalModel) -> str:
+    """One digest over ``parameter_checksums``: it identifies the model's
+    state (the arrays and their shapes), not its hyperparameters, so two
+    models that differ only in, say, ``eps`` or a conv stride hash alike."""
+    digest = hashlib.sha256()
+    for key, value in parameter_checksums(model).items():
+        digest.update(f"{key}={value}\n".encode())
+    return digest.hexdigest()

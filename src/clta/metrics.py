@@ -1,9 +1,8 @@
 """Evaluation and diagnostics for incremental runs.
 
 Covers the accuracy bookkeeping (per-task accuracy matrix, incremental
-accuracy, forgetting), representation similarity (linear CKA), divergence
-between two models' batch-norm running statistics, and task-level
-confusion counts.
+accuracy, forgetting), representation similarity (linear CKA), and the
+divergence between two models' batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -149,28 +148,6 @@ def evaluate_task_agnostic(model: IncrementalModel, inputs: np.ndarray,
         raise DataError("cannot evaluate on an empty test set")
     predicted = predict_global(model, inputs, class_order)
     return float(np.mean(predicted == np.asarray(labels)))
-
-
-def task_confusion(model: IncrementalModel, test_sets, class_order: np.ndarray,
-                   task_class_counts) -> np.ndarray:
-    """Counts of (true task, predicted task) over per-task test sets.
-
-    ``test_sets`` is one (inputs, labels) pair per task, in task order;
-    ``task_class_counts`` gives each task's class count so predictions can
-    be binned into task ranges.  Row i sums to task i's test-set size.
-    """
-    n = len(task_class_counts)
-    boundaries = np.cumsum([0] + list(task_class_counts))
-    order = np.asarray(class_order)
-    position = {int(c): i for i, c in enumerate(order)}
-    confusion = np.zeros((n, n), dtype=np.int64)
-    for i, (inputs, _labels) in enumerate(test_sets):
-        predicted = predict_global(model, inputs, order)
-        for g in predicted:
-            col = position[int(g)]
-            j = int(np.searchsorted(boundaries, col, side="right") - 1)
-            confusion[i, j] += 1
-    return confusion
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,11 @@ inputs, so charts can be compared byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 from .errors import DataError
+from .experiment import load_run
 
 PALETTE = ("#1b6ca8", "#d1495b", "#3a7d44", "#8d6a9f", "#c77b30", "#4f6d7a")
 
@@ -123,26 +123,15 @@ def accuracy_over_tasks_svg(a_k: list) -> str:
                       ylabel="accuracy")
 
 
-def severity_chart_svg(points_by_method: dict) -> str:
-    """Accuracy against corruption severity, one polyline per method."""
-    series = []
-    for name in points_by_method:
-        pts = sorted(points_by_method[name])
-        series.append((name, [p[0] for p in pts], [p[1] for p in pts]))
-    return line_chart(series, title="accuracy vs corruption severity",
-                      xlabel="severity", ylabel="incremental accuracy")
-
-
 def write_plots(run_dir) -> list:
     """Draw charts from a run directory's results.json into that directory;
     returns the written paths.
 
     Rows without traces are skipped with a warning on stderr instead of
-    failing the whole call.
+    failing the whole call; a malformed results.json raises ``FormatError``
+    (``experiment.load_run``).
     """
-    results_path = os.path.join(run_dir, "results.json")
-    with open(results_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_run(run_dir)
     written = []
     row = next((r for r in doc["rows"] if r["status"] == "ok"), None)
     if row is None:

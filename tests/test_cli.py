@@ -1,8 +1,19 @@
+import contextlib
+import copy
+import io
+import json
+import math
 import os
 import struct
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clta.cli import main
+from clta.config import parse_config
 from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from clta.experiment import ExperimentResult, aggregate_rows, results_json
 
 GOOD_CONFIG = (
     "data.n_tasks = 2\n"
@@ -180,3 +191,103 @@ class TestPlotAndReportVerbs:
     def test_env_var_resolves_relative_run_dirs(self, tmp_path, monkeypatch):
         self._finished_run(tmp_path, monkeypatch)
         assert main(["report", "cli_run"]) == 0
+
+
+def run_document():
+    """The results.json of a two-task run: one finished seed, one failed."""
+    trace = {"ce": [1.2, 0.6], "kd": [0.0, 0.0], "bn_kld": [0.0, 0.0], "warmup_ce": []}
+    done = {"config_id": "fuzz", "seed": 0, "status": "ok", "acc_inc": 0.8,
+            "acc_final": 0.7, "forg_inc": 0.1, "forg_final": 0.1, "wall_s": 0.5,
+            "a_k": [0.9, 0.7], "traces": [trace, dict(trace, kd=[0.3, 0.2])]}
+    failed = dict(done, seed=1, status="failed: DataError: empty task", acc_inc=math.nan,
+                  acc_final=math.nan, forg_inc=math.nan, forg_final=math.nan,
+                  a_k=[math.nan, math.nan], traces=[])
+    cfg = parse_config("run.config_id = fuzz\nrun.seeds = 0,1\n")
+    rows = [done, failed]
+    return json.loads(results_json(ExperimentResult(cfg, rows, aggregate_rows(rows))))
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value below ``node``."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    paths = []
+    for key, value in items:
+        paths += [prefix + (key,)] + json_paths(value, prefix + (key,))
+    return paths
+
+
+RUN_DOC = run_document()
+RUN_PATHS = json_paths(RUN_DOC)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def run_verb(verb, run_dir):
+    """``clta <verb> run_dir``: the exit code and the stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([verb, str(run_dir)])
+    return code, err.getvalue().splitlines()
+
+
+class TestMalformedResults:
+    def write(self, root, doc):
+        (root / "results.json").write_text(json.dumps(doc))
+        return root
+
+    def test_the_fuzz_document_reads(self, tmp_path):
+        run_dir = self.write(tmp_path, RUN_DOC)
+        assert run_verb("report", run_dir) == (0, [])
+        assert run_verb("plot", run_dir) == (0, [])
+        assert sorted(os.listdir(run_dir)) == ["accuracy_over_tasks.svg", "loss_task_1.svg",
+                                               "loss_task_2.svg", "results.json"]
+
+    def test_an_aggregate_of_another_type_exits_two(self, tmp_path):
+        run_dir = self.write(tmp_path, {"config_id": "x", "aggregate": 5, "rows": []})
+        assert run_verb("report", run_dir) == (
+            2, ["report failed: results.json: aggregate: expected an object, got 5"])
+
+    def test_traces_of_another_type_exit_two(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        doc["rows"][0]["traces"] = "abc"
+        assert run_verb("plot", self.write(tmp_path, doc)) == (
+            2, ['plot failed: results.json: rows[0].traces: expected an array, got "abc"'])
+
+    def test_the_path_reaches_into_lists(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        doc["rows"][0]["traces"][1]["kd"][1] = None
+        assert run_verb("plot", self.write(tmp_path, doc)) == (
+            2, ["plot failed: results.json: rows[0].traces[1].kd[1]: "
+                "expected a number, got null"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_document_exits_two_with_one_line(self, tmp_path_factory, data):
+        """One value replaced or deleted, then perhaps a few bytes
+        overwritten or the text cut: each verb succeeds or exits 2 with
+        one line naming results.json."""
+        doc = copy.deepcopy(RUN_DOC)
+        *parents, key = data.draw(st.sampled_from(RUN_PATHS))
+        parent = reduce(lambda node, k: node[k], parents, doc)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+        blob = bytearray(json.dumps(doc).encode())
+        if data.draw(st.booleans()):
+            for pos, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                           st.integers(0, 255)), max_size=2)):
+                blob[pos] = value
+            blob = blob[:data.draw(st.none() | st.integers(0, len(blob)))]
+        run_dir = tmp_path_factory.mktemp("run")
+        (run_dir / "results.json").write_bytes(bytes(blob))
+        for verb in ("report", "plot"):
+            code, err = run_verb(verb, run_dir)
+            if code != 0:
+                assert code == 2, err
+                assert len(err) == 1 and err[0].startswith(f"{verb} failed: "), err
+                assert "results.json" in err[0], err

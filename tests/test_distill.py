@@ -9,7 +9,7 @@ from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_k
                           continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
                           pretrain_teacher, taskwise_kd_loss, teacher_forward,
                           teacher_norm_mode, total_loss)
-from clta.errors import ContractError, ParameterError
+from clta.errors import ContractError, DataError, ParameterError
 from clta.layers import (Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
 
@@ -356,6 +356,15 @@ class TestTrainableTeachers:
                                    batch_size=16, seed=0)
         assert len(history) == 4
         assert history[-1] < history[0]
+
+    def test_pretrain_rejects_one_row(self):
+        teacher, rng = _teacher_with_history(13)
+        add_task_head(teacher, 2, seed=(13, 9))
+        x, y = self._task_data(rng)
+        with pytest.raises(DataError, match="at least 2 samples, got 1"):
+            pretrain_teacher(teacher, x[:1], y[:1],
+                             TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
+                             batch_size=16, seed=0)
 
     def test_pretrain_full_never_touches_old_heads(self):
         teacher, rng = _teacher_with_history(4)

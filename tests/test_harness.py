@@ -289,6 +289,15 @@ class TestWarmupHead:
         assert len(history) < 300
 
 
+    def test_one_row_rejected(self):
+        """A lone row makes no batch: without the check the history is
+        the mean of no losses, NaN."""
+        model, x, y = self._setup(4)
+        with pytest.raises(DataError, match="task 2: warmup needs at least 2 samples, got 1"):
+            warmup_head(model, x[:1], y[:1], WarmupConfig(enabled=True, max_epochs=3,
+                                                          ramp_epochs=1),
+                        batch_size=16, seed=0, task_index=2)
+
     def test_non_finite_loss_names_task_epoch_and_term(self):
         model, x, y = self._setup(3)
         model.heads[-1].weight.data[0, 0] = np.nan

@@ -1,32 +1,21 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from clta.autodiff import Tensor
-from clta.errors import (CltaError, DegenerateBatchError, FormatError, ParameterError,
-                         ShapeError, TruncatedFileError)
+from clta.errors import DegenerateBatchError, ParameterError, ShapeError
 from clta.layers import (BatchNorm, Conv2d, Dense, GlobalAvgPool, GroupNorm,
                          Identity, IncrementalModel, LayerNorm, NormMode, ReLU,
                          add_task_head, build_micro_cnn, build_micro_mlp,
-                         deserialize_model, model_checksum, parameter_checksums,
-                         serialize_model, snapshot_model)
+                         model_checksum, parameter_checksums, snapshot_model)
 
 
 class TestDense:
     def test_forward_is_affine(self):
-        layer = Dense(3, 2, init="zeros")
+        layer = Dense(3, 2, rng=np.random.default_rng(0))
         layer.weight.data[:] = np.arange(6.0).reshape(3, 2)
         layer.bias.data[:] = [1.0, -1.0]
         out = layer.forward(Tensor([[1.0, 0.0, 2.0]]), NormMode.EVAL)
         np.testing.assert_allclose(out.data, [[0.0 + 8.0 + 1.0, 1.0 + 10.0 - 1.0]])
-
-    def test_zeros_init(self):
-        layer = Dense(4, 3, init="zeros")
-        assert np.all(layer.weight.data == 0.0)
-        assert np.all(layer.bias.data == 0.0)
 
     def test_kaiming_bound(self):
         rng = np.random.default_rng(7)
@@ -146,12 +135,6 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3)),
                                    atol=1e-12)
 
-    def test_bad_momentum_rejected(self):
-        with pytest.raises(ParameterError):
-            BatchNorm(2, momentum=0.0)
-        with pytest.raises(ParameterError):
-            BatchNorm(2, momentum=1.5)
-
 
 class TestOtherNorms:
     def test_layernorm_normalizes_each_row(self):
@@ -193,7 +176,7 @@ class TestOtherNorms:
 
     def test_identity_is_a_passthrough(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = Identity(3).forward(x, NormMode.TRAIN)
+        out = Identity().forward(x, NormMode.TRAIN)
         np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -240,45 +223,19 @@ class TestIncrementalModel:
                                     model.backbone[0].weight.data)
 
     def test_bad_backbone_output_shape(self):
-        model = IncrementalModel([Dense(4, 7, init="zeros")], feature_dim=5)
+        dense = Dense(4, 7, rng=np.random.default_rng(0))
+        dense.weight.data[:] = 0.0
+        model = IncrementalModel([dense], feature_dim=5)
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.ones((2, 4))), NormMode.EVAL)
 
 
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self):
-        model = build_micro_mlp(5, norm="batch", seed=3)
-        add_task_head(model, 4, seed=9)
-        model.batchnorm_layers()[0].running_mean[:] = np.pi
-        blob = serialize_model(model)
-        restored = deserialize_model(blob)
-        assert serialize_model(restored) == blob
-        np.testing.assert_array_equal(restored.batchnorm_layers()[0].running_mean,
-                                      model.batchnorm_layers()[0].running_mean)
-        np.testing.assert_array_equal(restored.heads[0].weight.data,
-                                      model.heads[0].weight.data)
-
-    def test_cnn_round_trip(self):
-        model = build_micro_cnn(1, norm="group", seed=5)
-        add_task_head(model, 2, seed=0)
-        assert serialize_model(deserialize_model(serialize_model(model))) \
-            == serialize_model(model)
-
+class TestChecksums:
     def test_checksum_tracks_any_parameter_change(self):
         model = build_micro_mlp(4, seed=0)
         before = model_checksum(model)
         model.backbone[0].bias.data[0] += 1e-12
         assert model_checksum(model) != before
-
-    def test_bad_magic(self):
-        with pytest.raises(FormatError):
-            deserialize_model(b"XXXX" + b"\x00" * 64)
-
-    def test_truncated_blob(self):
-        model = build_micro_mlp(4, seed=0)
-        blob = serialize_model(model)
-        with pytest.raises(TruncatedFileError):
-            deserialize_model(blob[: len(blob) // 2])
 
     def test_parameter_checksums_name_every_array(self):
         model = build_micro_mlp(4, norm="batch", seed=1)
@@ -292,85 +249,26 @@ class TestSerialization:
         changed = [k for k in sums if sums[k] != after[k]]
         assert changed == ["head.0.weight"]
 
+    def test_checksum_tracks_running_statistics(self):
+        model = build_micro_mlp(4, norm="batch", seed=0)
+        before = model_checksum(model)
+        model.batchnorm_layers()[1].running_var[0] += 1e-12
+        assert model_checksum(model) != before
 
-def small_mlp():
-    model = build_micro_mlp(2, norm="batch", seed=0, hidden=4)
-    return add_task_head(model, 2, seed=1)
+    def test_equal_bytes_in_another_shape_change_the_checksum(self):
+        model = add_task_head(build_micro_mlp(4, seed=0, hidden=6), 4, seed=1)
+        reshaped = snapshot_model(model)
+        reshaped.heads[0].weight.data = reshaped.heads[0].weight.data.reshape(4, 6)
+        assert reshaped.heads[0].weight.data.tobytes() == model.heads[0].weight.data.tobytes()
+        assert model_checksum(reshaped) != model_checksum(model)
 
-
-def small_cnn():
-    model = build_micro_cnn(1, norm="group", seed=0, groups=2)
-    return add_task_head(model, 2, seed=1)
-
-
-def header_offsets(model):
-    """Offsets of the snapshot bytes that are not array values: two copies
-    whose every value byte differs serialize alike everywhere else."""
-    blobs = []
-    for byte in (b"\x11", b"\x22"):
-        copy = snapshot_model(model)
-        for layer in copy.backbone + copy.heads:
-            for value in vars(layer).values():
-                arr = value.data if isinstance(value, Tensor) else value
-                if isinstance(arr, np.ndarray):
-                    arr[...] = np.frombuffer(byte * 8, dtype="<f8")[0]
-        blobs.append(np.frombuffer(serialize_model(copy), dtype=np.uint8))
-    return np.flatnonzero(blobs[0] == blobs[1]).tolist()
-
-
-SNAPSHOTS = [(serialize_model(m), header_offsets(m)) for m in (small_mlp(), small_cnn())]
-FIRST_ARRAY = 16 + 1 + 8  # file header, dense tag, dense header
-
-
-class TestCorruptSnapshots:
-    def test_ndim_byte_out_of_range(self):
-        blob = bytearray(SNAPSHOTS[0][0])
-        blob[FIRST_ARRAY] = 70
-        with pytest.raises(FormatError, match="70 dimensions"):
-            deserialize_model(bytes(blob))
-
-    def test_huge_layer_header_allocates_nothing(self):
-        blob = bytearray(SNAPSHOTS[0][0])
-        blob[FIRST_ARRAY - 8:FIRST_ARRAY] = struct.pack("<II", 60000, 60000)
-        with pytest.raises(FormatError, match="weight"):
-            deserialize_model(bytes(blob))
-
-    def test_array_shape_must_match_the_header(self):
-        model = small_mlp()
-        model.backbone[1].gamma = Tensor(np.ones(5))
-        with pytest.raises(FormatError, match="gamma"):
-            deserialize_model(serialize_model(model))
-
-    def test_every_cut_names_its_byte_offset(self):
-        blob = SNAPSHOTS[0][0]
-        for cut in range(len(blob)):
-            with pytest.raises(TruncatedFileError, match="at byte"):
-                deserialize_model(blob[:cut])
-
-    def test_every_cut_of_a_cnn_names_its_byte_offset(self):
-        # a cut inside an array's values fails in the read that a cut at its
-        # first or second value byte fails in, so those stand for the rest
-        blob, headers = SNAPSHOTS[1]
-        for cut in sorted({h + k for h in headers for k in range(3)} - {len(blob)}):
-            with pytest.raises(TruncatedFileError, match="at byte"):
-                deserialize_model(blob[:cut])
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), which=st.sampled_from([0, 1]),
-           cut=st.none() | st.integers(min_value=0))
-    def test_only_clta_errors_escape(self, data, which, cut):
-        blob, headers = SNAPSHOTS[which]
-        offset = st.sampled_from(headers) | st.integers(0, len(blob) - 1)
-        edits = data.draw(st.lists(st.tuples(offset, st.integers(0, 255)), max_size=4))
-        mutated = bytearray(blob)
-        for pos, value in edits:
-            mutated[pos] = value
-        if cut is not None:
-            mutated = mutated[:cut % (len(blob) + 1)]
-        try:
-            deserialize_model(bytes(mutated))
-        except CltaError:
-            pass
+    @pytest.mark.parametrize("build", [lambda: build_micro_mlp(5, norm="batch", seed=3),
+                                       lambda: build_micro_cnn(1, norm="group", seed=5)])
+    def test_a_snapshot_checksums_like_its_source(self, build):
+        model = add_task_head(build(), 3, seed=9)
+        for bn in model.batchnorm_layers():
+            bn.running_mean[:] = np.pi
+        assert model_checksum(snapshot_model(model)) == model_checksum(model)
 
 
 class TestBuilders:

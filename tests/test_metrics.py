@@ -10,8 +10,7 @@ from clta.layers import (BatchNorm, Dense, IncrementalModel, NormMode,
                          add_task_head, build_micro_mlp)
 from clta.metrics import (EVAL_BATCH, AccuracyMatrix, accuracy_metrics, bn_stats_kld,
                           capture_features, compute_report, evaluate_task_agnostic,
-                          forgetting_metrics, linear_cka, predict_global,
-                          task_confusion)
+                          forgetting_metrics, linear_cka, predict_global)
 
 
 def random_matrix(rng, n):
@@ -131,7 +130,8 @@ def identity_model(total_dim, head_sizes):
     model = IncrementalModel([], feature_dim=total_dim)
     offset = 0
     for size in head_sizes:
-        head = Dense(total_dim, size, init="zeros")
+        head = Dense(total_dim, size, rng=np.random.default_rng(0))
+        head.weight.data[:] = 0.0
         for i in range(size):
             head.weight.data[offset + i, i] = 1.0
         model.heads.append(head)
@@ -175,25 +175,6 @@ class TestTaskAgnosticPrediction:
         labels = np.array([0, 1, 2, 2])
         acc = evaluate_task_agnostic(model, x, labels, np.arange(4))
         np.testing.assert_allclose(acc, 0.75)
-
-    def test_confusion_on_a_perfect_predictor(self):
-        model = identity_model(4, [2, 2])
-        sets = [
-            (np.eye(4)[:2] * 0.9, np.array([0, 1])),
-            (np.eye(4)[2:] * 0.9, np.array([2, 3])),
-        ]
-        confusion = task_confusion(model, sets, np.arange(4), [2, 2])
-        np.testing.assert_array_equal(confusion, [[2, 0], [0, 2]])
-
-    def test_confusion_rows_sum_to_set_sizes(self):
-        rng = np.random.default_rng(3)
-        model = build_micro_mlp(5, norm="none", seed=0)
-        add_task_head(model, 2, seed=1)
-        add_task_head(model, 2, seed=2)
-        sets = [(rng.uniform(size=(7, 5)), np.array([0] * 7)),
-                (rng.uniform(size=(9, 5)), np.array([2] * 9))]
-        confusion = task_confusion(model, sets, np.arange(4), [2, 2])
-        np.testing.assert_array_equal(confusion.sum(axis=1), [7, 9])
 
 
 class TestLinearCKA:

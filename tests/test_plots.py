@@ -6,8 +6,7 @@ import pytest
 from clta.config import ModelSpec, parse_config
 from clta.errors import DataError
 from clta.experiment import run_experiment, write_results
-from clta.plots import (accuracy_over_tasks_svg, line_chart, loss_curves_svg,
-                        severity_chart_svg, write_plots)
+from clta.plots import accuracy_over_tasks_svg, line_chart, loss_curves_svg, write_plots
 
 
 def polylines(svg):
@@ -62,16 +61,6 @@ class TestLineChart:
 
 
 class TestChartHelpers:
-    def test_severity_chart_two_series_three_points(self):
-        svg = severity_chart_svg({
-            "baseline": [(1, 0.8), (3, 0.7), (5, 0.55)],
-            "adapted": [(1, 0.85), (3, 0.78), (5, 0.6)],
-        })
-        lines = polylines(svg)
-        assert len(lines) == 2
-        for attr in lines:
-            assert len(points_of(attr)) == 3
-
     def test_accuracy_chart_one_point_per_task(self):
         svg = accuracy_over_tasks_svg([0.9, 0.7, 0.6])
         assert len(points_of(polylines(svg)[0])) == 3
