@@ -264,6 +264,37 @@ class TestMalformedResults:
             2, ["plot failed: results.json: rows[0].traces[1].kd[1]: "
                 "expected a number, got null"])
 
+    def test_a_missing_key_is_named(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        del doc["aggregate"]["seeds_ok"]
+        assert run_verb("report", self.write(tmp_path, doc)) == (
+            2, ["report failed: results.json: aggregate.seeds_ok: missing"])
+
+    def test_a_boolean_is_not_an_integer(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        doc["rows"][1]["seed"] = True
+        assert run_verb("report", self.write(tmp_path, doc)) == (
+            2, ["report failed: results.json: rows[1].seed: expected an integer, got true"])
+
+    def test_an_infinite_mean_exits_two(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        doc["aggregate"]["acc_inc_mean"] = math.inf
+        assert run_verb("report", self.write(tmp_path, doc)) == (
+            2, ["report failed: results.json: aggregate.acc_inc_mean: "
+                "expected a number or null, got Infinity"])
+
+    def test_a_kd_curve_longer_than_its_ce_curve_exits_two(self, tmp_path):
+        doc = copy.deepcopy(RUN_DOC)
+        doc["rows"][0]["traces"][1]["kd"].append(0.1)
+        assert run_verb("plot", self.write(tmp_path, doc)) == (
+            2, ["plot failed: results.json: rows[0].traces[1].kd: 3 values, ce has 2"])
+
+    def test_text_that_is_not_json_exits_two(self, tmp_path):
+        (tmp_path / "results.json").write_text('{"config_id": ')
+        code, err = run_verb("report", tmp_path)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("report failed: results.json is not JSON: ")
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_a_mutated_document_exits_two_with_one_line(self, tmp_path_factory, data):
