@@ -386,11 +386,13 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(values, parts, vjp)
 
 
-def _batch_moments(x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and biased variance over ``axes``, with the reduced axes kept."""
+def _batch_moments(x: np.ndarray,
+                   axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and biased variance over ``axes``, with the reduced axes kept,
+    and ``x - mean``, the centered input both are taken from."""
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
-    return mean, (centered * centered).mean(axis=axes, keepdims=True)
+    return mean, (centered * centered).mean(axis=axes, keepdims=True), centered
 
 
 def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = None,
@@ -398,23 +400,29 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
     """(x - mean) / sqrt(var + eps), then ``* gamma + beta``, as one graph node.
 
     By default the mean and biased variance are taken over ``axes`` of ``x``
-    and the gradient flows through them.  ``moments`` passes in those same
-    batch statistics, as ``_batch_moments`` computes them, when the caller
-    has them already.  ``stats``, when given, is instead a fixed
-    ``(mean, var)`` pair of arrays broadcastable to ``x``, ``moments`` is
-    ignored, and the gradient is ``g / sqrt(var + eps)``.
-    ``gamma`` and ``beta`` (given together) are per-channel vectors over
-    axis 1.  Values and gradients equal, bit for bit, those of the mean, sub,
-    mul, mean, add_scalar, sqrt, div chain followed by the reshape, mul,
-    reshape, add affine: the VJP repeats those numpy operations in the order
-    backward ran them.
+    and the gradient flows through them.  ``moments`` passes in the triple
+    ``(mean, var, centered)`` that ``_batch_moments(x.data, axes)`` returns,
+    when the caller has it already; ``centered`` is ``x - mean`` and is not
+    written to.  ``stats``, when given, is instead a fixed ``(mean, var)``
+    pair of arrays broadcastable to ``x``, ``moments`` is ignored, and the
+    gradient is ``g / sqrt(var + eps)``.  ``gamma`` and ``beta`` (given
+    together) are per-channel vectors over axis 1.
+
+    Values and gradients equal, bit for bit, those of the mean, sub, mul,
+    mean, add_scalar, sqrt, div chain followed by the reshape, mul, reshape,
+    add affine: every element goes through the same float operations in the
+    same order.  The VJP takes its per-channel factors at the reduced shape
+    before broadcasting them, and negates sums rather than full arrays,
+    which rounds the same because rounding is symmetric in sign.
+    ``tests/test_autodiff.py::TestFusedOps::test_normalize_equals_the_parent_formulas``
+    pins this against the formulas written out in numpy.
     """
     axes = _norm_axis(axes, x.data.ndim)
     if stats is not None:
         mean, var = stats
+        centered = x.data - mean
     else:
-        mean, var = moments if moments is not None else _batch_moments(x.data, axes)
-    centered = x.data - mean
+        mean, var, centered = moments if moments is not None else _batch_moments(x.data, axes)
     if not np.all(np.isfinite(var)):
         raise NumericError("op 'normalize' produced a non-finite variance")
     with np.errstate(invalid="ignore"):
@@ -428,7 +436,8 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
             raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
                              f"must both be ({x.shape[1]},)")
         xhat = values
-        values = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+        values = xhat * gamma.data.reshape(shape)
+        values += beta.data.reshape(shape)
         parents = (x, gamma, beta)
 
     def vjp(g: np.ndarray):
@@ -444,11 +453,16 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
         gx = g / std
         if stats is not None:
             return (gx, *pieces)
-        gstd = _unbroadcast(-g * centered / (std * std), std.shape)
-        gsq = np.broadcast_to(gstd * 0.5 / std, x.shape) / count
-        gx = gx + gsq * centered  # centered * centered feeds both factors
-        gx = gx + gsq * centered
-        return (gx + np.broadcast_to(_unbroadcast(-gx, mean.shape), x.shape) / count, *pieces)
+        gc = g * centered
+        gc /= std * std
+        gsq = -_unbroadcast(gc, std.shape) * 0.5 / std / count
+        # centered * centered feeds both factors; the term is added twice,
+        # not doubled, since (gx + t) + t rounds unlike gx + 2 * t
+        np.multiply(gsq, centered, out=gc)
+        gx += gc
+        gx += gc
+        gx += -_unbroadcast(gx, mean.shape) / count
+        return (gx, *pieces)
 
     return _make(values, parents, vjp)
 
@@ -522,14 +536,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {h}x{w}")
 
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
     cols, oh, ow = _im2col(xp, kh, kw, stride)
     wmat = weight.data.reshape(f, -1)
     out = np.matmul(wmat, cols).reshape(n, f, oh, ow)
     if bias is not None:
-        out = out + bias.data.reshape(1, f, 1, 1)
+        out += bias.data.reshape(1, f, 1, 1)
 
     def vjp(g: np.ndarray):
         gmat = g.reshape(n, f, oh * ow)

@@ -20,9 +20,12 @@ import os
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from .distill import KDConfig, TeacherStrategy
-from .data import SIGMA_LADDER, cifar_record_count, read_idx_header, split_classes
-from .errors import (ConsistencyError, FormatError, ParameterError, check_fields,
+from .data import (CIFAR_RECORD, SIGMA_LADDER, cifar_record_count, read_idx_header,
+                   split_classes)
+from .errors import (ConsistencyError, DataError, FormatError, ParameterError, check_fields,
                      check_value)
 from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
@@ -248,7 +251,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check what reaches outside the document: each data file that
     ``data.kind`` needs exists and passes its loader's size checks, IDX
     headers (magic, rank, sizes against the file length, image count against
-    label count) and CIFAR file lengths.  Reads no array bodies."""
+    label count) and CIFAR file lengths, and every label byte is below
+    ``data.num_classes``.  Reads the label bytes (the body of an IDX label
+    file, the first byte of each CIFAR record) but no pixels."""
     required = {"idx": ("images", "labels", "test_images", "test_labels"),
                 "cifar": ("path", "test_path")}.get(cfg.data.kind, ())
     counts = {}
@@ -258,14 +263,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ParameterError(f"data.{name}: required for data.kind = {cfg.data.kind}")
         if not os.path.isfile(value):
             raise ParameterError(f"data.{name}: file not found: {value}")
+        labels = None
         try:
             if cfg.data.kind == "cifar":
-                cifar_record_count(os.path.getsize(value))
+                records = cifar_record_count(os.path.getsize(value))
+                # a strided view of the mapped file: the first byte of each record
+                start, stride = 0, CIFAR_RECORD
+                labels = np.array(np.memmap(value, np.uint8, "r",
+                                            shape=(records, CIFAR_RECORD))[:, 0])
             else:
                 with open(value, "rb") as fh:
-                    counts[name] = read_idx_header(fh, "label" if "label" in name else "image")[0]
+                    what = "label" if "label" in name else "image"
+                    counts[name] = read_idx_header(fh, what)[0]
+                    if what == "label":
+                        start, stride = fh.tell(), 1
+                        labels = np.frombuffer(fh.read(counts[name]), np.uint8)
         except FormatError as exc:
             raise type(exc)(f"data.{name}: {exc}") from exc
+        if labels is not None:
+            bad = np.flatnonzero(labels >= cfg.data.num_classes)
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(f"data.{name}: label {labels[i]} of record {i} (byte "
+                                f"{start + i * stride}) is not below data.num_classes = "
+                                f"{cfg.data.num_classes}")
     for images, labels in (("images", "labels"), ("test_images", "test_labels")):
         if images in counts and counts[images] != counts[labels]:
             raise ConsistencyError(f"data.{labels}: {counts[labels]} labels for the "

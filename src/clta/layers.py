@@ -16,12 +16,13 @@ estimates) or by the stored running statistics:
 All four modes run the one ``autodiff.normalize`` op, by batch statistics
 or by the running statistics, with the learned scale and shift folded into
 the same graph node; the adapt modes run it under ``no_grad``, so their
-output is detached.  The batch mean and variance are computed once per call
-and feed both the running update and the op.  ``LayerNorm`` runs the same
-op over its own axes; ``GroupNorm`` normalizes a grouped view and applies
-its scale and shift after reshaping back.  ``Dense`` is one
-``autodiff.linear`` node and ``Conv2d`` one ``autodiff.conv2d`` node, so
-each of these layers adds a single node to the graph.
+output is detached.  The batch mean, variance and centered input are
+computed once per call and feed both the running update and the op.
+``LayerNorm`` runs the same op over its own axes; ``GroupNorm`` normalizes
+a grouped view and applies its scale and shift after reshaping back.
+``Dense`` is one ``autodiff.linear`` node and ``Conv2d`` one
+``autodiff.conv2d`` node, so each of these layers adds a single node to
+the graph.
 
 Running statistics follow the usual deep-learning convention: exponential
 moving average with momentum 0.1, biased variance used to normalize the
@@ -173,15 +174,16 @@ class BatchNorm(_AffineNorm):
         self.running_var = np.ones(num_features)
 
     def _update_running(self, x: np.ndarray,
-                        axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Fold the batch statistics into the running ones; returns the batch
-        mean and biased variance, with the reduced axes kept."""
+                        axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold the batch statistics into the running ones; returns the
+        ``(mean, var, centered)`` triple of ``autodiff._batch_moments``."""
         count = int(np.prod([x.shape[a] for a in axes]))
-        batch_mean, batch_var = ad._batch_moments(x, axes)
+        moments = ad._batch_moments(x, axes)
+        batch_mean, batch_var, _ = moments
         unbiased = batch_var.ravel() * count / (count - 1)
         self.running_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean.ravel()
         self.running_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased
-        return batch_mean, batch_var
+        return moments
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         shape = _channel_shape(x, self.num_features)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, ParameterError
 from .layers import IncrementalModel, NormMode
 
 
@@ -75,12 +75,13 @@ def epoch_permutation(seed: int, task_index: int, epoch: int, n: int,
 
 def iter_batches(n: int, batch_size: int, order: np.ndarray):
     """Index slices over a permutation; a trailing singleton is dropped
-    because batch statistics need at least two samples."""
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        if idx.size < 2:
-            continue
-        yield idx
+    because batch statistics need at least two samples.  A batch size below
+    2 raises ``ParameterError`` at the call: it would leave no batch, so an
+    epoch would take no step."""
+    if batch_size < 2:
+        raise ParameterError(f"batch_size: must be >= 2, got {batch_size}")
+    slices = (order[start:start + batch_size] for start in range(0, n, batch_size))
+    return (idx for idx in slices if idx.size >= 2)
 
 
 def newest_task_parameters(model: IncrementalModel) -> list[Tensor]:

@@ -243,7 +243,7 @@ def batch_moments(x, axes):
     """The batch statistics in the form ``normalize``'s ``moments`` takes."""
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
-    return mean, (centered * centered).mean(axis=axes, keepdims=True)
+    return mean, (centered * centered).mean(axis=axes, keepdims=True), centered
 
 
 def _affine_normalize_cases(rng):
@@ -370,7 +370,8 @@ def assert_same_bits(left, right):
 
 
 def einsum_conv2d(x, w, b, stride, padding):
-    """The einsum conv2d, forward and gradients written out in numpy."""
+    """The einsum conv2d, forward and gradients written out in numpy; ``b``
+    may be None."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -380,7 +381,8 @@ def einsum_conv2d(x, w, b, stride, padding):
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
     wmat = w.reshape(f, -1)
     out = np.einsum("fk,nko->nfo", wmat, cols, optimize=True).reshape(n, f, oh, ow)
-    out = out + b.reshape(1, f, 1, 1)
+    if b is not None:
+        out = out + b.reshape(1, f, 1, 1)
     g = np.random.default_rng(out.size).normal(size=out.shape)  # weighted_sum's weights
     gmat = g.reshape(n, f, oh * ow)
     dw = np.einsum("nfo,nko->fk", gmat, cols, optimize=True).reshape(w.shape)
@@ -390,7 +392,47 @@ def einsum_conv2d(x, w, b, stride, padding):
         for j in range(kw):
             dxp[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += dcols[:, :, i, j]
     dx = dxp[:, :, padding:padding + h, padding:padding + wd]
-    return out, [dx, dw, g.sum(axis=(0, 2, 3))]
+    return out, [dx, dw] + ([] if b is None else [g.sum(axis=(0, 2, 3))])
+
+
+def _reduce_to(a, shape):
+    """``a`` summed over the axes where ``shape`` is 1 and ``a`` is not."""
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and a.shape[i] != 1)
+    return a.sum(axis=axes, keepdims=True) if axes else a
+
+
+def parent_normalize(x, axes, eps, stats, gamma, beta):
+    """``normalize`` as the unfused chain computes it, forward and gradients
+    written out in numpy: every full-size pass of the chain's VJPs in the
+    order backward runs them.  Returns the values and the gradients of x,
+    then of gamma and beta when they are given."""
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    if stats is None:
+        mean = x.mean(axis=axes, keepdims=True)
+        moment = x - mean
+        var = (moment * moment).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = stats
+    centered = x - mean
+    std = np.sqrt(var + eps)
+    count = int(np.prod([x.shape[i] for i in axes]))
+    values = centered / std
+    g = np.random.default_rng(values.size).normal(size=values.shape)  # weighted_sum's weights
+    affine = []
+    if gamma is not None:
+        xhat = values
+        values = xhat * gamma.reshape(shape) + beta.reshape(shape)
+        affine = [_reduce_to(g * xhat, shape).reshape(gamma.shape),
+                  _reduce_to(g, shape).reshape(beta.shape)]
+        g = g * gamma.reshape(shape)
+    gx = g / std
+    if stats is None:
+        gstd = _reduce_to(-g * centered / (std * std), std.shape)
+        gsq = np.broadcast_to(gstd * 0.5 / std, x.shape) / count
+        gx = gx + gsq * centered
+        gx = gx + gsq * centered
+        gx = gx + np.broadcast_to(_reduce_to(-gx, mean.shape), x.shape) / count
+    return values, [gx] + affine
 
 
 class TestFusedOps:
@@ -439,21 +481,59 @@ class TestFusedOps:
 
         assert_same_bits(run_graph(given, inputs), run_graph(computed, inputs))
 
-    # The three layers of build_micro_cnn on a 3x32x32 batch of 4.  The bit
-    # equality is a property of the BLAS: einsum contracts through one gemm
-    # over the whole batch, matmul through one gemm per sample, and OpenBLAS
-    # picks its small-matrix kernels for products as small as 4 filters x 18
-    # taps, where the last bit can differ.
+    # BatchNorm on the maps of build_micro_cnn's three layers at cnn32's
+    # batch of 64 and on mlp5's hidden features; LayerNorm on the same
+    # shapes.  The fixed statistics are EVAL's running statistics.  Each of
+    # these reduces a power of two of elements, and dividing by a power of
+    # two is exact in any order, so two short final batches, of 48 and 24
+    # rows, pin the order of the divisions by the count.
+    @pytest.mark.parametrize("affine", [False, True])
+    @pytest.mark.parametrize("source", ["batch", "moments", "fixed", "layer"])
+    @pytest.mark.parametrize("shape", [(64, 8, 16, 16), (64, 16, 8, 8), (64, 32, 4, 4),
+                                       (32, 64), (48, 16, 8, 8), (24, 64)])
+    def test_normalize_equals_the_parent_formulas(self, shape, source, affine):
+        rng = np.random.default_rng(sum(shape))
+        axes = tuple(range(1, len(shape))) if source == "layer" else \
+            (0,) + tuple(range(2, len(shape)))
+        stats = fixed_stats(rng, shape, axes) if source == "fixed" else None
+        inputs = [rng.normal(1.5, 2.0, size=shape)]
+        params = [rng.normal(1.0, 0.5, size=shape[1]), rng.normal(size=shape[1])]
+        if affine:
+            inputs += params
+
+        def op(x, *affine_params):
+            moments = batch_moments(x.data, axes) if source == "moments" else None
+            return ad.normalize(x, axes, 1e-5, stats, *affine_params, moments=moments)
+
+        expected = parent_normalize(inputs[0], axes, 1e-5, stats,
+                                    *(params if affine else (None, None)))
+        assert_same_bits(run_graph(op, inputs), expected)
+
+    # The three layers of build_micro_cnn on a 3x32x32 batch of 4, with the
+    # model's stride 2 and padding 1 and without each.  The bit equality is
+    # a property of the BLAS: einsum contracts through one gemm over the
+    # whole batch, matmul through one gemm per sample, and OpenBLAS picks its
+    # small-matrix kernels for products as small as 4 filters x 18 taps,
+    # where the last bit can differ.  It also holds only where a sample's
+    # output map has a multiple of 16 positions (15x15 or 7x7 maps differ
+    # in the last bit), so without padding the input is two pixels wider
+    # and the output maps stay the power-of-two maps of the model.
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 1), (2, 0), (1, 0)])
     @pytest.mark.parametrize("x_shape,w_shape", [
         ((4, 3, 32, 32), (8, 3, 3, 3)),
         ((4, 8, 16, 16), (16, 8, 3, 3)),
         ((4, 16, 8, 8), (32, 16, 3, 3)),
     ])
-    def test_conv2d_equals_the_einsum_formulas(self, x_shape, w_shape):
-        inputs = [self.rng.normal(size=x_shape), self.rng.normal(size=w_shape),
-                  self.rng.normal(size=w_shape[0])]
-        fused = run_graph(lambda x, w, b: ad.conv2d(x, w, b, 2, 1), inputs)
-        assert_same_bits(fused, einsum_conv2d(*inputs, 2, 1))
+    def test_conv2d_equals_the_einsum_formulas(self, x_shape, w_shape, stride, padding, bias):
+        if not padding:
+            x_shape = x_shape[:2] + (x_shape[2] + 2, x_shape[3] + 2)
+        inputs = [self.rng.normal(size=x_shape), self.rng.normal(size=w_shape)]
+        if bias:
+            inputs.append(self.rng.normal(size=w_shape[0]))
+        fused = run_graph(lambda x, w, b=None: ad.conv2d(x, w, b, stride, padding), inputs)
+        assert_same_bits(fused, einsum_conv2d(*inputs[:2], inputs[2] if bias else None,
+                                              stride, padding))
 
     @pytest.mark.parametrize("op,shapes", [
         (lambda x, w, b: ad.conv2d(x, w, b, 2, 1), [(3, 2, 6, 6), (4, 2, 3, 3), (4,)]),

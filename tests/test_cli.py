@@ -138,11 +138,12 @@ class TestRunVerb:
     def test_failing_seeds_exit_two_but_still_write(self, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
-        # the headers are sound, so validation passes, but every label byte
-        # is outside the ten classes, which only the loader sees
+        # the headers and labels are sound, so validation passes, but every
+        # sample is of class 0 and the second task of classes 5-9 gets none,
+        # which only the run sees
         files = ""
         for key in ("images", "labels", "test_images", "test_labels"):
-            blob = (struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes([200] * 4)
+            blob = (struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4)
                     if "labels" in key else
                     struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2) + bytes(16))
             (tmp_path / key).write_bytes(blob)

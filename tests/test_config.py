@@ -416,11 +416,11 @@ class TestFileValidation:
     IMAGES = struct.pack(">IIII", IDX_IMAGE_MAGIC, 10, 4, 4) + bytes(160)
     LABELS = struct.pack(">II", IDX_LABEL_MAGIC, 10) + bytes(range(10))
 
-    def idx_config(self, root, images=IMAGES, labels=LABELS):
+    def idx_config(self, root, images=IMAGES, labels=LABELS, extra=""):
         (root / "images.idx").write_bytes(images)
         (root / "labels.idx").write_bytes(labels)
         return parse_config(
-            "data.kind = idx\nmodel.arch = cnn\n"
+            "data.kind = idx\nmodel.arch = cnn\n" + extra
             + "".join(f"data.{key} = {root / (('labels' if 'labels' in key else 'images') + '.idx')}\n"
                       for key in ("images", "labels", "test_images", "test_labels")))
 
@@ -444,6 +444,43 @@ class TestFileValidation:
             validate_config(self.idx_config(tmp_path, images, labels))
         assert str(err.value).startswith(key + ":")
 
+    @pytest.mark.parametrize("position, value, extra, match", [
+        (3, 12, "", "label 12 of record 3 (byte 11) is not below data.num_classes = 10"),
+        (0, 255, "", "label 255 of record 0 (byte 8) is not below data.num_classes = 10"),
+        (None, None, "data.num_classes = 9\ndata.split_parts = 3\n",
+         "label 9 of record 9 (byte 17) is not below data.num_classes = 9"),
+    ])
+    def test_idx_label_at_or_above_num_classes_names_record_and_byte(
+            self, tmp_path, position, value, extra, match):
+        labels = bytearray(self.LABELS)
+        if position is not None:
+            labels[8 + position] = value
+        with pytest.raises(DataError) as err:
+            validate_config(self.idx_config(tmp_path, labels=bytes(labels), extra=extra))
+        assert str(err.value) == "data.labels: " + match
+
+    def cifar_config(self, root, train_labels, test_labels):
+        """Records of the given label bytes; every pixel byte is 255, which
+        no label check may read."""
+        for name, labels in (("batch.bin", train_labels), ("test.bin", test_labels)):
+            (root / name).write_bytes(b"".join(bytes([c]) + b"\xff" * 3072 for c in labels))
+        return parse_config(f"data.kind = cifar\nmodel.arch = cnn\n"
+                            f"data.path = {root / 'batch.bin'}\n"
+                            f"data.test_path = {root / 'test.bin'}\n")
+
+    def test_cifar_label_bytes_are_checked_and_pixels_are_not(self, tmp_path):
+        validate_config(self.cifar_config(tmp_path, range(10), (9, 0)))
+
+    @pytest.mark.parametrize("train, test, match", [
+        ((0, 1, 10, 3), (0,), "data.path: label 10 of record 2 (byte 6146)"),
+        (range(10), (4, 5, 6, 7, 200), "data.test_path: label 200 of record 4 (byte 12292)"),
+    ])
+    def test_cifar_label_at_or_above_num_classes_names_record_and_byte(
+            self, tmp_path, train, test, match):
+        with pytest.raises(DataError) as err:
+            validate_config(self.cifar_config(tmp_path, train, test))
+        assert str(err.value) == match + " is not below data.num_classes = 10"
+
     @pytest.mark.parametrize("size", [0, 3073 * 2 - 1, 100])
     def test_cifar_length_must_be_a_nonzero_multiple_of_the_record(self, tmp_path, size):
         (tmp_path / "batch.bin").write_bytes(bytes(size))
@@ -461,14 +498,12 @@ class TestFileValidation:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), which=st.sampled_from(["images", "labels"]))
-    def test_validated_idx_files_fail_the_loader_only_on_their_contents(
-            self, tmp_path_factory, data, which):
-        """Header bytes overwritten or the file cut: whatever validation
-        accepts, the loader rejects at most for its label values."""
+    def test_validated_idx_files_load(self, tmp_path_factory, data, which):
+        """Header or body bytes overwritten or the file cut: whatever
+        validation accepts, the loader accepts."""
         blobs = {"images": self.IMAGES, "labels": self.LABELS}
         blob = bytearray(blobs[which])
-        header = 16 if which == "images" else 8
-        for pos, value in data.draw(st.lists(st.tuples(st.integers(0, header - 1),
+        for pos, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
                                                        st.integers(0, 255)), max_size=3)):
             blob[pos] = value
         blobs[which] = bytes(blob[:data.draw(st.integers(0, len(blob)))])
@@ -476,12 +511,9 @@ class TestFileValidation:
         cfg = self.idx_config(root, blobs["images"], blobs["labels"])
         try:
             validate_config(cfg)
-        except FormatError:
+        except (FormatError, DataError):
             return
-        try:
-            load_idx(cfg.data.images, cfg.data.labels, cfg.data.num_classes)
-        except DataError:
-            pass
+        load_idx(cfg.data.images, cfg.data.labels, cfg.data.num_classes)
 
     def test_synthetic_kind_needs_no_files(self):
         validate_config(parse_config(""))

@@ -366,6 +366,19 @@ class TestTrainableTeachers:
                              TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
                              batch_size=16, seed=0)
 
+    def test_pretrain_rejects_batch_size_one(self):
+        """Batches of one are all dropped: without the check no step runs
+        and the history is the mean of no losses, NaN."""
+        teacher, rng = _teacher_with_history(14)
+        add_task_head(teacher, 2, seed=(14, 9))
+        before = parameter_checksums(teacher)
+        x, y = self._task_data(rng)
+        with pytest.raises(ParameterError, match="batch_size: must be >= 2, got 1"):
+            pretrain_teacher(teacher, x, y,
+                             TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
+                             batch_size=1, seed=0)
+        assert parameter_checksums(teacher) == before
+
     def test_pretrain_full_never_touches_old_heads(self):
         teacher, rng = _teacher_with_history(4)
         old_head = parameter_checksums(teacher)["head.0.weight"]

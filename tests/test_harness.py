@@ -242,6 +242,11 @@ class TestBatching:
         batches = list(iter_batches(6, 4, np.arange(6)))
         assert [len(b) for b in batches] == [4, 2]
 
+    @pytest.mark.parametrize("batch_size", [1, 0, -3])
+    def test_batch_size_below_two_raises_at_the_call(self, batch_size):
+        with pytest.raises(ParameterError, match=f"batch_size: must be >= 2, got {batch_size}"):
+            iter_batches(6, batch_size, np.arange(6))
+
 
 def two_class_task(rng, n=40, dim=8, spread=0.06):
     x = np.concatenate([rng.normal(0.3, spread, size=(n // 2, dim)),
@@ -297,6 +302,16 @@ class TestWarmupHead:
             warmup_head(model, x[:1], y[:1], WarmupConfig(enabled=True, max_epochs=3,
                                                           ramp_epochs=1),
                         batch_size=16, seed=0, task_index=2)
+
+    def test_batch_size_one_rejected(self):
+        """Batches of one are all dropped: without the check no step runs
+        and the history is the mean of no losses, NaN."""
+        model, x, y = self._setup(5)
+        before = parameter_checksums(model)
+        with pytest.raises(ParameterError, match="batch_size: must be >= 2, got 1"):
+            warmup_head(model, x, y, WarmupConfig(enabled=True, max_epochs=3, ramp_epochs=1),
+                        batch_size=1, seed=0, task_index=1)
+        assert parameter_checksums(model) == before
 
     def test_non_finite_loss_names_task_epoch_and_term(self):
         model, x, y = self._setup(3)
