@@ -20,11 +20,42 @@ and the evaluation logits in ``metrics.predict_global``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError, ParameterError, ShapeError
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let freed arrays return to the heap for reuse instead of to the kernel.
+
+    By default glibc serves each large allocation with a fresh ``mmap``,
+    unmaps it on free and trims the heap top, so the kernel zero-fills every
+    large temporary (activations, im2col columns, gradients) again, page by
+    page, on every step: a cnn32 seed of the benchmark took about 186,000
+    minor page faults.  Raising both thresholds keeps that memory in the
+    process.  Setting either one switches off glibc's adjustment of both, so
+    both are set.  Does nothing where the C library has no ``mallopt``
+    (macOS, musl).  Process-wide; workers inherit it under fork and set it
+    again on import otherwise.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+_keep_freed_memory()
 
 # Process-global: clta is not thread-safe, and ``run.workers`` trains
 # seeds in separate processes.

@@ -59,6 +59,12 @@ class DataSpec:
     def __post_init__(self):
         check_fields(self)
 
+    def class_groups(self) -> list[np.ndarray]:
+        """The class ids of each task of an ``idx`` or ``cifar`` stream."""
+        parts = self.n_tasks if self.split_parts is None else self.split_parts
+        return split_classes(self.num_classes, self.split_scheme, parts,
+                             order_seed=self.order_seed)
+
 
 @dataclass
 class ModelSpec:
@@ -251,12 +257,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check what reaches outside the document: each data file that
     ``data.kind`` needs exists and passes its loader's size checks, IDX
     headers (magic, rank, sizes against the file length, image count against
-    label count) and CIFAR file lengths, and every label byte is below
-    ``data.num_classes``.  Reads the label bytes (the body of an IDX label
-    file, the first byte of each CIFAR record) but no pixels."""
+    label count) and CIFAR file lengths, every label byte is below
+    ``data.num_classes``, and each task's class group gets at least 2
+    training samples and 1 test sample.  Reads the label bytes (the body of
+    an IDX label file, the first byte of each CIFAR record) but no pixels."""
     required = {"idx": ("images", "labels", "test_images", "test_labels"),
                 "cifar": ("path", "test_path")}.get(cfg.data.kind, ())
-    counts = {}
+    counts, per_class = {}, {}
     for name in required:
         value = getattr(cfg.data, name)
         if value is None:
@@ -287,10 +294,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise DataError(f"data.{name}: label {labels[i]} of record {i} (byte "
                                 f"{start + i * stride}) is not below data.num_classes = "
                                 f"{cfg.data.num_classes}")
+            per_class[name] = np.bincount(labels, minlength=cfg.data.num_classes)
     for images, labels in (("images", "labels"), ("test_images", "test_labels")):
         if images in counts and counts[images] != counts[labels]:
             raise ConsistencyError(f"data.{labels}: {counts[labels]} labels for the "
                                    f"{counts[images]} images of data.{images}")
+    # a task needs 2 rows to make a training batch and 1 to evaluate on
+    for name, class_counts in per_class.items():
+        split, least = ("test", 1) if name.startswith("test") else ("training", 2)
+        for t, group in enumerate(cfg.data.class_groups(), 1):
+            n = int(class_counts[group].sum())
+            if n < least:
+                raise DataError(f"data.{name}: task {t} (classes {group.tolist()}) gets {n} "
+                                f"{split} samples, needs at least {least}")
 
 
 def load_config(path) -> ExperimentConfig:

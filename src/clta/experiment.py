@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DataSpec, ExperimentConfig, ModelSpec, dump_config
 from .data import (CorruptionSpec, TaskStream, corrupt_every_other,
-                   load_cifar_binary, load_idx, split_classes,
+                   load_cifar_binary, load_idx,
                    stream_from_datasets, synthetic_stream)
 from .errors import FormatError, ParameterError
 from .harness import run_stream
@@ -52,10 +52,7 @@ def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
         else:
             train = load_cifar_binary(spec.path, spec.num_classes)
             test = load_cifar_binary(spec.test_path, spec.num_classes)
-        parts = spec.split_parts if spec.split_parts is not None else spec.n_tasks
-        groups = split_classes(spec.num_classes, spec.split_scheme, parts,
-                               order_seed=spec.order_seed)
-        stream = stream_from_datasets(train, test, groups)
+        stream = stream_from_datasets(train, test, spec.class_groups())
     if spec.corrupt_pattern == "every_other":
         stream = corrupt_every_other(stream, CorruptionSpec(spec.corrupt_severity), seed)
     return stream

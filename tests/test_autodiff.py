@@ -1,4 +1,10 @@
+import ctypes
 import inspect
+import os
+import platform
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from hypothesis import strategies as st
 from clta import autodiff as ad
 from clta.autodiff import Tensor, finite_difference_oracle, no_grad
 from clta.errors import ContractError, DataError, NumericError, ParameterError, ShapeError
+from clta.layers import NormMode, add_task_head, build_micro_cnn, snapshot_model
+from clta.optim import sgd_step
 
 
 def check_grad(f, x, rtol=1e-6, atol=1e-8):
@@ -572,6 +580,74 @@ class TestGraphRules:
         assert t.grad is not None
         ad.zero_grads([t])
         assert t.grad is None
+
+
+def _glibc_mallopt() -> bool:
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+# stand-ins for ctypes.CDLL: a C library without mallopt (macOS), or none
+WITHOUT_MALLOPT = {"no_symbol": "lambda name: types.SimpleNamespace()",
+                   "no_libc": "lambda name: (_ for _ in ()).throw(OSError(name))"}
+
+TRAIN_WITHOUT_MALLOPT = """
+import ctypes, types
+ctypes.CDLL = {fake}
+from clta.data import synthetic_stream
+from clta.distill import KDConfig, TeacherStrategy
+from clta.harness import TrainConfig, WarmupConfig, run_stream
+from clta.layers import build_micro_mlp
+stream = synthetic_stream(2, 2, 10, dim=4, seed=0)
+train = TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=())
+result = run_stream(stream, build_micro_mlp(4), KDConfig(), TeacherStrategy(kind="adapt_stats"),
+                    train, WarmupConfig(), seed=0)
+assert result.accuracy_matrix.is_complete()
+print("trained")
+"""
+
+
+class TestFreedMemory:
+    """Importing clta raises glibc malloc's mmap and trim thresholds, so that
+    freed arrays go back to the heap and not to the kernel."""
+
+    @pytest.mark.skipif(not _glibc_mallopt(), reason="the C library is not glibc")
+    def test_cnn_steps_after_the_first_fault_in_almost_no_pages(self):
+        # cnn32's shapes: each step allocates and frees dozens of 0.3-3.5 MB
+        # arrays, which glibc would unmap and the kernel zero-fill again
+        # (thousands of faults a step)
+        rng = np.random.default_rng(0)
+        model = add_task_head(build_micro_cnn(3), 2, seed=1)
+        teacher = snapshot_model(model)
+        x, y = rng.random((64, 3, 32, 32)), rng.integers(0, 2, 64)
+
+        def step():
+            with no_grad():
+                teacher.forward(Tensor(x), NormMode.ADAPT_STATS)
+            loss = ad.cross_entropy(model.forward(Tensor(x), NormMode.TRAIN)[-1], y)
+            ad.zero_grads(model.parameters())
+            loss.backward()
+            sgd_step(model.parameters(), 0.01)
+
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 600
+
+    @pytest.mark.parametrize("fake", WITHOUT_MALLOPT)
+    def test_without_mallopt_clta_imports_and_trains(self, fake):
+        code = TRAIN_WITHOUT_MALLOPT.format(fake=WITHOUT_MALLOPT[fake])
+        src = os.path.dirname(os.path.dirname(ad.__file__))
+        done = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "trained\n"
 
 
 class TestValidation:

@@ -138,9 +138,21 @@ class TestRunVerb:
     def test_failing_seeds_exit_two_but_still_write(self, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
-        # the headers and labels are sound, so validation passes, but every
-        # sample is of class 0 and the second task of classes 5-9 gets none,
-        # which only the run sees
+        # a valid learning rate so large that the first step overflows,
+        # which only the run sees (NumericError, or numpy's overflow
+        # RuntimeWarning where warnings are errors, as under these tests)
+        kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith("train.base_lr")]
+        path = write_config(tmp_path, "\n".join(kept + ["train.base_lr = 1e300"]) + "\n")
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 2
+        assert (tmp_path / "cli_run" / "results.csv").is_file()
+        assert "seed 0: failed" in capsys.readouterr().err
+
+    def test_a_task_without_training_samples_exits_one_without_output(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        # sound headers and labels, but every sample is of class 0, so the
+        # second task of classes 5-9 gets none
         files = ""
         for key in ("images", "labels", "test_images", "test_labels"):
             blob = (struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4)
@@ -149,9 +161,10 @@ class TestRunVerb:
             (tmp_path / key).write_bytes(blob)
             files += f"data.{key} = {tmp_path / key}\n"
         path = write_config(tmp_path, GOOD_CONFIG + "data.kind = idx\nmodel.arch = cnn\n" + files)
-        assert main(["run", path]) == 2
-        assert (tmp_path / "cli_run" / "results.csv").is_file()
-        assert "failed" in capsys.readouterr().err
+        assert main(["run", path]) == 1
+        assert not (tmp_path / "cli_run").exists()
+        assert ("data.labels: task 2 (classes [5, 6, 7, 8, 9]) gets 0 training samples"
+                in capsys.readouterr().err)
 
     def test_invalid_config_exits_one_without_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))

@@ -459,6 +459,54 @@ class TestFileValidation:
             validate_config(self.idx_config(tmp_path, labels=bytes(labels), extra=extra))
         assert str(err.value) == "data.labels: " + match
 
+    @staticmethod
+    def idx_pair(labels):
+        return (struct.pack(">IIII", IDX_IMAGE_MAGIC, len(labels), 2, 2) + bytes(4 * len(labels)),
+                struct.pack(">II", IDX_LABEL_MAGIC, len(labels)) + bytes(labels))
+
+    @pytest.mark.parametrize("labels, extra, match", [
+        ((0, 1, 2, 3, 5, 0, 1, 2, 3, 4), "",
+         "task 2 (classes [5, 6, 7, 8, 9]) gets 1 training samples"),
+        ((0, 1, 2, 3, 4), "", "task 2 (classes [5, 6, 7, 8, 9]) gets 0 training samples"),
+        # the groups are those of the shuffled class order, [4 6 2 7 3 | 5 9 0 8 1]
+        ((0, 1, 5, 6), "data.order_seed = 0\n",
+         "task 1 (classes [4, 6, 2, 7, 3]) gets 1 training samples"),
+        ((0, 1, 5, 5, 6, 6), "data.split_scheme = half_first\ndata.split_parts = 5\n",
+         "task 4 (classes [7]) gets 0 training samples"),
+    ])
+    def test_a_class_group_with_too_few_training_samples_names_key_and_task(
+            self, tmp_path, labels, extra, match):
+        with pytest.raises(DataError) as err:
+            validate_config(self.idx_config(tmp_path, *self.idx_pair(labels), extra=extra))
+        assert str(err.value) == f"data.labels: {match}, needs at least 2"
+
+    def test_the_same_labels_pass_in_the_natural_class_order(self, tmp_path):
+        validate_config(self.idx_config(tmp_path, *self.idx_pair((0, 1, 5, 6))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=st.lists(st.integers(0, 5), max_size=8),
+           test=st.lists(st.integers(0, 5), max_size=4),
+           n_tasks=st.sampled_from([1, 2, 3]), order_seed=st.one_of(st.none(), st.integers(0, 3)))
+    def test_validation_accepts_exactly_the_streams_every_task_can_train_and_test_on(
+            self, tmp_path_factory, train, test, n_tasks, order_seed):
+        root = tmp_path_factory.mktemp("groups")
+        paths = {}
+        for split, labels in (("", train), ("test_", test)):
+            for kind, blob in zip(("images", "labels"), self.idx_pair(labels)):
+                paths[split + kind] = root / f"{split}{kind}.idx"
+                paths[split + kind].write_bytes(blob)
+        cfg = parse_config(f"data.kind = idx\nmodel.arch = cnn\ndata.num_classes = 6\n"
+                           f"data.n_tasks = {n_tasks}\ndata.order_seed = {render(order_seed)}\n"
+                           + "".join(f"data.{key} = {path}\n" for key, path in paths.items()))
+        try:
+            validate_config(cfg)
+            accepted = True
+        except DataError as exc:
+            assert str(exc).startswith(("data.labels: task", "data.test_labels: task"))
+            accepted = False
+        stream = build_stream(cfg.data, run_seed=0)
+        assert accepted == all(len(t.train) >= 2 and len(t.test) >= 1 for t in stream.tasks)
+
     def cifar_config(self, root, train_labels, test_labels):
         """Records of the given label bytes; every pixel byte is 255, which
         no label check may read."""
@@ -480,6 +528,12 @@ class TestFileValidation:
         with pytest.raises(DataError) as err:
             validate_config(self.cifar_config(tmp_path, train, test))
         assert str(err.value) == match + " is not below data.num_classes = 10"
+
+    def test_a_cifar_class_group_without_test_samples_names_key_and_task(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            validate_config(self.cifar_config(tmp_path, range(10), (0, 4)))
+        assert str(err.value) == ("data.test_path: task 2 (classes [5, 6, 7, 8, 9]) gets 0 "
+                                  "test samples, needs at least 1")
 
     @pytest.mark.parametrize("size", [0, 3073 * 2 - 1, 100])
     def test_cifar_length_must_be_a_nonzero_multiple_of_the_record(self, tmp_path, size):
