@@ -13,14 +13,15 @@ optimization steps.
 Op outputs are not checked for NaN or inf; a non-finite value propagates
 (``relu`` passes NaN on) until it crosses a boundary that is checked: the
 ``Tensor`` constructor, through which data enters the graph, the variance
-in ``normalize``, the training losses, the gradients in ``optim.sgd_step``
-and the evaluation logits in ``metrics.predict_global``.
+in ``normalize``, the training losses, the gradients and updates in
+``optim.sgd_step`` and the evaluation logits in ``metrics.predict_global``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -295,8 +296,8 @@ def add_scalar(a: Tensor, offset: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))  # passes NaN on
+    # the mask is taken in the VJP, so forwards without a graph skip it
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))  # passes NaN on
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -420,10 +421,17 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
 def _batch_moments(x: np.ndarray,
                    axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and biased variance over ``axes``, with the reduced axes kept,
-    and ``x - mean``, the centered input both are taken from."""
-    mean = x.mean(axis=axes, keepdims=True)
-    centered = x - mean
-    return mean, (centered * centered).mean(axis=axes, keepdims=True), centered
+    and ``x - mean``, the centered input both are taken from.  Each moment
+    is ``np.add.reduce`` over ``axes`` divided by the count, which is what
+    ``ndarray.mean`` computes, so the two equal numpy's ``mean`` and
+    ``var`` bit for bit.  An overflow yields an infinite or NaN variance,
+    which ``normalize`` rejects, and no floating-point warning."""
+    count = math.prod(x.shape[i] for i in axes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(x, axis=axes, keepdims=True) / count
+        centered = x - mean
+        var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
+    return mean, var, centered
 
 
 def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = None,
@@ -436,63 +444,79 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
     when the caller has it already; ``centered`` is ``x - mean`` and is not
     written to.  ``stats``, when given, is instead a fixed ``(mean, var)``
     pair of arrays broadcastable to ``x``, ``moments`` is ignored, and the
-    gradient is ``g / sqrt(var + eps)``.  ``gamma`` and ``beta`` (given
-    together) are per-channel vectors over axis 1.
+    gradient is ``g * inv``.  ``gamma`` and ``beta`` (given together) are
+    per-channel vectors over axis 1.
 
-    Values and gradients equal, bit for bit, those of the mean, sub, mul,
-    mean, add_scalar, sqrt, div chain followed by the reshape, mul, reshape,
-    add affine: every element goes through the same float operations in the
-    same order.  The VJP takes its per-channel factors at the reduced shape
-    before broadcasting them, and negates sums rather than full arrays,
-    which rounds the same because rounding is symmetric in sign.
-    ``tests/test_autodiff.py::TestFusedOps::test_normalize_equals_the_parent_formulas``
-    pins this against the formulas written out in numpy.
+    ``inv = 1 / sqrt(var + eps)`` is taken once at the statistics' shape; a
+    variance that is not finite, or zero with ``eps = 0``, leaves ``inv``
+    infinite, zero or NaN and raises ``NumericError``.  With per-channel
+    statistics (BatchNorm) the affine folds into ``s = gamma * inv`` and the
+    output is ``centered * s + beta``; per-sample statistics (LayerNorm,
+    GroupNorm's grouped view) give ``xhat * gamma + beta``.  Under batch
+    statistics the input gradient is the closed form (Ioffe & Szegedy,
+    arXiv 1502.03167)
+    ``g * s - centered * (s * inv**2 * sum(g * centered) / count) - s * sum(g) / count``,
+    sums over ``axes``; with the affine folded, ``sum(g * centered) * inv``
+    is gamma's gradient and ``sum(g)`` beta's.  The running statistics that
+    BatchNorm builds from ``_batch_moments`` still equal numpy's
+    ``mean``/``var`` bit for bit.
     """
     axes = _norm_axis(axes, x.data.ndim)
     if stats is not None:
         mean, var = stats
         centered = x.data - mean
     else:
-        mean, var, centered = moments if moments is not None else _batch_moments(x.data, axes)
-    if not np.all(np.isfinite(var)):
-        raise NumericError("op 'normalize' produced a non-finite variance")
-    with np.errstate(invalid="ignore"):
-        std = np.sqrt(var + float(eps))
-    count = int(np.prod([x.shape[i] for i in axes]))
-    values = centered / std
+        _, var, centered = moments if moments is not None else _batch_moments(x.data, axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.sqrt(var + float(eps))
+    # an infinite variance gives inv = 0, a zero one (eps = 0) inv = inf
+    if not np.all((inv > 0.0) & (inv < np.inf)):
+        raise NumericError("op 'normalize' produced a non-finite variance, "
+                           f"or a zero variance with eps = {eps}")
+    count = math.prod(x.shape[i] for i in axes)
     parents = (x,)
-    if gamma is not None:
+    scale = inv
+    folded = False
+    if gamma is None:
+        values = centered * inv
+    else:
         shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
         if gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
             raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
                              f"must both be ({x.shape[1]},)")
-        xhat = values
-        values = xhat * gamma.data.reshape(shape)
-        values += beta.data.reshape(shape)
         parents = (x, gamma, beta)
+        folded = inv.shape == shape
+        if folded:
+            scale = gamma.data.reshape(shape) * inv
+            values = centered * scale
+        else:
+            xhat = centered * inv
+            values = xhat * gamma.data.reshape(shape)
+        values += beta.data.reshape(shape)
 
     def vjp(g: np.ndarray):
         pieces = []
-        if gamma is not None:
+        if gamma is not None and not folded:
             pieces = [
                 _unbroadcast(g * xhat, shape).reshape(gamma.shape) if gamma.requires_grad else None,
                 _unbroadcast(g, shape).reshape(beta.shape) if beta.requires_grad else None,
             ]
             g = g * gamma.data.reshape(shape)
+        batch = x.requires_grad and stats is None
+        if folded or batch:
+            gc = g * centered
+            sum_gc = _unbroadcast(gc, inv.shape)
+            sum_g = _unbroadcast(g, inv.shape)
+        if folded:
+            pieces = [(sum_gc * inv).reshape(gamma.shape) if gamma.requires_grad else None,
+                      sum_g.reshape(beta.shape) if beta.requires_grad else None]
         if not x.requires_grad:
             return (None, *pieces)
-        gx = g / std
-        if stats is not None:
-            return (gx, *pieces)
-        gc = g * centered
-        gc /= std * std
-        gsq = -_unbroadcast(gc, std.shape) * 0.5 / std / count
-        # centered * centered feeds both factors; the term is added twice,
-        # not doubled, since (gx + t) + t rounds unlike gx + 2 * t
-        np.multiply(gsq, centered, out=gc)
-        gx += gc
-        gx += gc
-        gx += -_unbroadcast(gx, mean.shape) / count
+        gx = g * scale
+        if batch:
+            np.multiply(centered, scale * inv * inv * sum_gc / count, out=gc)
+            gx -= gc
+            gx -= scale * sum_g / count
         return (gx, *pieces)
 
     return _make(values, parents, vjp)
@@ -581,7 +605,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         gmat = g.reshape(n, f, oh * ow)
         dx = dw = None
         if weight.requires_grad:
-            dw = np.einsum("nfo,nko->fk", gmat, cols, optimize=True).reshape(weight.shape)
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         if x.requires_grad:
             dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow)
             dxp = np.zeros_like(xp)

@@ -21,10 +21,10 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     parameters that participated in the loss.  A non-finite gradient raises
     ``NumericError`` naming the parameter's index, with or without
     clipping.  The clipping norm is scaled by the largest gradient magnitude
-    when its plain sum of squares overflows.  When the step's bound
-    ``lr * factor * norm`` is not finite, the updated values are checked
-    before any is written, and one that overflows raises ``NumericError``
-    naming its parameter; a finite bound skips that pass.
+    when its plain sum of squares overflows.  The updates are computed with
+    numpy's overflow errors raised, before any parameter is written: a step
+    that overflows, or that carries a parameter near the float maximum past
+    it, raises ``NumericError`` naming the parameter and moves none.
     """
     params = list(params)
     if not params:
@@ -40,15 +40,15 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     elif grad_clip is not None and total > grad_clip:
         factor = grad_clip / total
     step = lr * factor
-    if math.isfinite(step * total):
-        for p in params:
-            p.data = p.data - step * p.grad
-        return
-    with np.errstate(over="ignore"):
-        updated = [p.data - step * p.grad for p in params]
-    for i, data in enumerate(updated):
-        if not np.all(np.isfinite(data)):
-            raise NumericError(f"sgd_step: the update of parameter {i} overflows")
+    # every update is computed before any is written, so an overflow
+    # leaves all parameters as they were
+    updated = []
+    with np.errstate(over="raise"):
+        for i, p in enumerate(params):
+            try:
+                updated.append(p.data - step * p.grad)
+            except FloatingPointError as exc:
+                raise NumericError(f"sgd_step: the update of parameter {i} overflows") from exc
     for p, data in zip(params, updated):
         p.data = data
 

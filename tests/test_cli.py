@@ -139,14 +139,14 @@ class TestRunVerb:
                                                     capsys):
         monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
         # a valid learning rate so large that the first step overflows,
-        # which only the run sees (NumericError, or numpy's overflow
-        # RuntimeWarning where warnings are errors, as under these tests)
+        # which only the run sees; the overflow ends in NumericError even
+        # where numpy's RuntimeWarnings are errors, as under these tests
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith("train.base_lr")]
         path = write_config(tmp_path, "\n".join(kept + ["train.base_lr = 1e300"]) + "\n")
         assert main(["validate", path]) == 0
         assert main(["run", path]) == 2
         assert (tmp_path / "cli_run" / "results.csv").is_file()
-        assert "seed 0: failed" in capsys.readouterr().err
+        assert "seed 0: failed: NumericError" in capsys.readouterr().err
 
     def test_a_task_without_training_samples_exits_one_without_output(
             self, tmp_path, monkeypatch, capsys):

@@ -166,6 +166,17 @@ class TestSgdStep:
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [1.0, 2.0])
 
+    def test_finite_step_that_carries_a_parameter_past_the_maximum_names_it(self):
+        """The step's bound lr * norm is 1e308, finite, but the parameter
+        near -1.7e308 overflows to -inf once the step is subtracted."""
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([-1.7e308]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0]), np.array([1e150])
+        with pytest.raises(NumericError, match="parameter 1"):
+            sgd_step([a, b], lr=1e158)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [-1.7e308])
+
     def test_update_with_an_infinite_bound_but_finite_values_is_written(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([1e300])
