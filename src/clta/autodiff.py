@@ -12,9 +12,10 @@ optimization steps.
 
 Op outputs are not checked for NaN or inf; a non-finite value propagates
 (``relu`` passes NaN on) until it crosses a boundary that is checked: the
-``Tensor`` constructor, through which data enters the graph, the variance
-in ``normalize``, the training losses, the gradients and updates in
-``optim.sgd_step`` and the evaluation logits in ``metrics.predict_global``.
+``Tensor`` constructor, through which data enters the graph, the target
+probabilities in ``soft_cross_entropy``, the variance in ``normalize``, the
+training losses, the gradients and updates in ``optim.sgd_step`` and the
+evaluation logits in ``metrics.predict_global``.
 """
 
 from __future__ import annotations
@@ -343,16 +344,27 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _norm_axis(axis, ndim: int):
+def _norm_axis(op: str, axis, ndim: int):
+    """``axis`` (None, an integer or a tuple or list of them) as a tuple of
+    axes in ``[0, ndim)``.  An axis outside ``[-ndim, ndim)``, one that is not
+    an integer, or one given twice raises ``ShapeError`` naming ``op``."""
     if axis is None:
         return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
+    axes = tuple(axis) if isinstance(axis, (tuple, list)) else (axis,)
+    out = []
+    for a in axes:
+        if not (type(a) is int or isinstance(a, np.integer)):
+            raise ShapeError(f"{op}: axis {a!r} is not an integer (tensor ndim {ndim})")
+        if not -ndim <= a < ndim:
+            raise ShapeError(f"{op}: axis {a} is out of range for a tensor of ndim {ndim}")
+        out.append(int(a) % ndim)
+    if len(set(out)) != len(out):
+        raise ShapeError(f"{op}: axis {axes} names an axis twice (tensor ndim {ndim})")
+    return tuple(out)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.data.ndim)
+    axis = _norm_axis("tensor_sum", axis, a.data.ndim)
     values = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g: np.ndarray):
@@ -364,12 +376,9 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.data.ndim)
+    axis = _norm_axis("tensor_mean", axis, a.data.ndim)
     values = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = int(np.prod([a.shape[i] for i in axis]))
+    count = a.data.size if axis is None else math.prod(a.shape[i] for i in axis)
 
     def vjp(g: np.ndarray):
         if axis is not None and not keepdims:
@@ -399,7 +408,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(tensors)
     if not parts:
         raise ShapeError("concat of an empty tensor list")
-    axis = axis % parts[0].data.ndim
+    axis = _norm_axis("concat", (axis,), parts[0].data.ndim)[0]
     try:
         values = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
@@ -445,23 +454,24 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
     written to.  ``stats``, when given, is instead a fixed ``(mean, var)``
     pair of arrays broadcastable to ``x``, ``moments`` is ignored, and the
     gradient is ``g * inv``.  ``gamma`` and ``beta`` (given together) are
-    per-channel vectors over axis 1.
+    per-channel vectors over axis 1, reshaped to broadcast once per call.
 
     ``inv = 1 / sqrt(var + eps)`` is taken once at the statistics' shape; a
     variance that is not finite, or zero with ``eps = 0``, leaves ``inv``
-    infinite, zero or NaN and raises ``NumericError``.  With per-channel
-    statistics (BatchNorm) the affine folds into ``s = gamma * inv`` and the
-    output is ``centered * s + beta``; per-sample statistics (LayerNorm,
-    GroupNorm's grouped view) give ``xhat * gamma + beta``.  Under batch
-    statistics the input gradient is the closed form (Ioffe & Szegedy,
-    arXiv 1502.03167)
+    infinite, zero or NaN, which fails ``inv.min() > 0 and inv.max() < inf``
+    and raises ``NumericError``.  With per-channel statistics (BatchNorm)
+    the affine folds into ``s = gamma * inv`` and the output is
+    ``centered * s + beta``; per-sample statistics (LayerNorm, GroupNorm's
+    grouped view) give ``xhat * gamma + beta``.  Under batch statistics the
+    input gradient is the closed form (Ioffe & Szegedy, arXiv 1502.03167)
     ``g * s - centered * (s * inv**2 * sum(g * centered) / count) - s * sum(g) / count``,
-    sums over ``axes``; with the affine folded, ``sum(g * centered) * inv``
+    sums over ``axes``, ``count`` the number of elements each sum covers,
+    taken in the VJP; with the affine folded, ``sum(g * centered) * inv``
     is gamma's gradient and ``sum(g)`` beta's.  The running statistics that
     BatchNorm builds from ``_batch_moments`` still equal numpy's
     ``mean``/``var`` bit for bit.
     """
-    axes = _norm_axis(axes, x.data.ndim)
+    axes = _norm_axis("normalize", axes, x.data.ndim)
     if stats is not None:
         mean, var = stats
         centered = x.data - mean
@@ -469,29 +479,30 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
         _, var, centered = moments if moments is not None else _batch_moments(x.data, axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / np.sqrt(var + float(eps))
-    # an infinite variance gives inv = 0, a zero one (eps = 0) inv = inf
-    if not np.all((inv > 0.0) & (inv < np.inf)):
+    # an infinite variance gives inv = 0, a zero one (eps = 0) inv = inf,
+    # and a NaN one NaN, which fails both comparisons
+    if inv.size and not (inv.min() > 0.0 and inv.max() < math.inf):
         raise NumericError("op 'normalize' produced a non-finite variance, "
                            f"or a zero variance with eps = {eps}")
-    count = math.prod(x.shape[i] for i in axes)
     parents = (x,)
     scale = inv
     folded = False
     if gamma is None:
         values = centered * inv
     else:
-        shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
         if gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
             raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
                              f"must both be ({x.shape[1]},)")
+        shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
+        gamma_b = gamma.data.reshape(shape)
         parents = (x, gamma, beta)
         folded = inv.shape == shape
         if folded:
-            scale = gamma.data.reshape(shape) * inv
+            scale = gamma_b * inv
             values = centered * scale
         else:
             xhat = centered * inv
-            values = xhat * gamma.data.reshape(shape)
+            values = xhat * gamma_b
         values += beta.data.reshape(shape)
 
     def vjp(g: np.ndarray):
@@ -501,7 +512,7 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
                 _unbroadcast(g * xhat, shape).reshape(gamma.shape) if gamma.requires_grad else None,
                 _unbroadcast(g, shape).reshape(beta.shape) if beta.requires_grad else None,
             ]
-            g = g * gamma.data.reshape(shape)
+            g = g * gamma_b
         batch = x.requires_grad and stats is None
         if folded or batch:
             gc = g * centered
@@ -514,6 +525,7 @@ def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = No
             return (None, *pieces)
         gx = g * scale
         if batch:
+            count = math.prod(x.shape[i] for i in axes)
             np.multiply(centered, scale * inv * inv * sum_gc / count, out=gc)
             gx -= gc
             gx -= scale * sum_g / count
@@ -648,10 +660,14 @@ def _check_class_axis(logits: Tensor, op: str) -> None:
         raise ShapeError(f"{op} needs at least one class on the last axis")
 
 
+def _check_temperature(temperature: float, op: str) -> None:
+    if not 0.0 < temperature < math.inf:  # NaN fails too
+        raise ParameterError(f"{op}: temperature must be finite and > 0, got {temperature}")
+
+
 def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise exp(y/T) / sum exp(y/T) with max subtraction for stability."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    _check_temperature(temperature, "softmax_temperature")
     _check_class_axis(logits, "softmax_temperature")
     z = logits.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
@@ -666,8 +682,7 @@ def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
 
 
 def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    _check_temperature(temperature, "log_softmax_temperature")
     _check_class_axis(logits, "log_softmax_temperature")
     z = logits.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
@@ -679,6 +694,42 @@ def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
         return ((g - p * g.sum(axis=-1, keepdims=True)) / temperature,)
 
     return _make(logp, (logits,), vjp)
+
+
+def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float) -> Tensor:
+    """Mean over the batch of ``-sum_c p_c log q_c``, with ``p`` and ``q`` the
+    temperature softmaxes of ``target_logits`` and ``logits``: the soft-target
+    loss of Hinton et al. (arXiv 1503.02531), as one graph node.
+
+    ``target_logits`` receives no gradient.  A non-finite target probability
+    (a NaN or ``+inf`` target logit) raises ``NumericError``.  The value and
+    the gradient repeat, operation for operation, those of the chain
+    ``softmax_temperature`` of the targets, ``log_softmax_temperature``,
+    ``mul``, ``tensor_sum`` over classes, ``tensor_mean`` and negation, so
+    the two agree bit for bit.
+    """
+    _check_temperature(temperature, "soft_cross_entropy")
+    _check_class_axis(logits, "soft_cross_entropy")
+    if logits.data.ndim != 2 or target_logits.shape != logits.shape:
+        raise ShapeError(f"soft_cross_entropy expects (batch, classes) logits and targets "
+                         f"of one shape, got {logits.shape} and {target_logits.shape}")
+    t = target_logits.data / temperature
+    t = t - t.max(axis=-1, keepdims=True)
+    e = np.exp(t)
+    p = e / e.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("op 'soft_cross_entropy' got non-finite target probabilities")
+    z = logits.data / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n = logits.shape[0]
+    value = (p * logq).sum(axis=1).mean() * -1.0
+
+    def vjp(g: np.ndarray):
+        weighted = p * (g * -1.0 / n)
+        return ((weighted - np.exp(logq) * weighted.sum(axis=-1, keepdims=True)) / temperature,)
+
+    return _make(value, (logits,), vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -122,15 +122,14 @@ def _check_pair(student: Tensor, teacher: Tensor, name: str) -> None:
 
 def global_kd_loss(student_logits: Tensor, teacher_logits: Tensor,
                    temperature: float) -> Tensor:
-    """Cross-entropy between teacher and student softmaxes over old classes.
+    """Cross-entropy between teacher and student softmaxes over old classes,
+    one ``autodiff.soft_cross_entropy`` node; the teacher gets no gradient.
 
     Minimized (at the teacher's entropy) exactly when the two temperature
-    softmaxes agree.
+    softmaxes agree.  A NaN in the teacher logits raises ``NumericError``.
     """
     _check_pair(student_logits, teacher_logits, "global KD")
-    targets = Tensor(ad.softmax_temperature(teacher_logits, temperature).data)
-    logp = ad.log_softmax_temperature(student_logits, temperature)
-    return -ad.tensor_mean(ad.tensor_sum(targets * logp, axis=1))
+    return ad.soft_cross_entropy(student_logits, teacher_logits, temperature)
 
 
 def taskwise_kd_loss(pairs, temperature: float) -> Tensor:

@@ -245,6 +245,7 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         student_mode = NormMode.EVAL
 
     n = inputs.shape[0]
+    params = model.parameters()  # no head is added while the task trains
     for epoch in range(train.epochs):
         lr = lr_schedule(epoch, train)
         order = epoch_permutation(seed, task_index, epoch, n, stage=0)
@@ -271,10 +272,10 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                 total = total_loss(ce, kd_t, weight)
                 _finite_loss(total, task_index, epoch, "total")
 
-            ad.zero_grads(model.parameters())
+            ad.zero_grads(params)
             total.backward()
-            sgd_step(model.parameters(), lr, train.grad_clip)
-            ad.zero_grads(model.parameters())
+            sgd_step(params, lr, train.grad_clip)
+            ad.zero_grads(params)
 
             if teacher is not None and strategy.steps_with_student:
                 continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy)

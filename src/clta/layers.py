@@ -31,7 +31,6 @@ batch, unbiased variance stored in the running estimate.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
 import math
@@ -149,6 +148,8 @@ class _AffineNorm(Layer):
     """A normalization followed by a learned per-channel scale and shift."""
 
     def __init__(self, num_features: int, eps: float = 1e-5):
+        if num_features < 1:
+            raise ParameterError(f"a normalization layer needs >= 1 channel, got {num_features}")
         if not eps >= 0.0:
             raise ParameterError(f"eps must be >= 0, got {eps}")
         self.num_features = num_features
@@ -177,27 +178,36 @@ class BatchNorm(_AffineNorm):
                         axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fold the batch statistics into the running ones; returns the
         ``(mean, var, centered)`` triple of ``autodiff._batch_moments``."""
-        count = int(np.prod([x.shape[a] for a in axes]))
         moments = ad._batch_moments(x, axes)
         batch_mean, batch_var, _ = moments
+        count = x.size // self.num_features  # samples per channel
         unbiased = batch_var.ravel() * count / (count - 1)
         self.running_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean.ravel()
         self.running_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased
         return moments
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
+        """One ``autodiff.normalize`` node over the batch and spatial axes.
+
+        TRAIN and ADAPT_STATS normalize by the batch statistics, EVAL and
+        ADAPT_STATS_RUNNING by the running ones; every mode but EVAL first
+        folds the batch statistics into the running ones, and the adapt
+        modes run under ``no_grad``.  A batch of one sample raises
+        ``DegenerateBatchError`` in every mode but EVAL.
+        """
         shape = _channel_shape(x, self.num_features)
-        axes = (0,) + tuple(range(2, x.data.ndim))
+        axes = (0, *range(2, x.data.ndim))
         moments = stats = None
         if mode is not NormMode.EVAL:
             if x.shape[0] < 2:
                 raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
                                            f"batch size >= 2, got {x.shape[0]}")
             moments = self._update_running(x.data, axes)
-        if mode in (NormMode.EVAL, NormMode.ADAPT_STATS_RUNNING):
+        if mode is NormMode.EVAL or mode is NormMode.ADAPT_STATS_RUNNING:
             stats = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
-        adapting = mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING)
-        with no_grad() if adapting else contextlib.nullcontext():
+        if mode is NormMode.TRAIN or mode is NormMode.EVAL:
+            return ad.normalize(x, axes, self.eps, stats, self.gamma, self.beta, moments)
+        with no_grad():
             return ad.normalize(x, axes, self.eps, stats, self.gamma, self.beta, moments)
 
 

@@ -20,11 +20,13 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     Every passed parameter must carry a gradient; pass exactly the
     parameters that participated in the loss.  A non-finite gradient raises
     ``NumericError`` naming the parameter's index, with or without
-    clipping.  The clipping norm is scaled by the largest gradient magnitude
-    when its plain sum of squares overflows.  The updates are computed with
-    numpy's overflow errors raised, before any parameter is written: a step
-    that overflows, or that carries a parameter near the float maximum past
-    it, raises ``NumericError`` naming the parameter and moves none.
+    clipping.  The clipping norm is the square root of the summed squared
+    gradients, one ``ndarray.sum`` per parameter; it is taken relative to the
+    largest gradient magnitude when that plain sum overflows.  The updates
+    are computed with numpy's overflow errors raised, before any parameter
+    is written: a step that overflows, or that carries a parameter near the
+    float maximum past it, raises ``NumericError`` naming the parameter and
+    moves none.
     """
     params = list(params)
     if not params:
@@ -34,7 +36,7 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
             raise ContractError("sgd_step: a parameter has no gradient")
     factor = 1.0
     with np.errstate(over="ignore"):
-        total = float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params)))
+        total = math.sqrt(sum((p.grad * p.grad).sum() for p in params))
     if not math.isfinite(total):
         factor = _overflowing_clip_factor(params, grad_clip)
     elif grad_clip is not None and total > grad_clip:

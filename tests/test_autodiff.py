@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clta import autodiff as ad
 from clta.autodiff import Tensor, finite_difference_oracle, no_grad
@@ -359,6 +360,8 @@ def _oracle_cases():
         "log_softmax_temperature": [
             (lambda t: weighted_sum(ad.log_softmax_temperature(t, 0.5)), a)],
         "cross_entropy": [(lambda t: ad.cross_entropy(t, labels), a)],
+        "soft_cross_entropy": [(lambda t: ad.soft_cross_entropy(t, Tensor(b), 2.0), a),
+                               (lambda t: ad.soft_cross_entropy(t, Tensor(4.0 * b), 0.5), a)],
     }
 
 
@@ -693,6 +696,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ad.log_softmax_temperature(Tensor(np.zeros((1, 3))), -1.0)
 
+    # NaN gave NaN rows; inf gave uniform rows, so a KD loss read log(C)
+    # and passed no gradient to the student
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("op", [
+        lambda x, temp: ad.softmax_temperature(x, temp),
+        lambda x, temp: ad.log_softmax_temperature(x, temp),
+        lambda x, temp: ad.soft_cross_entropy(x, Tensor(np.zeros((2, 3))), temp),
+    ], ids=["softmax_temperature", "log_softmax_temperature", "soft_cross_entropy"])
+    def test_non_finite_temperature_rejected(self, op, temperature):
+        with pytest.raises(ParameterError, match="temperature must be finite and > 0"):
+            op(Tensor(np.arange(6.0).reshape(2, 3)), temperature)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_non_finite_values(self, bad):
         with pytest.raises(NumericError):
@@ -745,3 +760,132 @@ def test_cross_entropy_nonnegative_property(seed):
     logits = rng.normal(scale=4.0, size=(3, 5))
     labels = rng.integers(0, 5, size=3)
     assert ad.cross_entropy(Tensor(logits), labels).item() >= 0.0
+
+
+# ----------------------------------------------------------------------
+# axis arguments
+# ----------------------------------------------------------------------
+
+AXIS_OPS = {
+    "tensor_sum": lambda t, axis: ad.tensor_sum(t, axis=axis),
+    "tensor_mean": lambda t, axis: ad.tensor_mean(t, axis=axis),
+    "normalize": lambda t, axis: ad.normalize(t, axis, 1e-5),
+    "concat": lambda t, axis: ad.concat([t, t], axis=axis),
+}
+
+
+class TestAxisValidation:
+    """An axis outside [-ndim, ndim) used to wrap around silently (axis 5 and
+    axis -3 of a 2-D tensor both meant axis 1), a repeated axis escaped as a
+    bare ValueError and a float one as a TypeError."""
+
+    @pytest.mark.parametrize("axis", [2, 5, 7, -3, (4,), (0, 2)])
+    @pytest.mark.parametrize("op", sorted(AXIS_OPS))
+    def test_out_of_range_axis_raises(self, op, axis):
+        if op == "concat" and isinstance(axis, tuple):
+            axis = axis[-1]
+        bad = axis if isinstance(axis, int) else axis[-1]
+        with pytest.raises(ShapeError, match=rf"^{op}: axis {bad} is out of range "
+                                             r"for a tensor of ndim 2$"):
+            AXIS_OPS[op](Tensor(np.ones((3, 4))), axis)
+
+    @pytest.mark.parametrize("axis", [(0, 0), (1, -1), [0, 1, 0]])
+    @pytest.mark.parametrize("op", ["tensor_sum", "tensor_mean", "normalize"])
+    def test_repeated_axis_raises(self, op, axis):
+        with pytest.raises(ShapeError, match=rf"^{op}: axis .* names an axis twice "
+                                             r"\(tensor ndim 2\)$"):
+            AXIS_OPS[op](Tensor(np.ones((3, 4))), axis)
+
+    @pytest.mark.parametrize("axis", [1.0, "1", (0, 1.5)])
+    @pytest.mark.parametrize("op", sorted(AXIS_OPS))
+    def test_non_integer_axis_raises(self, op, axis):
+        with pytest.raises(ShapeError, match=rf"^{op}: axis .* is not an integer "
+                                             r"\(tensor ndim 2\)$"):
+            AXIS_OPS[op](Tensor(np.ones((3, 4))), axis)
+
+    def test_concat_of_vectors_takes_axis_0_only(self):
+        v = Tensor([1.0, 2.0])
+        np.testing.assert_array_equal(ad.concat([v, v], axis=-1).data, [1.0, 2.0, 1.0, 2.0])
+        with pytest.raises(ShapeError, match="^concat: axis 1 is out of range .* ndim 1$"):
+            ad.concat([v, v], axis=1)
+
+    def test_concat_needs_one_axis(self):
+        """``None`` means every axis to a reduction, but concat joins on one."""
+        with pytest.raises(ShapeError, match="^concat: axis None is not an integer"):
+            ad.concat([Tensor(np.ones((3, 4)))] * 2, axis=None)
+
+    @pytest.mark.parametrize("axis", [-2, -1, 0, 1, np.int64(1), (-1,), [0]])
+    def test_in_range_axes_still_work(self, axis):
+        x = np.arange(12.0).reshape(3, 4)
+        expected = x.sum(axis=axis if not isinstance(axis, list) else tuple(axis))
+        np.testing.assert_array_equal(ad.tensor_sum(Tensor(x), axis=axis).data, expected)
+
+
+# ----------------------------------------------------------------------
+# the fused soft-target cross-entropy
+# ----------------------------------------------------------------------
+
+
+def kd_chain(student, teacher, temperature):
+    """The unfused global KD: the reference the fused node must equal."""
+    targets = Tensor(ad.softmax_temperature(teacher, temperature).data)
+    logp = ad.log_softmax_temperature(student, temperature)
+    return -ad.tensor_mean(ad.tensor_sum(targets * logp, axis=1))
+
+
+def _kd_run(loss_fn, s, t, temperature, weight):
+    student = Tensor(s, requires_grad=True)
+    loss = ad.scale(loss_fn(student, Tensor(t), temperature), weight)
+    loss.backward()
+    return loss.data, student.grad
+
+
+_logits = st.integers(1, 6).flatmap(lambda n: st.integers(1, 9).flatmap(
+    lambda c: st.tuples(*[arrays(np.float64, (n, c),
+                                 elements=st.floats(-60.0, 60.0, allow_subnormal=False))] * 2)))
+
+
+class TestSoftCrossEntropy:
+    @settings(max_examples=120, deadline=None)
+    @given(pair=_logits, temperature=st.floats(0.05, 20.0),
+           weight=st.sampled_from([0.0, 1.0, 10.0, 0.37]))
+    def test_equals_the_unfused_chain_bit_for_bit(self, pair, temperature, weight):
+        s, t = pair
+        fused = _kd_run(ad.soft_cross_entropy, s, t, temperature, weight)
+        chain = _kd_run(kd_chain, s, t, temperature, weight)
+        np.testing.assert_array_equal(fused[0], chain[0])
+        np.testing.assert_array_equal(fused[1], chain[1])
+
+    def test_is_one_graph_node(self, monkeypatch):
+        made = []
+        original = ad._make
+
+        def counting(values, parents, vjp):
+            made.append(values)
+            return original(values, parents, vjp)
+
+        monkeypatch.setattr(ad, "_make", counting)
+        student = Tensor(np.ones((2, 3)), requires_grad=True)
+        ad.soft_cross_entropy(student, Tensor(np.zeros((2, 3))), 2.0).backward()
+        assert len(made) == 1
+        assert student.grad.shape == (2, 3)
+
+    def test_targets_get_no_gradient(self):
+        student = Tensor(np.ones((2, 3)), requires_grad=True)
+        teacher = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        ad.soft_cross_entropy(student, teacher, 2.0).backward()
+        assert teacher.grad is None
+
+    # inf - inf warns on its way to the check, as it did in the chain
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_raises(self, bad):
+        teacher = ad.scale(Tensor(np.zeros((2, 3))), 1.0)  # op outputs are unchecked
+        teacher.data[1, 2] = bad
+        with pytest.raises(NumericError, match="soft_cross_entropy"):
+            ad.soft_cross_entropy(Tensor(np.zeros((2, 3))), teacher, 2.0)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 4)), ((6,), (6,)), ((1, 2, 3), (1, 2, 3))])
+    def test_shapes_checked(self, shapes):
+        with pytest.raises(ShapeError):
+            ad.soft_cross_entropy(Tensor(np.zeros(shapes[0])), Tensor(np.zeros(shapes[1])), 1.0)

@@ -9,7 +9,7 @@ from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_k
                           continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
                           pretrain_teacher, taskwise_kd_loss, teacher_forward,
                           teacher_norm_mode, total_loss)
-from clta.errors import ContractError, DataError, ParameterError
+from clta.errors import ContractError, DataError, NumericError, ParameterError
 from clta.layers import (Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
 
@@ -75,6 +75,19 @@ class TestGlobalKD:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             global_kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 2.0)
+
+    def test_nan_in_teacher_logits_raises(self):
+        teacher = ad.scale(Tensor(np.zeros((3, 4))), 1.0)  # op outputs are unchecked
+        teacher.data[2, 0] = np.nan
+        with pytest.raises(NumericError):
+            global_kd_loss(Tensor(np.zeros((3, 4)), requires_grad=True), teacher, 2.0)
+
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan])
+    def test_non_finite_temperature_rejected(self, temperature):
+        """An infinite temperature made both softmaxes uniform: the loss read
+        log(C) and the student got no gradient."""
+        with pytest.raises(ParameterError):
+            global_kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.eye(2, 3)), temperature)
 
 
 class TestTaskwiseKD:

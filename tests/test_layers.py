@@ -162,6 +162,19 @@ class TestOtherNorms:
                 with pytest.raises(ParameterError):
                     make(eps)
 
+    def test_zero_channels_rejected_by_every_norm(self):
+        for make in (lambda: BatchNorm(0), lambda: LayerNorm(0), lambda: GroupNorm(0, 2)):
+            with pytest.raises(ParameterError, match=">= 1 channel"):
+                make()
+
+    @pytest.mark.parametrize("make", [lambda: LayerNorm(4), lambda: GroupNorm(4, 2)])
+    def test_empty_batch_gives_an_empty_output(self, make):
+        x = Tensor(np.zeros((0, 4)), requires_grad=True)
+        out = make().forward(x, NormMode.TRAIN)
+        assert out.shape == (0, 4)
+        out.sum().backward()
+        assert x.grad.shape == (0, 4)
+
     def test_groupnorm_divisibility(self):
         with pytest.raises(ParameterError):
             GroupNorm(6, groups=4)
