@@ -1,4 +1,5 @@
-"""Bit-for-bit pins of BatchNorm and ``sgd_step``, and of their errors.
+"""Bit-for-bit pins of BatchNorm, ``sgd_step`` and ``Tensor.backward``, and
+of their errors.
 
 The digests below were recorded from the current arithmetic; a change that
 moves one bit of an output, a running statistic, a gradient or an update
@@ -14,8 +15,9 @@ import pytest
 
 from clta import autodiff as ad
 from clta.autodiff import Tensor
+from clta.distill import global_kd_loss, total_loss
 from clta.errors import DegenerateBatchError, NumericError, ShapeError
-from clta.layers import BatchNorm, NormMode
+from clta.layers import BatchNorm, NormMode, add_task_head, build_micro_mlp, snapshot_model
 from clta.optim import sgd_step
 
 
@@ -119,6 +121,43 @@ SGD_PINS = {
 @pytest.mark.parametrize("name", sorted(SGD_PINS))
 def test_sgd_step_keeps_its_bits(name):
     assert _sgd_case(name) == SGD_PINS[name]
+
+
+def _student_step_grads() -> dict:
+    """The parameter gradients of one global-KD student step on a 3-head MLP.
+
+    The backbone features feed all three heads and the two old heads feed
+    the KD ``concat``, so the features receive five gradient pieces and the
+    order in which ``backward`` sums them shows in the bits."""
+    rng = np.random.default_rng(16)
+    model = build_micro_mlp(12, seed=3, hidden=16)
+    for t, classes in enumerate((3, 2)):
+        add_task_head(model, classes, seed=(3, t))
+    teacher = snapshot_model(model)
+    for p in teacher.parameters():
+        p.data = p.data + rng.normal(scale=0.05, size=p.shape)
+    add_task_head(model, 4, seed=(3, 2))
+    xb = Tensor(rng.normal(size=(10, 12)))
+    logits = model.forward(xb, NormMode.TRAIN)
+    with ad.no_grad():
+        teacher_logits = teacher.forward(xb, NormMode.EVAL)
+    ce = ad.cross_entropy(logits[-1], rng.integers(0, 4, 10))
+    kd = global_kd_loss(ad.concat(logits[:2], axis=1), ad.concat(teacher_logits, axis=1), 2.0)
+    total_loss(ce, kd, 10.0).backward()
+    return {f"param{i}": _digest(p.grad) for i, p in enumerate(model.parameters())}
+
+
+BACKWARD_PINS = {
+    "param0": "f02123cf137afca8", "param1": "3a927cfbb80d5170", "param2": "ff432bd7ae59cb6a",
+    "param3": "d415798f0cca0a55", "param4": "41ee6bf5180c02fa", "param5": "93aaf273a485b5ee",
+    "param6": "ba6af9c913eceaaa", "param7": "be3bf934b064f360", "param8": "e950d87e1e9a4249",
+    "param9": "b46bac293e135380", "param10": "bb2f208d58baf6cb", "param11": "6ccb6dca407e28c6",
+    "param12": "e671abd895e8f294", "param13": "4952d0251be793fb",
+}
+
+
+def test_backward_keeps_its_bits():
+    assert _student_step_grads() == BACKWARD_PINS
 
 
 # ----------------------------------------------------------------------
