@@ -6,9 +6,8 @@ record (the creator links stored on its output), and ``Tensor.backward``
 replays that record in reverse topological order.  The record is consumed
 by the backward pass; a second backward on the same scalar raises.
 
-Gradients accumulate: a tensor used twice receives the sum of both
-contributions, and the caller is responsible for zeroing grads between
-optimization steps.
+Only leaves (tensors not made by an op) receive a ``grad``, the sum of all
+their contributions; it lives until the ``optim.sgd_step`` that consumes it.
 
 Op outputs are not checked for NaN or inf; a non-finite value propagates
 (``relu`` passes NaN on) until it crosses a boundary that is checked: the
@@ -154,58 +153,50 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every requires-grad tensor reachable from here.
-
-        The scalar at the root receives seed gradient 1.  Creator links of
-        all visited nodes are cleared afterwards, so the same graph cannot
-        be replayed twice.
-        """
+        """Add d(this scalar)/d(leaf) to ``grad`` on every requires-grad leaf
+        reached; intermediate results get none.  Pieces are summed in reverse
+        depth-first post-order.  The walked creator links are cleared, so the
+        graph cannot be replayed."""
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
         if self._parents is None:
             raise ContractError("backward() on a detached tensor: no recorded computation reaches it")
 
         order: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            if node._parents is not None:
-                for parent in node._parents:
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
+            for parent in node._parents:
+                if parent._parents is not None and parent not in seen:
+                    stack.append((parent, False))
 
-        flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # a node's consumers all come before it: its pieces are in when it is popped
+        flowing: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(order):
-            upstream = flowing.pop(id(node), None)
+            parents, vjp = node._parents, node._vjp
+            node._parents = node._vjp = None
+            upstream = flowing.pop(node, None)
             if upstream is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = upstream.copy()
-                else:
-                    node.grad = node.grad + upstream
-            if node._parents is None:
-                continue
-            for parent, piece in zip(node._parents, node._vjp(upstream)):
+            for parent, piece in zip(parents, vjp(upstream)):
                 if piece is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in flowing:
-                    flowing[key] = flowing[key] + piece
+                if parent in flowing:
+                    flowing[parent] = flowing[parent] + piece
                 else:
-                    flowing[key] = piece
+                    flowing[parent] = piece
 
-        for node in order:
-            node._parents = None
-            node._vjp = None
+        # what is left reached leaves; a lone piece may be shared, so copy it
+        for leaf, grad in flowing.items():
+            leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
 
 
 def _coerce(value) -> Tensor:
@@ -326,7 +317,8 @@ def sqrt(a: Tensor) -> Tensor:
 def log_sigmoid(a: Tensor) -> Tensor:
     # log sigma(x) = -softplus(-x), computed without overflow on either tail
     x = a.data
-    values = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+    tail = np.log1p(np.exp(-np.abs(x)))
+    values = np.where(x >= 0, -tail, x - tail)
     return _make(values, (a,), lambda g: (g * _stable_sigmoid(-x),))
 
 
@@ -670,7 +662,8 @@ def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
     _check_temperature(temperature, "softmax_temperature")
     _check_class_axis(logits, "softmax_temperature")
     z = logits.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN rows, caught where checked
+        z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
 
@@ -714,7 +707,8 @@ def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float
         raise ShapeError(f"soft_cross_entropy expects (batch, classes) logits and targets "
                          f"of one shape, got {logits.shape} and {target_logits.shape}")
     t = target_logits.data / temperature
-    t = t - t.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # a +inf target gives NaN, rejected below
+        t = t - t.max(axis=-1, keepdims=True)
     e = np.exp(t)
     p = e / e.sum(axis=-1, keepdims=True)
     if not np.all(np.isfinite(p)):
@@ -795,5 +789,6 @@ def finite_difference_oracle(f, x, h: float = 1e-5) -> np.ndarray:
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
+    """Drop the gradients no ``sgd_step`` consumed (``optim.ce_step``'s unstepped ones)."""
     for p in params:
         p.grad = None

@@ -161,8 +161,7 @@ def multiclass_kd_loss(student_logits: Tensor, teacher_logits: Tensor) -> Tensor
     no shift invariance.
     """
     _check_pair(student_logits, teacher_logits, "multiclass KD")
-    with no_grad():
-        weights = 1.0 / (1.0 + np.exp(-np.clip(teacher_logits.data, -500, 500)))
+    weights = 1.0 / (1.0 + np.exp(-np.clip(teacher_logits.data, -500, 500)))
     logsig = ad.log_sigmoid(student_logits)
     return -ad.tensor_mean(ad.tensor_sum(Tensor(weights) * logsig, axis=1))
 

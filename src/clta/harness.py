@@ -158,10 +158,8 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
             logits = head.forward(Tensor(feats[idx]), NormMode.EVAL)
             loss = ad.cross_entropy(logits, labels_local[idx])
             losses.append(_finite_loss(loss, task_index, epoch, "warmup CE"))
-            ad.zero_grads(head.parameters())
             loss.backward()
             sgd_step(head.parameters(), lr)
-            ad.zero_grads(head.parameters())
         mean_ce = float(np.mean(losses))
         history.append(mean_ce)
         if best - mean_ce > 1e-12:
@@ -272,10 +270,8 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                 total = total_loss(ce, kd_t, weight)
                 _finite_loss(total, task_index, epoch, "total")
 
-            ad.zero_grads(params)
             total.backward()
             sgd_step(params, lr, train.grad_clip)
-            ad.zero_grads(params)
 
             if teacher is not None and strategy.steps_with_student:
                 continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy)

@@ -18,15 +18,16 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     """In-place p <- p - lr * grad with optional global-L2-norm clipping.
 
     Every passed parameter must carry a gradient; pass exactly the
-    parameters that participated in the loss.  A non-finite gradient raises
-    ``NumericError`` naming the parameter's index, with or without
-    clipping.  The clipping norm is the square root of the summed squared
+    parameters that participated in the loss.  The step consumes the
+    gradients: each parameter it moves gets ``grad = None``.  A non-finite
+    gradient raises ``NumericError`` naming the parameter's index, with or
+    without clipping.  The clipping norm is the square root of the summed squared
     gradients, one ``ndarray.sum`` per parameter; it is taken relative to the
     largest gradient magnitude when that plain sum overflows.  The updates
     are computed with numpy's overflow errors raised, before any parameter
     is written: a step that overflows, or that carries a parameter near the
     float maximum past it, raises ``NumericError`` naming the parameter and
-    moves none.
+    moves none, keeping every gradient.
     """
     params = list(params)
     if not params:
@@ -53,6 +54,7 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
                 raise NumericError(f"sgd_step: the update of parameter {i} overflows") from exc
     for p, data in zip(params, updated):
         p.data = data
+        p.grad = None
 
 
 def _overflowing_clip_factor(params: list[Tensor], grad_clip: float | None) -> float:
@@ -96,13 +98,13 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
             yb_local: np.ndarray, lr: float, grad_clip: float | None) -> float:
     """One train-mode cross-entropy step on the newest head; returns the loss.
     Only ``params`` move, and none does when the list is empty (a norm-only
-    scope on a norm-free model) or ``lr`` is zero; running statistics still do."""
+    scope on a norm-free model) or ``lr`` is zero; running statistics still do.
+    Gradients that no step consumed are dropped."""
     features = model.features(Tensor(xb), NormMode.TRAIN)
     loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericError(f"ce_step: non-finite cross-entropy {value}")
-    ad.zero_grads(model.parameters())
     loss.backward()
     if params and lr > 0:
         sgd_step(params, lr, grad_clip)

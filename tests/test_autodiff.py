@@ -620,6 +620,33 @@ class TestGraphRules:
         ad.zero_grads([t])
         assert t.grad is None
 
+    def test_backward_writes_only_leaves_and_consumes_the_record(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = w * 3.0
+        square = h * h
+        both = square + h
+        loss = both.sum()
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, [21.0, 39.0])  # 18 w + 3
+        for node in (h, square, both, loss):
+            assert node.grad is None
+            assert node._parents is None and node._vjp is None
+        with pytest.raises(ContractError, match="detached"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, [21.0, 39.0])
+
+    def test_leaves_fed_one_array_get_their_own_copies(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_a_second_graph_adds_to_a_held_gradient(self):
+        t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        (t * 3.0).sum().backward()
+        (t * t).sum().backward()
+        np.testing.assert_array_equal(t.grad, [3.0 + 2.0, 3.0 - 4.0])
+
 
 def _glibc_mallopt() -> bool:
     if platform.libc_ver()[0] != "glibc":
@@ -876,8 +903,6 @@ class TestSoftCrossEntropy:
         ad.soft_cross_entropy(student, teacher, 2.0).backward()
         assert teacher.grad is None
 
-    # inf - inf warns on its way to the check, as it did in the chain
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_raises(self, bad):
         teacher = ad.scale(Tensor(np.zeros((2, 3))), 1.0)  # op outputs are unchecked

@@ -141,6 +141,15 @@ class TestTaskwiseKD:
         with pytest.raises(ContractError):
             taskwise_kd_loss([], 2.0)
 
+    def test_infinite_teacher_logit_raises(self):
+        """The teacher softmax's max shift takes inf - inf: a NaN row, which
+        must fail as ``NumericError`` and not as a RuntimeWarning."""
+        teacher = ad.scale(Tensor(np.zeros((2, 3))), 1.0)  # op outputs are unchecked
+        teacher.data[1, 2] = np.inf
+        student = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(NumericError):
+            taskwise_kd_loss([(student, teacher)], 2.0)
+
 
 class TestMulticlassKD:
     def test_all_zero_logits(self):

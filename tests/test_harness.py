@@ -103,6 +103,36 @@ class TestSgdStep:
         sgd_step([p], lr=0.1, grad_clip=100.0)
         np.testing.assert_allclose(p.data, [0.8])
 
+    def test_a_step_consumes_the_gradients_it_uses(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a.grad, b.grad = np.array([2.0]), np.array([1.0, -1.0])
+        sgd_step([a, b], lr=0.1, grad_clip=1.0)
+        assert a.grad is None and b.grad is None
+
+    def test_a_parameter_left_out_of_the_next_loss_is_not_stepped_again(self):
+        """The first step consumed ``unused``'s gradient; the second loss
+        does not reach it, so the step raises instead of reusing it."""
+        used = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        unused = Tensor(np.array([3.0]), requires_grad=True)
+        ((used * unused).sum()).backward()
+        sgd_step([used, unused], lr=0.1)
+        (used * used).sum().backward()
+        before = [used.data.copy(), unused.data.copy()]
+        with pytest.raises(ContractError, match="no gradient"):
+            sgd_step([used, unused], lr=0.1)
+        np.testing.assert_array_equal(used.data, before[0])
+        np.testing.assert_array_equal(unused.data, before[1])
+
+    def test_a_step_that_raises_keeps_every_gradient(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([-1.7e308]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0]), np.array([1e150])
+        with pytest.raises(NumericError):
+            sgd_step([a, b], lr=1e158)
+        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(b.grad, [1e150])
+
     def test_empty_and_gradient_free_params_rejected(self):
         with pytest.raises(ContractError):
             sgd_step([], lr=0.1)
@@ -208,6 +238,20 @@ class TestCeStep:
         assert loss == expected.item()
         assert parameter_checksums(stepped) == parameter_checksums(reference)
 
+
+    @pytest.mark.parametrize("kind, lr", [("continuous_norm", 0.1), ("continuous_full", 0.1),
+                                          ("continuous_full", 0.0)])
+    def test_no_teacher_parameter_keeps_a_gradient(self, kind, lr):
+        """Under ``continuous_norm`` the backbone's dense weights and the
+        newest head get a gradient that no step consumes, and under
+        ``lr = 0`` none is consumed; ``ce_step`` drops them all."""
+        rng = np.random.default_rng(8)
+        teacher = build_micro_mlp(5, seed=3)
+        for t, classes in enumerate((2, 3)):
+            add_task_head(teacher, classes, seed=t)
+        params = TeacherStrategy(kind=kind).trained_parameters(teacher)
+        ce_step(teacher, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None)
+        assert all(p.grad is None for p in teacher.parameters())
 
     def test_non_finite_loss_raises_before_a_parameter_moves(self):
         model = build_micro_mlp(5, seed=3)
@@ -427,10 +471,8 @@ class TestTrainTask:
             for idx in iter_batches(len(x), cfg.batch_size, order):
                 logits = manual.forward(Tensor(x[idx]), NormMode.TRAIN)
                 loss = ad.cross_entropy(logits[-1], y[idx])
-                ad.zero_grads(manual.parameters())
                 loss.backward()
                 sgd_step(manual.parameters(), lr, cfg.grad_clip)
-                ad.zero_grads(manual.parameters())
         assert model_checksum(trained) == model_checksum(manual)
 
     def test_zero_weight_makes_the_teacher_irrelevant(self):
@@ -499,6 +541,17 @@ class TestTeacherStrategiesInTraining:
         train_task(model, teacher, 2, x2, y2, KDConfig(), TeacherStrategy(),
                    desk_config(), WarmupConfig(), seed=0)
         assert model_checksum(teacher) == before
+
+    def test_no_gradient_outlives_the_task(self):
+        """Warmup, student and norm-only teacher steps leave no gradient on
+        either network."""
+        model, x2, y2 = self._after_task1(3)
+        teacher = snapshot_model(model)
+        add_task_head(model, 2, seed=(3, 2))
+        train_task(model, teacher, 2, x2, y2, KDConfig(),
+                   TeacherStrategy(kind="continuous_norm"), desk_config(),
+                   WarmupConfig(enabled=True, max_epochs=2, ramp_epochs=1), seed=0)
+        assert all(p.grad is None for p in model.parameters() + teacher.parameters())
 
     def test_adapt_stats_moves_teacher_statistics_only(self):
         model, x2, y2 = self._after_task1(1)
