@@ -1,5 +1,5 @@
-"""Bit-for-bit pins of BatchNorm, ``sgd_step`` and ``Tensor.backward``, and
-of their errors.
+"""Bit-for-bit pins of BatchNorm, ``sgd_step``, ``Tensor.backward`` and a
+short ``run_stream``, and of their errors.
 
 The digests below were recorded from the current arithmetic; a change that
 moves one bit of an output, a running statistic, a gradient or an update
@@ -15,9 +15,12 @@ import pytest
 
 from clta import autodiff as ad
 from clta.autodiff import Tensor
-from clta.distill import global_kd_loss, total_loss
+from clta.data import synthetic_stream
+from clta.distill import KDConfig, TeacherStrategy, global_kd_loss, total_loss
 from clta.errors import DegenerateBatchError, NumericError, ShapeError
-from clta.layers import BatchNorm, NormMode, add_task_head, build_micro_mlp, snapshot_model
+from clta.harness import TrainConfig, WarmupConfig, run_stream
+from clta.layers import (BatchNorm, NormMode, add_task_head, build_micro_cnn, build_micro_mlp,
+                         snapshot_model)
 from clta.optim import sgd_step
 
 
@@ -222,3 +225,42 @@ def test_sgd_step_non_finite_gradient_message(clip):
         sgd_step([a, b], lr=0.1, grad_clip=clip)
     assert str(info.value) == "sgd_step: parameter 1 has a non-finite gradient"
     np.testing.assert_array_equal(a.data, [1.0])
+
+
+# ----------------------------------------------------------------------
+# end to end: a short run_stream
+# ----------------------------------------------------------------------
+
+
+def _stream_case(name: str) -> dict:
+    """The accuracy matrix and the per-epoch CE, KD and bn_kld traces of a
+    3-task ``run_stream`` with global KD, as digests of their float64 bytes."""
+    arch, kind = name.split("-")
+    if arch == "mlp":
+        stream = synthetic_stream(3, 2, 12, dim=10, shift=0.05, seed=5)
+        model = build_micro_mlp(10, seed=5, hidden=16)
+    else:
+        stream = synthetic_stream(3, 2, 6, image_shape=(1, 8, 8), shift=0.05, seed=5)
+        model = build_micro_cnn(1, seed=5)
+    result = run_stream(stream, model, KDConfig(), TeacherStrategy(kind=kind),
+                        TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=(1,)),
+                        WarmupConfig(), seed=5)
+    arrays = {"accuracy": result.accuracy_matrix.values}
+    for term in ("ce", "kd", "bn_kld"):
+        arrays[term] = [getattr(trace, term) for trace in result.traces]
+    return {key: _digest(value) for key, value in arrays.items()}
+
+
+STREAM_PINS = {
+    "mlp-adapt_stats": {"accuracy": "69ddf3040d59e8b5", "ce": "c2eebacf12f0947c",
+                        "kd": "b4ac940a55260c84", "bn_kld": "5f2be20628a6cb95"},
+    "cnn-adapt_stats": {"accuracy": "6e9def97aea4f2d2", "ce": "77d98301ee791933",
+                        "kd": "8690a5c1c5e41534", "bn_kld": "a6bb931882780866"},
+    "mlp-continuous_full": {"accuracy": "ecd513d92d5518b4", "ce": "695ee6c84d8d5324",
+                            "kd": "e29b7372e8b42cac", "bn_kld": "7f76b6fe067d1aea"},
+}
+
+
+@pytest.mark.parametrize("name", ["mlp-adapt_stats", "cnn-adapt_stats", "mlp-continuous_full"])
+def test_run_stream_keeps_its_bits(name):
+    assert _stream_case(name) == STREAM_PINS[name]
