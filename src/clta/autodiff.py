@@ -12,9 +12,9 @@ their contributions; it lives until the ``optim.sgd_step`` that consumes it.
 Op outputs are not checked for NaN or inf; a non-finite value propagates
 (``relu`` passes NaN on) until it crosses a boundary that is checked: the
 ``Tensor`` constructor, through which data enters the graph, the target
-probabilities in ``soft_cross_entropy``, the variance in ``normalize``, the
-training losses, the gradients and updates in ``optim.sgd_step`` and the
-evaluation logits in ``metrics.predict_global``.
+probabilities in ``soft_cross_entropy``, the variance in ``normalize`` and
+``batch_norm``, the training losses, the gradients and updates in
+``optim.sgd_step`` and the evaluation logits in ``metrics.predict_global``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericError, ParameterError, ShapeError
+from .errors import (ContractError, DataError, DegenerateBatchError, NumericError,
+                     ParameterError, ShapeError)
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -210,14 +211,15 @@ def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(values, dtype=np.float64)
     out.grad = None
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = None
-        out._vjp = None
+    out.requires_grad = False
+    out._parents = out._vjp = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 
@@ -405,8 +407,9 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
         values = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         raise ShapeError("concat: shapes disagree off the concatenation axis") from exc
-    widths = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.shape[axis])
 
     def vjp(g: np.ndarray):
         slicer = [slice(None)] * g.ndim
@@ -419,111 +422,170 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(values, parts, vjp)
 
 
-def _batch_moments(x: np.ndarray,
-                   axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_moments(x: np.ndarray, axes: tuple[int, ...],
+                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and biased variance over ``axes``, with the reduced axes kept,
     and ``x - mean``, the centered input both are taken from.  Each moment
-    is ``np.add.reduce`` over ``axes`` divided by the count, which is what
-    ``ndarray.mean`` computes, so the two equal numpy's ``mean`` and
-    ``var`` bit for bit.  An overflow yields an infinite or NaN variance,
-    which ``normalize`` rejects, and no floating-point warning."""
-    count = math.prod(x.shape[i] for i in axes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(x, axis=axes, keepdims=True) / count
-        centered = x - mean
-        var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
+    is ``np.add.reduce`` over ``axes`` divided by ``count``, the number of
+    elements each reduction covers, which is what ``ndarray.mean`` computes,
+    so the two equal numpy's ``mean`` and ``var`` bit for bit.  Callers run
+    it under an ``np.errstate`` that ignores overflow and invalid values: an
+    overflow yields an infinite or NaN variance, which ``_inverse_std``
+    rejects, and no floating-point warning."""
+    mean = np.add.reduce(x, axis=axes, keepdims=True) / count
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
     return mean, var, centered
 
 
-def normalize(x: Tensor, axes, eps: float, stats=None, gamma: Tensor | None = None,
-              beta: Tensor | None = None, moments=None) -> Tensor:
-    """(x - mean) / sqrt(var + eps), then ``* gamma + beta``, as one graph node.
-
-    By default the mean and biased variance are taken over ``axes`` of ``x``
-    and the gradient flows through them.  ``moments`` passes in the triple
-    ``(mean, var, centered)`` that ``_batch_moments(x.data, axes)`` returns,
-    when the caller has it already; ``centered`` is ``x - mean`` and is not
-    written to.  ``stats``, when given, is instead a fixed ``(mean, var)``
-    pair of arrays broadcastable to ``x``, ``moments`` is ignored, and the
-    gradient is ``g * inv``.  ``gamma`` and ``beta`` (given together) are
-    per-channel vectors over axis 1, reshaped to broadcast once per call.
-
-    ``inv = 1 / sqrt(var + eps)`` is taken once at the statistics' shape; a
-    variance that is not finite, or zero with ``eps = 0``, leaves ``inv``
-    infinite, zero or NaN, which fails ``inv.min() > 0 and inv.max() < inf``
-    and raises ``NumericError``.  With per-channel statistics (BatchNorm)
-    the affine folds into ``s = gamma * inv`` and the output is
-    ``centered * s + beta``; per-sample statistics (LayerNorm, GroupNorm's
-    grouped view) give ``xhat * gamma + beta``.  Under batch statistics the
-    input gradient is the closed form (Ioffe & Szegedy, arXiv 1502.03167)
-    ``g * s - centered * (s * inv**2 * sum(g * centered) / count) - s * sum(g) / count``,
-    sums over ``axes``, ``count`` the number of elements each sum covers,
-    taken in the VJP; with the affine folded, ``sum(g * centered) * inv``
-    is gamma's gradient and ``sum(g)`` beta's.  The running statistics that
-    BatchNorm builds from ``_batch_moments`` still equal numpy's
-    ``mean``/``var`` bit for bit.
-    """
-    axes = _norm_axis("normalize", axes, x.data.ndim)
-    if stats is not None:
-        mean, var = stats
-        centered = x.data - mean
-    else:
-        _, var, centered = moments if moments is not None else _batch_moments(x.data, axes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.sqrt(var + float(eps))
-    # an infinite variance gives inv = 0, a zero one (eps = 0) inv = inf,
-    # and a NaN one NaN, which fails both comparisons
-    if inv.size and not (inv.min() > 0.0 and inv.max() < math.inf):
+def _inverse_std(var: np.ndarray, eps: float) -> np.ndarray:
+    """``1 / sqrt(var + eps)``, run under an ``np.errstate`` that ignores
+    division by zero and invalid values.  A variance that is not finite, or
+    zero with ``eps = 0``, leaves it zero, infinite or NaN (NaN fails both
+    comparisons), which raises ``NumericError``; ``normalize`` and
+    ``batch_norm`` share the one message."""
+    inv = 1.0 / np.sqrt(var + float(eps))
+    if inv.size and not (np.minimum.reduce(inv, axis=None) > 0.0
+                         and np.maximum.reduce(inv, axis=None) < math.inf):
         raise NumericError("op 'normalize' produced a non-finite variance, "
                            f"or a zero variance with eps = {eps}")
+    return inv
+
+
+def normalize(x: Tensor, axes, eps: float, gamma: Tensor | None = None,
+              beta: Tensor | None = None) -> Tensor:
+    """(x - mean) / sqrt(var + eps), then ``* gamma + beta``, as one graph node.
+
+    The mean and biased variance are taken over ``axes`` of ``x`` (each
+    sample's own axes, for LayerNorm and GroupNorm's grouped view) and the
+    gradient flows through them.  ``gamma`` and ``beta`` (given together)
+    are per-channel vectors over axis 1, reshaped to broadcast once per
+    call; the output is ``xhat * gamma + beta``.  A variance that is not
+    finite, or zero with ``eps = 0``, raises ``NumericError``.
+
+    ``inv = 1 / sqrt(var + eps)`` is taken once at the statistics' shape and
+    the input gradient is the closed form (Ioffe & Szegedy, arXiv
+    1502.03167) ``g * inv - centered * (inv**3 * sum(g * centered) / count)
+    - inv * sum(g) / count``, with ``g`` the upstream gradient times gamma,
+    sums over ``axes`` and ``count`` the number of elements each sum covers.
+    Per-channel statistics with running estimates are ``batch_norm``'s.
+    """
+    axes = _norm_axis("normalize", axes, x.data.ndim)
+    count = math.prod(x.shape[i] for i in axes)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, var, centered = _batch_moments(x.data, axes, count)
+        inv = _inverse_std(var, eps)
+    values = centered * inv
     parents = (x,)
-    scale = inv
-    folded = False
-    if gamma is None:
-        values = centered * inv
-    else:
+    if gamma is not None:
         if gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
             raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
                              f"must both be ({x.shape[1]},)")
         shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
         gamma_b = gamma.data.reshape(shape)
         parents = (x, gamma, beta)
-        folded = inv.shape == shape
-        if folded:
-            scale = gamma_b * inv
-            values = centered * scale
-        else:
-            xhat = centered * inv
-            values = xhat * gamma_b
+        xhat = values
+        values = xhat * gamma_b
         values += beta.data.reshape(shape)
 
     def vjp(g: np.ndarray):
         pieces = []
-        if gamma is not None and not folded:
+        if gamma is not None:
             pieces = [
                 _unbroadcast(g * xhat, shape).reshape(gamma.shape) if gamma.requires_grad else None,
                 _unbroadcast(g, shape).reshape(beta.shape) if beta.requires_grad else None,
             ]
             g = g * gamma_b
-        batch = x.requires_grad and stats is None
-        if folded or batch:
-            gc = g * centered
-            sum_gc = _unbroadcast(gc, inv.shape)
-            sum_g = _unbroadcast(g, inv.shape)
-        if folded:
-            pieces = [(sum_gc * inv).reshape(gamma.shape) if gamma.requires_grad else None,
-                      sum_g.reshape(beta.shape) if beta.requires_grad else None]
+        if not x.requires_grad:
+            return (None, *pieces)
+        gc = g * centered
+        sum_gc = _unbroadcast(gc, inv.shape)
+        sum_g = _unbroadcast(g, inv.shape)
+        gx = g * inv
+        np.multiply(centered, inv * inv * inv * sum_gc / count, out=gc)
+        gx -= gc
+        gx -= inv * sum_g / count
+        return (gx, *pieces)
+
+    return _make(values, parents, vjp)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               running: tuple[np.ndarray, np.ndarray], eps: float,
+               momentum: float | None, by_batch: bool,
+               detach: bool) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Per-channel batch normalization over every axis but 1, with the
+    running-statistics update and the affine, in one call.
+
+    ``running`` is the ``(mean, var)`` pair of per-channel running
+    statistics; returns the output and the pair after this call.  With a
+    ``momentum`` the batch's mean and unbiased variance are folded in as
+    ``(1 - momentum) * old + momentum * batch`` (new arrays; the given ones
+    are not written), which needs two or more values per channel; ``None``
+    leaves the pair as it is.  ``by_batch`` normalizes by the batch's mean
+    and biased variance, otherwise by the running pair after the update.
+    ``detach`` returns an output outside any graph, as under ``no_grad``;
+    otherwise the output is one graph node over ``x``, ``gamma`` and
+    ``beta``.  A variance that is not finite, or zero with ``eps = 0``,
+    raises ``NumericError`` and leaves nothing updated.
+
+    With ``inv = 1 / sqrt(var + eps)`` the affine folds into ``s = gamma *
+    inv`` and the output is ``centered * s + beta``.  Gamma's gradient is
+    ``sum(g * centered) * inv`` and beta's ``sum(g)``, sums over the
+    reduced axes; the input gradient is ``g * s`` by running statistics and
+    the closed form (Ioffe & Szegedy, arXiv 1502.03167) ``g * s - centered
+    * (s * inv**2 * sum(g * centered) / count) - s * sum(g) / count`` by
+    batch statistics, ``count`` the number of values per channel.  The
+    running statistics equal numpy's ``mean``/``var`` bit for bit.
+    """
+    data = x.data
+    ndim = data.ndim
+    channels = gamma.data.shape
+    if ndim < 2 or channels != (data.shape[1],) or beta.data.shape != channels \
+            or running[0].shape != channels or running[1].shape != channels:
+        raise ShapeError(f"batch_norm: gamma {channels}, beta {beta.data.shape} and running "
+                         f"statistics {running[0].shape}, {running[1].shape} must all be "
+                         f"(channels,) for input {data.shape}")
+    shape = (1, data.shape[1]) + (1,) * (ndim - 2)
+    axes = (0, *range(2, ndim))
+    count = data.size // data.shape[1]
+    if momentum is not None and count < 2:
+        raise DegenerateBatchError(f"batch_norm: a running-statistics update needs >= 2 "
+                                   f"values per channel, got {count}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if by_batch or momentum is not None:
+            mean, var, centered = _batch_moments(data, axes, count)
+        if by_batch:  # checked before the update, which a failing call skips
+            inv = _inverse_std(var, eps)
+        if momentum is not None:
+            unbiased = var.ravel() * count / (count - 1)
+            running = ((1.0 - momentum) * running[0] + momentum * mean.ravel(),
+                       (1.0 - momentum) * running[1] + momentum * unbiased)
+        if not by_batch:
+            centered = data - running[0].reshape(shape)
+            inv = _inverse_std(running[1].reshape(shape), eps)
+    scale = gamma.data.reshape(shape) * inv
+    values = centered * scale
+    values += beta.data.reshape(shape)
+    if detach:
+        return _make(values, (), None), running
+
+    def vjp(g: np.ndarray):
+        gc = g * centered
+        sum_gc = np.add.reduce(gc, axis=axes, keepdims=True)
+        sum_g = np.add.reduce(g, axis=axes, keepdims=True)
+        pieces = ((sum_gc * inv).reshape(channels) if gamma.requires_grad else None,
+                  sum_g.reshape(channels) if beta.requires_grad else None)
         if not x.requires_grad:
             return (None, *pieces)
         gx = g * scale
-        if batch:
-            count = math.prod(x.shape[i] for i in axes)
+        if by_batch:
             np.multiply(centered, scale * inv * inv * sum_gc / count, out=gc)
             gx -= gc
             gx -= scale * sum_g / count
         return (gx, *pieces)
 
-    return _make(values, parents, vjp)
+    return _make(values, (x, gamma, beta), vjp), running
 
 
 # ----------------------------------------------------------------------
@@ -548,18 +610,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight + bias`` as one graph node; values and gradients equal
     those of the matmul, add pair bit for bit."""
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError(f"linear expects 2-D input and weight, got {x.shape} and {weight.shape}")
-    if x.shape[1] != weight.shape[0]:
-        raise ShapeError(f"linear: inner dimensions differ ({x.shape} @ {weight.shape})")
-    if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"linear: bias shape {bias.shape}, expected ({weight.shape[1]},)")
+    x_shape, w_shape = x.data.shape, weight.data.shape
+    if len(x_shape) != 2 or len(w_shape) != 2:
+        raise ShapeError(f"linear expects 2-D input and weight, got {x_shape} and {w_shape}")
+    if x_shape[1] != w_shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ ({x_shape} @ {w_shape})")
+    if bias.data.shape != (w_shape[1],):
+        raise ShapeError(f"linear: bias shape {bias.data.shape}, expected ({w_shape[1]},)")
     values = x.data @ weight.data + bias.data
 
     def vjp(g: np.ndarray):
         return (g @ weight.data.T if x.requires_grad else None,
                 x.data.T @ g if weight.requires_grad else None,
-                g.sum(axis=0) if bias.requires_grad else None)
+                np.add.reduce(g, axis=0) if bias.requires_grad else None)
 
     return _make(values, (x, weight, bias), vjp)
 
@@ -675,12 +738,15 @@ def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
 
 
 def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
+    """Row-wise log softmax of y/T; a ``+inf`` logit, or a row of all
+    ``-inf``, gives a NaN row without a floating-point warning."""
     _check_temperature(temperature, "log_softmax_temperature")
     _check_class_axis(logits, "log_softmax_temperature")
-    z = logits.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught at the loss
+        z = logits.data / temperature
+        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+        logp = z - lse
     p = np.exp(logp)
 
     def vjp(g: np.ndarray):
@@ -695,7 +761,9 @@ def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float
     loss of Hinton et al. (arXiv 1503.02531), as one graph node.
 
     ``target_logits`` receives no gradient.  A non-finite target probability
-    (a NaN or ``+inf`` target logit) raises ``NumericError``.  The value and
+    (a NaN or ``+inf`` target logit) raises ``NumericError``; a ``+inf``
+    student logit, or a row of all ``-inf``, gives a NaN value, without a
+    floating-point warning, for the caller's loss check.  The value and
     the gradient repeat, operation for operation, those of the chain
     ``softmax_temperature`` of the targets, ``log_softmax_temperature``,
     ``mul``, ``tensor_sum`` over classes, ``tensor_mean`` and negation, so
@@ -706,18 +774,19 @@ def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float
     if logits.data.ndim != 2 or target_logits.shape != logits.shape:
         raise ShapeError(f"soft_cross_entropy expects (batch, classes) logits and targets "
                          f"of one shape, got {logits.shape} and {target_logits.shape}")
-    t = target_logits.data / temperature
-    with np.errstate(invalid="ignore"):  # a +inf target gives NaN, rejected below
-        t = t - t.max(axis=-1, keepdims=True)
-    e = np.exp(t)
-    p = e / e.sum(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(p)):
-        raise NumericError("op 'soft_cross_entropy' got non-finite target probabilities")
-    z = logits.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     n = logits.shape[0]
-    value = (p * logq).sum(axis=1).mean() * -1.0
+    # inf - inf: NaN rows, targets rejected below, the student's caught at the loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = target_logits.data / temperature
+        t = t - np.maximum.reduce(t, axis=-1, keepdims=True)
+        e = np.exp(t)
+        p = e / np.add.reduce(e, axis=-1, keepdims=True)
+        if not np.all(np.isfinite(p)):
+            raise NumericError("op 'soft_cross_entropy' got non-finite target probabilities")
+        z = logits.data / temperature
+        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        logq = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+        value = np.add.reduce(np.add.reduce(p * logq, axis=1), axis=None) / n * -1.0
 
     def vjp(g: np.ndarray):
         weighted = p * (g * -1.0 / n)
@@ -727,7 +796,9 @@ def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
+    """Mean over the batch of -log softmax(logits)[label].  A ``+inf`` logit,
+    or a row of all ``-inf``, gives a NaN value, without a floating-point
+    warning, for the caller's loss check."""
     _check_class_axis(logits, "cross_entropy")
     z = logits.data
     if z.ndim != 2:
@@ -739,10 +810,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if np.any(y < 0) or np.any(y >= num_classes):
         raise DataError(f"cross_entropy: labels must lie in [0, {num_classes}), "
                         f"got {y.min()}..{y.max()}")
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    value = -logp[np.arange(n), y].mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught at the loss
+        shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        logp = shifted - lse
+        value = -(np.add.reduce(logp[np.arange(n), y], axis=None) / n)
 
     def vjp(g: np.ndarray):
         p = np.exp(logp)
@@ -786,9 +858,3 @@ def finite_difference_oracle(f, x, h: float = 1e-5) -> np.ndarray:
         probe[i] = flat[i]
         grad[i] = (up - down) / (2.0 * h)
     return grad.reshape(base.shape)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    """Drop the gradients no ``sgd_step`` consumed (``optim.ce_step``'s unstepped ones)."""
-    for p in params:
-        p.grad = None

@@ -13,13 +13,14 @@ estimates) or by the stored running statistics:
 * ``ADAPT_STATS_RUNNING`` - ADAPT_STATS, but normalizing by the freshly
   updated running statistics instead of the batch statistics.
 
-All four modes run the one ``autodiff.normalize`` op, by batch statistics
-or by the running statistics, with the learned scale and shift folded into
-the same graph node; the adapt modes run it under ``no_grad``, so their
-output is detached.  The batch mean, variance and centered input are
-computed once per call and feed both the running update and the op.
-``LayerNorm`` runs the same op over its own axes; ``GroupNorm`` normalizes
-a grouped view and applies its scale and shift after reshaping back.
+All four modes run the one ``autodiff.batch_norm`` call, which computes
+the batch moments once, folds them into the running statistics, and
+normalizes by the batch or the running statistics with the learned scale
+and shift folded in.  TRAIN and EVAL add one graph node; the adapt modes
+get a detached output and build no graph.  ``LayerNorm`` runs the
+per-sample ``autodiff.normalize`` op over its own axes; ``GroupNorm``
+normalizes a grouped view with it and applies its scale and shift after
+reshaping back.
 ``Dense`` is one ``autodiff.linear`` node and ``Conv2d`` one
 ``autodiff.conv2d`` node, so each of these layers adds a single node to
 the graph.
@@ -39,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .errors import DegenerateBatchError, ParameterError, ShapeError
 
 MOMENTUM = 0.1  # batch norm: the batch's weight in each running-statistics update
@@ -164,6 +165,15 @@ class _AffineNorm(Layer):
         return [self.gamma, self.beta]
 
 
+# mode -> ``autodiff.batch_norm``'s (momentum, by_batch, detach)
+_BATCHNORM_MODES = {
+    NormMode.TRAIN: (MOMENTUM, True, False),
+    NormMode.EVAL: (None, False, False),
+    NormMode.ADAPT_STATS: (MOMENTUM, True, True),
+    NormMode.ADAPT_STATS_RUNNING: (MOMENTUM, False, True),
+}
+
+
 class BatchNorm(_AffineNorm):
     """Per-channel batch normalization with running-statistics state."""
 
@@ -174,41 +184,23 @@ class BatchNorm(_AffineNorm):
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def _update_running(self, x: np.ndarray,
-                        axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fold the batch statistics into the running ones; returns the
-        ``(mean, var, centered)`` triple of ``autodiff._batch_moments``."""
-        moments = ad._batch_moments(x, axes)
-        batch_mean, batch_var, _ = moments
-        count = x.size // self.num_features  # samples per channel
-        unbiased = batch_var.ravel() * count / (count - 1)
-        self.running_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean.ravel()
-        self.running_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * unbiased
-        return moments
-
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
-        """One ``autodiff.normalize`` node over the batch and spatial axes.
+        """One ``autodiff.batch_norm`` call over the batch and spatial axes.
 
         TRAIN and ADAPT_STATS normalize by the batch statistics, EVAL and
         ADAPT_STATS_RUNNING by the running ones; every mode but EVAL first
         folds the batch statistics into the running ones, and the adapt
-        modes run under ``no_grad``.  A batch of one sample raises
+        modes return a detached output.  A batch of one sample raises
         ``DegenerateBatchError`` in every mode but EVAL.
         """
-        shape = _channel_shape(x, self.num_features)
-        axes = (0, *range(2, x.data.ndim))
-        moments = stats = None
-        if mode is not NormMode.EVAL:
-            if x.shape[0] < 2:
-                raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
-                                           f"batch size >= 2, got {x.shape[0]}")
-            moments = self._update_running(x.data, axes)
-        if mode is NormMode.EVAL or mode is NormMode.ADAPT_STATS_RUNNING:
-            stats = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
-        if mode is NormMode.TRAIN or mode is NormMode.EVAL:
-            return ad.normalize(x, axes, self.eps, stats, self.gamma, self.beta, moments)
-        with no_grad():
-            return ad.normalize(x, axes, self.eps, stats, self.gamma, self.beta, moments)
+        _channel_shape(x, self.num_features)
+        if mode is not NormMode.EVAL and x.shape[0] < 2:
+            raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
+                                       f"batch size >= 2, got {x.shape[0]}")
+        out, (self.running_mean, self.running_var) = ad.batch_norm(
+            x, self.gamma, self.beta, (self.running_mean, self.running_var), self.eps,
+            *_BATCHNORM_MODES[mode])
+        return out
 
 
 class LayerNorm(_AffineNorm):

@@ -22,7 +22,7 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
     gradients: each parameter it moves gets ``grad = None``.  A non-finite
     gradient raises ``NumericError`` naming the parameter's index, with or
     without clipping.  The clipping norm is the square root of the summed squared
-    gradients, one ``ndarray.sum`` per parameter; it is taken relative to the
+    gradients, one ``np.add.reduce`` per parameter; it is taken relative to the
     largest gradient magnitude when that plain sum overflows.  The updates
     are computed with numpy's overflow errors raised, before any parameter
     is written: a step that overflows, or that carries a parameter near the
@@ -37,7 +37,7 @@ def sgd_step(params, lr: float, grad_clip: float | None = None) -> None:
             raise ContractError("sgd_step: a parameter has no gradient")
     factor = 1.0
     with np.errstate(over="ignore"):
-        total = math.sqrt(sum((p.grad * p.grad).sum() for p in params))
+        total = math.sqrt(sum(np.add.reduce(p.grad * p.grad, axis=None) for p in params))
     if not math.isfinite(total):
         factor = _overflowing_clip_factor(params, grad_clip)
     elif grad_clip is not None and total > grad_clip:
@@ -99,14 +99,24 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
     """One train-mode cross-entropy step on the newest head; returns the loss.
     Only ``params`` move, and none does when the list is empty (a norm-only
     scope on a norm-free model) or ``lr`` is zero; running statistics still do.
-    Gradients that no step consumed are dropped."""
-    features = model.features(Tensor(xb), NormMode.TRAIN)
-    loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
-    value = loss.item()
-    if not math.isfinite(value):
-        raise NumericError(f"ce_step: non-finite cross-entropy {value}")
-    loss.backward()
-    if params and lr > 0:
-        sgd_step(params, lr, grad_clip)
-    ad.zero_grads(model.parameters())
+    Only the parameters that move are differentiated: the others are held
+    out of the graph for the call (their ``requires_grad`` is restored after
+    it, also when it raises), and no backward runs when none moves."""
+    steps = bool(params) and lr > 0
+    stepped = set(params) if steps else set()
+    held = [p for p in model.parameters() if p.requires_grad and p not in stepped]
+    for p in held:
+        p.requires_grad = False
+    try:
+        features = model.features(Tensor(xb), NormMode.TRAIN)
+        loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"ce_step: non-finite cross-entropy {value}")
+        if steps:
+            loss.backward()
+            sgd_step(params, lr, grad_clip)
+    finally:
+        for p in held:
+            p.requires_grad = True
     return value

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,55 @@ class TestCeStep:
         ce_step(teacher, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None)
         assert all(p.grad is None for p in teacher.parameters())
 
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every tensor an op makes while the test runs."""
+        outputs = []
+        original = ad._make
+
+        def recording(values, parents, vjp):
+            outputs.append(original(values, parents, vjp))
+            return outputs[-1]
+
+        monkeypatch.setattr(ad, "_make", recording)
+        return outputs
+
+    def test_a_norm_only_step_differentiates_and_moves_only_the_norm_parameters(self, made):
+        """Under ``continuous_norm`` the backbone's dense weights and the
+        newest head take no part in the graph: no parameter is left holding
+        a gradient, only the BatchNorm gammas, betas and running statistics
+        move, and every parameter's ``requires_grad`` is back."""
+        rng = np.random.default_rng(8)
+        teacher = build_micro_mlp(5, seed=3)
+        for t, classes in enumerate((2, 3)):
+            add_task_head(teacher, classes, seed=t)
+        before = parameter_checksums(teacher)
+        ce_step(teacher, TeacherStrategy(kind="continuous_norm").trained_parameters(teacher),
+                rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), 0.1, None)
+        after = parameter_checksums(teacher)
+        moved = {key for key in before if before[key] != after[key]}
+        assert moved == {f"backbone.{i}.batchnorm.{name}" for i in (1, 4)
+                         for name in ("gamma", "beta", "running_mean", "running_var")}
+        assert all(p.grad is None and p.requires_grad for p in teacher.parameters())
+        # the first dense output and the dense weights are outside the graph
+        assert not made[0].requires_grad
+
+    @pytest.mark.parametrize("params", ["none", "norm"])
+    def test_a_step_that_moves_nothing_builds_no_graph(self, params, made):
+        rng = np.random.default_rng(8)
+        teacher = build_micro_mlp(5, seed=3)
+        add_task_head(teacher, 3, seed=0)
+        before = parameter_checksums(teacher)
+        scope = [] if params == "none" else teacher.norm_parameters()
+        lr = 0.1 if params == "none" else 0.0
+        ce_step(teacher, scope, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None)
+        assert made and not any(out.requires_grad for out in made)
+        after = parameter_checksums(teacher)
+        assert {key for key in before if before[key] != after[key]} == {
+            f"backbone.{i}.batchnorm.{name}" for i in (1, 4)
+            for name in ("running_mean", "running_var")}
+        assert all(p.grad is None and p.requires_grad for p in teacher.parameters())
+
     def test_non_finite_loss_raises_before_a_parameter_moves(self):
         model = build_micro_mlp(5, seed=3)
         add_task_head(model, 3, seed=0)
@@ -264,6 +315,8 @@ class TestCeStep:
                     np.array([0, 1, 2, 0, 1, 2]), 0.1, None)
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old)
+        # the parameters held out of the graph have their flag back
+        assert all(p.requires_grad for p in model.parameters())
 
 
 class TestBatching:
@@ -414,6 +467,29 @@ class TestTrainTask:
         with pytest.raises(NumericError, match="task 2, epoch 0: non-finite KD"):
             train_task(model, teacher, 2, x, y, KDConfig(), TeacherStrategy(),
                        desk_config(), WarmupConfig(), seed=0)
+
+    # a +inf logit, or a row of all -inf, in the CE term (the newest head) or
+    # in an old head's logits, which global KD (``soft_cross_entropy``) and
+    # taskwise KD (``log_softmax_temperature``) take
+    @pytest.mark.parametrize("bias", [np.inf, -np.inf], ids=["inf", "all_neg_inf"])
+    @pytest.mark.parametrize("term, variant", [("CE", "global"), ("KD", "global"),
+                                               ("KD", "taskwise")])
+    def test_non_finite_student_logits_name_task_epoch_and_term(self, term, variant, bias):
+        rng = np.random.default_rng(5)
+        x, y = two_class_task(rng)
+        model = self._fresh(5)
+        teacher = snapshot_model(model)
+        add_task_head(model, 2, seed=(5, 2))
+        head = model.heads[-1 if term == "CE" else 0]
+        if bias > 0:
+            head.bias.data[1] = bias
+        else:
+            head.bias.data[:] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^task 2, epoch 0: non-finite {term} loss"):
+                train_task(model, teacher, 2, x, y, KDConfig(variant=variant),
+                           TeacherStrategy(), desk_config(), WarmupConfig(), seed=0)
 
     def test_teacher_presence_contract(self):
         rng = np.random.default_rng(1)

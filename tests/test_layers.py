@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clta.autodiff import Tensor
-from clta.errors import DegenerateBatchError, ParameterError, ShapeError
+from clta.errors import DegenerateBatchError, NumericError, ParameterError, ShapeError
 from clta.layers import (BatchNorm, Conv2d, Dense, GlobalAvgPool, GroupNorm,
                          Identity, IncrementalModel, LayerNorm, NormMode, ReLU,
                          add_task_head, build_micro_cnn, build_micro_mlp,
@@ -83,11 +83,24 @@ class TestBatchNorm:
         assert not out.requires_grad
 
     def test_adapt_modes_detach_their_output(self):
+        """Outside ``no_grad`` too: the output has no creator links."""
         rng = np.random.default_rng(6)
         for mode in (NormMode.ADAPT_STATS, NormMode.ADAPT_STATS_RUNNING):
             x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
             out = BatchNorm(3).forward(x, mode)
             assert not out.requires_grad, mode
+            assert out._parents is None and out._vjp is None, mode
+
+    @pytest.mark.parametrize("mode", list(NormMode), ids=lambda m: m.value)
+    def test_a_failing_call_leaves_the_running_statistics(self, mode):
+        bn = BatchNorm(2)
+        bn.running_var = np.array([1.0, np.inf])  # EVAL's non-finite variance
+        before = (bn.running_mean, bn.running_var.copy())
+        x = np.array([[1e200, 1.0], [-1e200, 2.0], [1e200, 3.0]])
+        with pytest.raises(NumericError, match="non-finite variance"):
+            bn.forward(Tensor(x), mode)
+        assert bn.running_mean is before[0]
+        np.testing.assert_array_equal(bn.running_var, before[1])
 
     def test_adapt_stats_running_variant(self):
         bn = BatchNorm(1)
