@@ -87,7 +87,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.ascontiguousarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise NumericError("tensor constructed with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -452,62 +452,58 @@ def _inverse_std(var: np.ndarray, eps: float) -> np.ndarray:
     return inv
 
 
-def normalize(x: Tensor, axes, eps: float, gamma: Tensor | None = None,
-              beta: Tensor | None = None) -> Tensor:
-    """(x - mean) / sqrt(var + eps), then ``* gamma + beta``, as one graph node.
+def normalize(x: Tensor, groups: int, eps: float, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-sample group normalization, then ``* gamma + beta``, as one graph
+    node: GroupNorm, and LayerNorm with ``groups = 1``.
 
-    The mean and biased variance are taken over ``axes`` of ``x`` (each
-    sample's own axes, for LayerNorm and GroupNorm's grouped view) and the
-    gradient flows through them.  ``gamma`` and ``beta`` (given together)
-    are per-channel vectors over axis 1, reshaped to broadcast once per
-    call; the output is ``xhat * gamma + beta``.  A variance that is not
-    finite, or zero with ``eps = 0``, raises ``NumericError``.
+    The channels of ``x`` (axis 1) fall into ``groups`` equal consecutive
+    groups; each sample's mean and biased variance are taken over each
+    group's channels and every trailing axis, and the gradient flows
+    through them.  ``gamma`` and ``beta`` are per-channel vectors and the
+    output is ``xhat * gamma + beta``.  A variance that is not finite, or
+    zero with ``eps = 0``, raises ``NumericError``.
 
-    ``inv = 1 / sqrt(var + eps)`` is taken once at the statistics' shape and
-    the input gradient is the closed form (Ioffe & Szegedy, arXiv
-    1502.03167) ``g * inv - centered * (inv**3 * sum(g * centered) / count)
-    - inv * sum(g) / count``, with ``g`` the upstream gradient times gamma,
-    sums over ``axes`` and ``count`` the number of elements each sum covers.
-    Per-channel statistics with running estimates are ``batch_norm``'s.
+    ``inv = 1 / sqrt(var + eps)`` is taken once per sample and group, and the
+    input gradient is the closed form (Ioffe & Szegedy, arXiv 1502.03167)
+    ``g * inv - centered * (inv**3 * sum(g * centered) / count) - inv *
+    sum(g) / count``, with ``g`` the upstream gradient times gamma, sums
+    over a group and ``count`` the number of values in one.  Per-channel
+    statistics with running estimates are ``batch_norm``'s.
     """
-    axes = _norm_axis("normalize", axes, x.data.ndim)
-    count = math.prod(x.shape[i] for i in axes)
+    data = x.data
+    shape = data.shape
+    channels = gamma.data.shape
+    if data.ndim < 2 or channels != (shape[1],) or beta.data.shape != channels \
+            or groups < 1 or shape[1] % groups:
+        raise ShapeError(f"normalize: gamma {channels} and beta {beta.data.shape} must be "
+                         f"(channels,), split into {groups} equal groups, for input {shape}")
+    count = shape[1] // groups * math.prod(shape[2:])
+    grouped = (shape[0], groups, count)
+    affine = (1, shape[1]) + (1,) * (data.ndim - 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, var, centered = _batch_moments(x.data, axes, count)
+        _, var, centered = _batch_moments(data.reshape(grouped), (2,), count)
         inv = _inverse_std(var, eps)
-    values = centered * inv
-    parents = (x,)
-    if gamma is not None:
-        if gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
-            raise ShapeError(f"normalize: gamma {gamma.shape} and beta {beta.shape} "
-                             f"must both be ({x.shape[1]},)")
-        shape = (1, x.shape[1]) + (1,) * (x.data.ndim - 2)
-        gamma_b = gamma.data.reshape(shape)
-        parents = (x, gamma, beta)
-        xhat = values
-        values = xhat * gamma_b
-        values += beta.data.reshape(shape)
+    xhat = (centered * inv).reshape(shape)
+    gamma_b = gamma.data.reshape(affine)
+    values = xhat * gamma_b
+    values += beta.data.reshape(affine)
 
     def vjp(g: np.ndarray):
-        pieces = []
-        if gamma is not None:
-            pieces = [
-                _unbroadcast(g * xhat, shape).reshape(gamma.shape) if gamma.requires_grad else None,
-                _unbroadcast(g, shape).reshape(beta.shape) if beta.requires_grad else None,
-            ]
-            g = g * gamma_b
+        pieces = (_unbroadcast(g * xhat, affine).reshape(channels) if gamma.requires_grad else None,
+                  _unbroadcast(g, affine).reshape(channels) if beta.requires_grad else None)
         if not x.requires_grad:
             return (None, *pieces)
+        g = (g * gamma_b).reshape(grouped)
         gc = g * centered
-        sum_gc = _unbroadcast(gc, inv.shape)
-        sum_g = _unbroadcast(g, inv.shape)
+        sum_gc = np.add.reduce(gc, axis=2, keepdims=True)
+        sum_g = np.add.reduce(g, axis=2, keepdims=True)
         gx = g * inv
         np.multiply(centered, inv * inv * inv * sum_gc / count, out=gc)
         gx -= gc
         gx -= inv * sum_g / count
-        return (gx, *pieces)
+        return (gx.reshape(shape), *pieces)
 
-    return _make(values, parents, vjp)
+    return _make(values, (x, gamma, beta), vjp)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -720,15 +716,29 @@ def _check_temperature(temperature: float, op: str) -> None:
         raise ParameterError(f"{op}: temperature must be finite and > 0, got {temperature}")
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's maximum.  Runs under
+    its caller's ``np.errstate``, which ignores overflow and invalid values:
+    a ``+inf`` entry, or a row of all ``-inf``, gives a NaN row."""
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log softmax over the last axis by the same shift and a log-sum-exp,
+    under its caller's ``np.errstate`` as ``_softmax``."""
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+
+
 def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise exp(y/T) / sum exp(y/T) with max subtraction for stability."""
+    """Row-wise softmax of y/T; a ``+inf`` logit, one whose ``y/T``
+    overflows, or a row of all ``-inf`` gives a NaN row without a
+    floating-point warning."""
     _check_temperature(temperature, "softmax_temperature")
     _check_class_axis(logits, "softmax_temperature")
-    z = logits.data / temperature
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN rows, caught where checked
-        z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught where checked
+        p = _softmax(logits.data / temperature)
 
     def vjp(g: np.ndarray):
         inner = (g * p).sum(axis=-1, keepdims=True)
@@ -738,15 +748,11 @@ def softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
 
 
 def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise log softmax of y/T; a ``+inf`` logit, or a row of all
-    ``-inf``, gives a NaN row without a floating-point warning."""
+    """Row-wise log softmax of y/T; NaN rows as ``softmax_temperature``."""
     _check_temperature(temperature, "log_softmax_temperature")
     _check_class_axis(logits, "log_softmax_temperature")
     with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught at the loss
-        z = logits.data / temperature
-        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-        lse = np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-        logp = z - lse
+        logp = _log_softmax(logits.data / temperature)
     p = np.exp(logp)
 
     def vjp(g: np.ndarray):
@@ -758,12 +764,14 @@ def log_softmax_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
 def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float) -> Tensor:
     """Mean over the batch of ``-sum_c p_c log q_c``, with ``p`` and ``q`` the
     temperature softmaxes of ``target_logits`` and ``logits``: the soft-target
-    loss of Hinton et al. (arXiv 1503.02531), as one graph node.
+    loss of Hinton et al. (arXiv 1503.02531), as one graph node: global KD,
+    and taskwise KD per head less its value at ``logits = target_logits``.
 
     ``target_logits`` receives no gradient.  A non-finite target probability
-    (a NaN or ``+inf`` target logit) raises ``NumericError``; a ``+inf``
-    student logit, or a row of all ``-inf``, gives a NaN value, without a
-    floating-point warning, for the caller's loss check.  The value and
+    (a NaN or ``+inf`` target logit, or one whose ``y/T`` overflows) raises
+    ``NumericError``; a ``+inf`` student logit, or a row of all ``-inf``,
+    gives a NaN value, without a floating-point warning, for the caller's
+    loss check.  The value and
     the gradient repeat, operation for operation, those of the chain
     ``softmax_temperature`` of the targets, ``log_softmax_temperature``,
     ``mul``, ``tensor_sum`` over classes, ``tensor_mean`` and negation, so
@@ -775,17 +783,12 @@ def soft_cross_entropy(logits: Tensor, target_logits: Tensor, temperature: float
         raise ShapeError(f"soft_cross_entropy expects (batch, classes) logits and targets "
                          f"of one shape, got {logits.shape} and {target_logits.shape}")
     n = logits.shape[0]
-    # inf - inf: NaN rows, targets rejected below, the student's caught at the loss
+    # NaN rows: the targets' rejected below, the student's caught at the loss
     with np.errstate(over="ignore", invalid="ignore"):
-        t = target_logits.data / temperature
-        t = t - np.maximum.reduce(t, axis=-1, keepdims=True)
-        e = np.exp(t)
-        p = e / np.add.reduce(e, axis=-1, keepdims=True)
-        if not np.all(np.isfinite(p)):
+        p = _softmax(target_logits.data / temperature)
+        if not np.logical_and.reduce(np.isfinite(p), axis=None):
             raise NumericError("op 'soft_cross_entropy' got non-finite target probabilities")
-        z = logits.data / temperature
-        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-        logq = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+        logq = _log_softmax(logits.data / temperature)
         value = np.add.reduce(np.add.reduce(p * logq, axis=1), axis=None) / n * -1.0
 
     def vjp(g: np.ndarray):
@@ -807,13 +810,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, num_classes = z.shape
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: {n} rows but {y.shape} labels")
-    if np.any(y < 0) or np.any(y >= num_classes):
+    if np.logical_or.reduce((y < 0) | (y >= num_classes), axis=None):
         raise DataError(f"cross_entropy: labels must lie in [0, {num_classes}), "
                         f"got {y.min()}..{y.max()}")
     with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught at the loss
-        shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-        lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-        logp = shifted - lse
+        logp = _log_softmax(z)
         value = -(np.add.reduce(logp[np.arange(n), y], axis=None) / n)
 
     def vjp(g: np.ndarray):

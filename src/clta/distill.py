@@ -136,7 +136,9 @@ def taskwise_kd_loss(pairs, temperature: float) -> Tensor:
     """Sum over old tasks of KL(teacher softmax || student softmax).
 
     ``pairs`` holds one (student logits, teacher logits) tuple per old
-    task head.  Zero exactly when every per-task distribution matches.
+    task head.  Each term is ``H(p, q) - H(p)``: ``soft_cross_entropy`` of
+    the student against the teacher, less the teacher's entropy, which
+    records no node.  Zero exactly when every per-task distribution matches.
     """
     pairs = list(pairs)
     if not pairs:
@@ -144,12 +146,9 @@ def taskwise_kd_loss(pairs, temperature: float) -> Tensor:
     total = None
     for i, (student, teacher) in enumerate(pairs):
         _check_pair(student, teacher, f"taskwise KD (task {i})")
-        p = ad.softmax_temperature(teacher, temperature).data
-        with np.errstate(divide="ignore"):
-            plogp = np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-        logq = ad.log_softmax_temperature(student, temperature)
-        cross = ad.tensor_sum(Tensor(p) * logq, axis=1)
-        term = ad.tensor_mean(Tensor(plogp.sum(axis=1)) - cross)
+        with no_grad():
+            entropy = ad.soft_cross_entropy(teacher, teacher, temperature)
+        term = ad.soft_cross_entropy(student, teacher, temperature) - entropy
         total = term if total is None else total + term
     return total
 

@@ -17,10 +17,9 @@ All four modes run the one ``autodiff.batch_norm`` call, which computes
 the batch moments once, folds them into the running statistics, and
 normalizes by the batch or the running statistics with the learned scale
 and shift folded in.  TRAIN and EVAL add one graph node; the adapt modes
-get a detached output and build no graph.  ``LayerNorm`` runs the
-per-sample ``autodiff.normalize`` op over its own axes; ``GroupNorm``
-normalizes a grouped view with it and applies its scale and shift after
-reshaping back.
+get a detached output and build no graph.  ``GroupNorm`` is one
+per-sample ``autodiff.normalize`` node, its scale and shift included;
+``LayerNorm`` is a ``GroupNorm`` with one group.
 ``Dense`` is one ``autodiff.linear`` node and ``Conv2d`` one
 ``autodiff.conv2d`` node, so each of these layers adds a single node to
 the graph.
@@ -139,12 +138,6 @@ class GlobalAvgPool(Layer):
         return ad.tensor_mean(x, axis=(2, 3))
 
 
-def _channel_shape(x: Tensor, num_features: int) -> tuple[int, ...]:
-    if x.data.ndim < 2 or x.shape[1] != num_features:
-        raise ShapeError(f"expected {num_features} channels on axis 1, got shape {x.shape}")
-    return (1, num_features) + (1,) * (x.data.ndim - 2)
-
-
 class _AffineNorm(Layer):
     """A normalization followed by a learned per-channel scale and shift."""
 
@@ -193,7 +186,9 @@ class BatchNorm(_AffineNorm):
         modes return a detached output.  A batch of one sample raises
         ``DegenerateBatchError`` in every mode but EVAL.
         """
-        _channel_shape(x, self.num_features)
+        if x.data.ndim < 2 or x.shape[1] != self.num_features:
+            raise ShapeError(f"expected {self.num_features} channels on axis 1, "
+                             f"got shape {x.shape}")
         if mode is not NormMode.EVAL and x.shape[0] < 2:
             raise DegenerateBatchError(f"batch normalization in {mode.value} mode needs "
                                        f"batch size >= 2, got {x.shape[0]}")
@@ -201,17 +196,6 @@ class BatchNorm(_AffineNorm):
             x, self.gamma, self.beta, (self.running_mean, self.running_var), self.eps,
             *_BATCHNORM_MODES[mode])
         return out
-
-
-class LayerNorm(_AffineNorm):
-    """Per-sample normalization over all non-batch axes; no running state."""
-
-    kind = "layernorm"
-
-    def forward(self, x: Tensor, mode: NormMode) -> Tensor:
-        _channel_shape(x, self.num_features)
-        return ad.normalize(x, tuple(range(1, x.data.ndim)), self.eps,
-                            gamma=self.gamma, beta=self.beta)
 
 
 class GroupNorm(_AffineNorm):
@@ -228,13 +212,16 @@ class GroupNorm(_AffineNorm):
         self.groups = groups
 
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
-        shape = _channel_shape(x, self.num_features)
-        n = x.shape[0]
-        spatial = x.shape[2:]
-        grouped = ad.reshape(x, (n, self.groups, self.num_features // self.groups) + spatial)
-        xhat = ad.normalize(grouped, tuple(range(2, grouped.data.ndim)), self.eps)
-        return (ad.reshape(xhat, x.shape) * ad.reshape(self.gamma, shape)
-                + ad.reshape(self.beta, shape))
+        return ad.normalize(x, self.groups, self.eps, self.gamma, self.beta)
+
+
+class LayerNorm(GroupNorm):
+    """Per-sample normalization over all non-batch axes: one group."""
+
+    kind = "layernorm"
+
+    def __init__(self, num_features: int, eps: float = 1e-5):
+        super().__init__(num_features, 1, eps)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import platform
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,7 +185,8 @@ class TestGradients:
 
 
 def chain_normalize(x, axes, eps, stats=None):
-    """The seven-op graph that ``ad.normalize`` stands in for: the reference."""
+    """The seven-op graph that normalizes ``x`` over ``axes``: the reference
+    for ``ad.normalize`` (over grouped views) and ``ad.batch_norm``."""
     if stats is None:
         mu = ad.tensor_mean(x, axis=axes, keepdims=True)
         centered = x - mu
@@ -200,17 +202,35 @@ def fixed_stats(rng, shape, axes):
     return rng.normal(size=stat_shape), rng.uniform(0.5, 2.0, size=stat_shape)
 
 
-# (input shape, reduction axes): per-channel statistics on features, on
-# conv maps and on 1x1 maps, GroupNorm's grouped 5-D view, LayerNorm
+def chain_group_norm(x, groups, gamma, beta):
+    """GroupNorm as the op chain that ``ad.normalize`` stands in for: view
+    each sample's channels as ``groups`` groups, normalize each group over
+    its channels and trailing axes, view back, scale and shift."""
+    n, c, *spatial = x.shape
+    grouped = ad.reshape(x, (n, groups, c // groups, *spatial))
+    xhat = chain_normalize(grouped, tuple(range(2, len(x.shape) + 1)), 1e-5)
+    channels = (1, c) + (1,) * len(spatial)
+    return ad.reshape(xhat, x.shape) * ad.reshape(gamma, channels) + ad.reshape(beta, channels)
+
+
+# (input shape, groups) of ``normalize``: LayerNorm (one group) on
+# features, conv maps and 1x1 maps, GroupNorm on features and conv maps
 NORMALIZE_CASES = [
-    ((6, 4), (0,)),
-    ((3, 2, 3, 3), (0, 2, 3)),
-    ((5, 3, 1, 1), (0, 2, 3)),
-    ((2, 2, 2, 2, 2), (2, 3, 4)),
-    ((4, 6), (1,)),
+    ((4, 6), 1),
+    ((3, 4, 3, 3), 1),
+    ((5, 3, 1, 1), 1),
+    ((4, 6), 2),
+    ((2, 4, 2, 2), 2),
+    ((2, 8, 3, 2), 4),
 ]
 # BatchNorm's inputs: features, conv maps and 1x1 maps
-BATCH_NORM_SHAPES = [case[0] for case in NORMALIZE_CASES[:3]]
+BATCH_NORM_SHAPES = [(6, 4), (3, 2, 3, 3), (5, 3, 1, 1)]
+
+
+def affine_inputs(rng, shape):
+    """An input drawn off zero mean and unit scale, and a gamma and beta."""
+    return [rng.normal(1.5, 2.0, size=shape), rng.normal(1.0, 0.5, size=shape[1]),
+            rng.normal(size=shape[1])]
 
 
 def channel_axes(shape):
@@ -232,30 +252,49 @@ def bn_node(x, gamma=None, beta=None, stats=None, momentum=None):
 
 
 class TestNormalize:
-    @pytest.mark.parametrize("shape,axes", NORMALIZE_CASES)
-    def test_values_and_gradients_equal_the_chain(self, shape, axes):
-        rng = np.random.default_rng(len(shape) + sum(shape))
-        x = rng.normal(1.5, 2.0, size=shape)
-        weights = Tensor(rng.normal(size=shape))
-        results = []
-        for op in (chain_normalize, ad.normalize):
-            t = Tensor(x, requires_grad=True)
-            out = op(t, axes, 1e-5)
-            (out * weights).sum().backward()
-            results.append((out.data, [t.grad]))
-        assert_close(results[1], results[0])
+    @pytest.mark.parametrize("shape,groups", NORMALIZE_CASES)
+    def test_values_and_gradients_equal_the_chain(self, shape, groups):
+        """Values and the gradients of x, gamma and beta."""
+        inputs = affine_inputs(np.random.default_rng(len(shape) + sum(shape)), shape)
+        assert_close(run_graph(lambda x, g, b: ad.normalize(x, groups, 1e-5, g, b), inputs),
+                     run_graph(lambda x, g, b: chain_group_norm(x, groups, g, b), inputs))
 
-    @pytest.mark.parametrize("shape,axes", [NORMALIZE_CASES[i] for i in (0, 1, 3)])
-    def test_gradient_matches_oracle(self, shape, axes):
+    @pytest.mark.parametrize("shape,groups", [NORMALIZE_CASES[i] for i in (0, 1, 4)])
+    def test_gradient_matches_oracle(self, shape, groups):
         rng = np.random.default_rng(3)
+        _, gamma, beta = affine_inputs(rng, shape)
         weights = Tensor(rng.normal(size=shape))
-        check_grad(lambda t: (ad.normalize(t, axes, 1e-5) * weights).sum(),
+        check_grad(lambda t: (ad.normalize(t, groups, 1e-5, Tensor(gamma), Tensor(beta))
+                              * weights).sum(),
                    rng.normal(size=shape))
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (0, 4, 3, 3), (1, 4, 3, 3)])
+    def test_empty_batch_and_batch_of_one(self, shape, groups):
+        """Statistics are per sample, so neither needs another sample."""
+        rng = np.random.default_rng(sum(shape))
+        out, grads = run_graph(lambda x, g, b: ad.normalize(x, groups, 1e-5, g, b),
+                               affine_inputs(rng, shape))
+        assert out.shape == shape and grads[0].shape == shape
+        assert all(g.shape == (4,) for g in grads[1:])
+        assert np.isfinite(out).all() and all(np.isfinite(g).all() for g in grads)
 
     def test_overflowing_variance_raises(self):
         x = Tensor(np.array([[1e200, 2.0], [-1e200, 3.0]]))
         with pytest.raises(NumericError, match="non-finite variance"):
-            ad.normalize(x, (0,), 1e-5)
+            ad.normalize(x, 1, 1e-5, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("x_shape, groups, gamma_shape, beta_shape", [
+        ((4,), 1, (4,), (4,)),
+        ((3, 4), 1, (3,), (4,)),
+        ((3, 4), 1, (4,), (4, 1)),
+        ((3, 6), 4, (6,), (6,)),
+        ((3, 4), 0, (4,), (4,)),
+    ])
+    def test_shapes_checked(self, x_shape, groups, gamma_shape, beta_shape):
+        with pytest.raises(ShapeError, match="^normalize: "):
+            ad.normalize(Tensor(np.ones(x_shape)), groups, 1e-5, Tensor(np.ones(gamma_shape)),
+                         Tensor(np.zeros(beta_shape)))
 
     # without eps a constant channel (BatchNorm) or a constant sample
     # (LayerNorm) has zero variance, so 1 / sqrt(var) is infinite
@@ -372,17 +411,16 @@ def weighted_sum(out):
     return (out * Tensor(weights)).sum()
 
 
-def _affine_normalize_cases(rng):
-    """Affine ``normalize`` by per-sample statistics: LayerNorm's, on
-    features and on maps, and GroupNorm's on its grouped view."""
+def _normalize_cases(rng):
+    """``normalize``'s x, gamma and beta gradients with one group
+    (LayerNorm) and two (GroupNorm), on features and on conv maps."""
     cases = []
-    for shape, axes in (((5, 4), (1,)), ((3, 4, 3, 3), (1, 2, 3)),
-                        ((3, 4, 2, 2, 2), (2, 3, 4))):
+    for shape, groups in (((5, 4), 1), ((3, 4, 3, 3), 1), ((5, 4), 2), ((3, 4, 2, 2), 2)):
         x = rng.normal(1.0, 2.0, size=shape)
         gamma, beta = rng.normal(1.0, 0.5, size=4), rng.normal(size=4)
 
-        def norm(x_, g_, b_, axes=axes):
-            return weighted_sum(ad.normalize(x_, axes, 1e-5, g_, b_))
+        def norm(x_, g_, b_, groups=groups):
+            return weighted_sum(ad.normalize(x_, groups, 1e-5, g_, b_))
         cases += [
             (lambda t, n=norm, g=gamma, b=beta: n(t, Tensor(g), Tensor(b)), x),
             (lambda t, n=norm, x=x, b=beta: n(Tensor(x), t, Tensor(b)), gamma),
@@ -460,11 +498,7 @@ def _oracle_cases():
         "flatten": [(lambda t: weighted_sum(ad.flatten(t)), x4)],
         "concat": [(lambda t: weighted_sum(ad.concat([t, Tensor(b)], axis=1)), a),
                    (lambda t: weighted_sum(ad.concat([Tensor(a), t], axis=0)), b)],
-        "normalize": [
-            (lambda t: weighted_sum(ad.normalize(t, (0,), 1e-5)), a),
-            (lambda t: weighted_sum(ad.normalize(t, (0, 2, 3), 1e-5)), x4),
-            *_affine_normalize_cases(rng),
-        ],
+        "normalize": _normalize_cases(rng),
         "batch_norm": _batch_norm_cases(rng),
         "matmul": [(lambda t: weighted_sum(ad.matmul(t, Tensor(wl))), xl),
                    (lambda t: weighted_sum(ad.matmul(Tensor(xl), t)), wl)],
@@ -612,7 +646,8 @@ def parent_normalize(x, axes, eps, stats, gamma, beta):
 class TestFusedOps:
     """Each fused op against the graph or formulas it replaced: ``linear``
     bit for bit, ``normalize``, ``batch_norm`` and ``conv2d``, which reorder
-    the arithmetic, up to rounding."""
+    the arithmetic, up to rounding (``normalize`` against its op chain is in
+    ``TestNormalize``)."""
 
     rng = np.random.default_rng(23)
 
@@ -621,22 +656,6 @@ class TestFusedOps:
                   self.rng.normal(size=3)]
         assert_same_bits(run_graph(ad.linear, inputs),
                          run_graph(lambda x, w, b: ad.matmul(x, w) + b, inputs))
-
-    @pytest.mark.parametrize("shape,axes", NORMALIZE_CASES)
-    def test_affine_normalize_equals_the_chain(self, shape, axes):
-        rng = np.random.default_rng(len(shape) + sum(shape))
-        channels = (1, shape[1]) + (1,) * (len(shape) - 2)
-        inputs = [rng.normal(1.5, 2.0, size=shape), rng.normal(1.0, 0.5, size=shape[1]),
-                  rng.normal(size=shape[1])]
-
-        def chain(x, gamma, beta):
-            xhat = ad.normalize(x, axes, 1e-5)
-            return xhat * ad.reshape(gamma, channels) + ad.reshape(beta, channels)
-
-        def fused(x, gamma, beta):
-            return ad.normalize(x, axes, 1e-5, gamma, beta)
-
-        assert_close(run_graph(fused, inputs), run_graph(chain, inputs))
 
     # BatchNorm on the maps of build_micro_cnn's three layers at cnn32's
     # batch of 64 and on mlp5's hidden features, by the batch statistics
@@ -659,8 +678,10 @@ class TestFusedOps:
             inputs += params
 
         def op(x, *affine_params):
-            if source == "layer":
-                return ad.normalize(x, axes, 1e-5, *affine_params)
+            if source == "layer":  # without an affine: the identity, as constants
+                gamma, beta = affine_params or (Tensor(np.ones(shape[1])),
+                                                Tensor(np.zeros(shape[1])))
+                return ad.normalize(x, 1, 1e-5, gamma, beta)
             return bn_node(x, *affine_params, stats=stats,
                            momentum=0.1 if source == "moments" else None)
 
@@ -848,6 +869,38 @@ class TestValidation:
         with pytest.raises(NumericError):
             Tensor([0.5, bad])
 
+    def test_checks_read_0d_and_empty_inputs(self):
+        """The finiteness and label checks reduce every element: a 0-d
+        input is one element and an empty one passes."""
+        assert Tensor(np.array(2.5)).item() == 2.5
+        assert Tensor(np.float64(-1.0)).item() == -1.0
+        with pytest.raises(NumericError):
+            Tensor(np.array(np.nan))
+        assert Tensor(np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(NumericError):
+            Tensor(np.array([[1.0, 2.0], [3.0, np.nan]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = Tensor(np.zeros((0, 3)))
+            for loss in (ad.cross_entropy(empty, []), ad.soft_cross_entropy(empty, empty, 2.0)):
+                assert loss.data.size == 1 and np.isnan(loss.data).all()
+        nan_target = ad.scale(Tensor(np.zeros((1, 3))), 1.0)  # op outputs are unchecked
+        nan_target.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite target probabilities"):
+            ad.soft_cross_entropy(Tensor(np.zeros((1, 3))), nan_target, 2.0)
+
+    def test_softmax_of_an_overflowing_logit_is_a_nan_row(self):
+        """1e308 / 0.5 overflows to inf: its row comes back NaN, for the
+        caller's check, with no floating-point warning; the others stay."""
+        logits = np.array([[0.0, 1.0, 2.0], [1e308, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ad.softmax_temperature(Tensor(logits), 0.5).data
+            logp = ad.log_softmax_temperature(Tensor(logits), 0.5).data
+        assert np.isnan(p[1]).all() and np.isnan(logp[1]).all()
+        np.testing.assert_allclose(p[0], np.exp(logp[0]), rtol=1e-12)
+        np.testing.assert_allclose(p[0].sum(), 1.0, rtol=1e-12)
+
     def test_op_outputs_are_not_checked(self):
         """Non-finite values propagate to the boundary checks; ``relu``
         passes a NaN on instead of turning it into 0."""
@@ -904,7 +957,6 @@ def test_cross_entropy_nonnegative_property(seed):
 AXIS_OPS = {
     "tensor_sum": lambda t, axis: ad.tensor_sum(t, axis=axis),
     "tensor_mean": lambda t, axis: ad.tensor_mean(t, axis=axis),
-    "normalize": lambda t, axis: ad.normalize(t, axis, 1e-5),
     "concat": lambda t, axis: ad.concat([t, t], axis=axis),
 }
 
@@ -925,7 +977,7 @@ class TestAxisValidation:
             AXIS_OPS[op](Tensor(np.ones((3, 4))), axis)
 
     @pytest.mark.parametrize("axis", [(0, 0), (1, -1), [0, 1, 0]])
-    @pytest.mark.parametrize("op", ["tensor_sum", "tensor_mean", "normalize"])
+    @pytest.mark.parametrize("op", ["tensor_sum", "tensor_mean"])
     def test_repeated_axis_raises(self, op, axis):
         with pytest.raises(ShapeError, match=rf"^{op}: axis .* names an axis twice "
                                              r"\(tensor ndim 2\)$"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,40 @@ class TestTaskwiseKD:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ContractError):
             taskwise_kd_loss([], 2.0)
+
+    def test_each_term_is_global_kd_less_the_teacher_entropy(self):
+        """Per head, the value is ``H(p, q) - H(p)`` of two fused nodes and the
+        student's gradient is global KD's, bit for bit; the teacher, even
+        one that asks for a gradient, gets none."""
+        rng = np.random.default_rng(11)
+        shapes = [(5, 3), (5, 2)]
+        teachers = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        s_data = [rng.normal(size=s) for s in shapes]
+        students = [Tensor(v, requires_grad=True) for v in s_data]
+        loss = taskwise_kd_loss(zip(students, teachers), 2.0)
+        loss.backward()
+        expected = None
+        for v, t, student in zip(s_data, teachers, students):
+            alone = Tensor(v, requires_grad=True)
+            gkd = ad.soft_cross_entropy(alone, Tensor(t.data), 2.0)
+            gkd.backward()
+            np.testing.assert_array_equal(student.grad, alone.grad)
+            term = gkd.data - ad.soft_cross_entropy(Tensor(t.data), Tensor(t.data), 2.0).data
+            expected = term if expected is None else expected + term
+        np.testing.assert_array_equal(loss.data, expected)
+        assert all(t.grad is None for t in teachers)
+
+    def test_overflowing_teacher_logit_raises(self):
+        """1e308 is finite, but 1e308 / 0.5 overflows: ``NumericError`` as in
+        global KD, and no RuntimeWarning on the way."""
+        teacher = Tensor([[0.0, 1.0, 2.0], [1e308, 0.0, 1.0]])
+        student = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                taskwise_kd_loss([(student, teacher)], 0.5)
+            with pytest.raises(NumericError):
+                global_kd_loss(student, teacher, 0.5)
 
     def test_infinite_teacher_logit_raises(self):
         """The teacher softmax's max shift takes inf - inf: a NaN row, which

@@ -469,8 +469,8 @@ class TestTrainTask:
                        desk_config(), WarmupConfig(), seed=0)
 
     # a +inf logit, or a row of all -inf, in the CE term (the newest head) or
-    # in an old head's logits, which global KD (``soft_cross_entropy``) and
-    # taskwise KD (``log_softmax_temperature``) take
+    # in an old head's logits, which global and taskwise KD take (both
+    # through ``soft_cross_entropy``)
     @pytest.mark.parametrize("bias", [np.inf, -np.inf], ids=["inf", "all_neg_inf"])
     @pytest.mark.parametrize("term, variant", [("CE", "global"), ("KD", "global"),
                                                ("KD", "taskwise")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clta import autodiff as ad
 from clta.autodiff import Tensor
 from clta.errors import DegenerateBatchError, NumericError, ParameterError, ShapeError
 from clta.layers import (BatchNorm, Conv2d, Dense, GlobalAvgPool, GroupNorm,
@@ -187,6 +188,39 @@ class TestOtherNorms:
         assert out.shape == (0, 4)
         out.sum().backward()
         assert x.grad.shape == (0, 4)
+
+    @pytest.mark.parametrize("make", [lambda: LayerNorm(4), lambda: GroupNorm(4, 2)],
+                             ids=["layer", "group"])
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2, 2)])
+    def test_forward_is_one_normalize_node(self, monkeypatch, make, shape):
+        made = []
+        original = ad._make
+
+        def counting(values, parents, vjp):
+            made.append(parents)
+            return original(values, parents, vjp)
+
+        monkeypatch.setattr(ad, "_make", counting)
+        layer = make()
+        x = Tensor(np.random.default_rng(1).normal(size=shape), requires_grad=True)
+        out = layer.forward(x, NormMode.TRAIN)
+        assert len(made) == 1
+        assert len(out._parents) == 3
+        assert all(a is b for a, b in zip(out._parents, (x, layer.gamma, layer.beta)))
+
+    def test_layernorm_is_groupnorm_with_one_group(self):
+        """LayerNorm keeps its kind (and so its checksum keys) but has no
+        forward of its own."""
+        assert "forward" not in vars(LayerNorm)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 4, 2, 2))
+        ln, gn = LayerNorm(4), GroupNorm(4, 1)
+        for layer in (ln, gn):
+            layer.gamma.data = np.array([0.5, 1.0, 1.5, 2.0])
+            layer.beta.data = np.array([0.0, -1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(ln.forward(Tensor(x), NormMode.TRAIN).data,
+                                      gn.forward(Tensor(x), NormMode.TRAIN).data)
+        assert ln.kind == "layernorm" and ln.groups == 1
 
     def test_groupnorm_divisibility(self):
         with pytest.raises(ParameterError):
