@@ -1,4 +1,4 @@
-"""Bit-for-bit pins of BatchNorm, ``sgd_step``, ``Tensor.backward`` and a
+"""Bit-for-bit pins of BatchNorm, ``conv2d``, ``sgd_step``, ``Tensor.backward`` and a
 short ``run_stream``, and of their errors.
 
 The digests below were recorded from the current arithmetic; a change that
@@ -94,6 +94,82 @@ BATCHNORM_PINS = {
 @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
 def test_batchnorm_keeps_its_bits(mode, shape_name):
     assert _batchnorm_case(mode, shape_name) == BATCHNORM_PINS[(mode.value, shape_name)]
+
+
+# name -> (input shape, kernel shape, stride, padding, bias): cnn32's three
+# layers at its batch of 64 and at a short batch of 24; a batch of one and an
+# empty batch; stride 1 and 2 with padding 0 and 1; a non-square 8x6 input,
+# whose stride-2 windows leave its last row and column unread, with a 3x2
+# kernel.
+CONV_CASES = {
+    "cnn32-1": ((64, 3, 32, 32), (8, 3, 3, 3), 2, 1, True),
+    "cnn32-2": ((64, 8, 16, 16), (16, 8, 3, 3), 2, 1, True),
+    "cnn32-3": ((64, 16, 8, 8), (32, 16, 3, 3), 2, 1, True),
+    "cnn32-1-short": ((24, 3, 32, 32), (8, 3, 3, 3), 2, 1, True),
+    "cnn32-2-short": ((24, 8, 16, 16), (16, 8, 3, 3), 2, 1, True),
+    "cnn32-3-short": ((24, 16, 8, 8), (32, 16, 3, 3), 2, 1, True),
+    "one": ((1, 8, 16, 16), (16, 8, 3, 3), 2, 1, True),
+    "empty": ((0, 8, 16, 16), (16, 8, 3, 3), 2, 1, True),
+    "s1p0": ((5, 3, 7, 7), (4, 3, 3, 3), 1, 0, True),
+    "s1p1": ((5, 3, 7, 7), (4, 3, 3, 3), 1, 1, False),
+    "s2p0": ((5, 3, 7, 7), (4, 3, 3, 3), 2, 0, False),
+    "s2p1": ((5, 3, 7, 7), (4, 3, 3, 3), 2, 1, True),
+    "8x6-s1p1": ((3, 2, 8, 6), (4, 2, 3, 3), 1, 1, True),
+    "8x6-s2p0": ((3, 2, 8, 6), (4, 2, 3, 2), 2, 0, True),
+}
+
+
+def _conv2d_case(name: str) -> dict:
+    """One forward of ``conv2d`` on drawn input, kernel and bias, and one
+    backward of ``sum(out * u)``."""
+    x_shape, w_shape, stride, padding, with_bias = CONV_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=w_shape[0]), requires_grad=True) if with_bias else None
+    out = ad.conv2d(x, w, b, stride, padding)
+    ad.tensor_sum(out * Tensor(rng.normal(size=out.shape))).backward()
+    arrays = {"out": out.data, "x": x.grad, "weight": w.grad}
+    if with_bias:
+        arrays["bias"] = b.grad
+    return {key: _digest(value) for key, value in arrays.items()}
+
+
+CONV_PINS = {
+    "cnn32-1": {"out": "4d089b99f255da03", "x": "3f09e639318c0c8d",
+                "weight": "949eb97b0a965642", "bias": "7116573ea9943760"},
+    "cnn32-2": {"out": "1f3dd54a4e647d85", "x": "0ec5263c75fba447",
+                "weight": "fbedfeb858fa8358", "bias": "5160b6cd1f498516"},
+    "cnn32-3": {"out": "e46848acceac693d", "x": "c99686b6b53c761f",
+                "weight": "0f153625a64633e8", "bias": "7506618e2b9bc0c0"},
+    "cnn32-1-short": {"out": "120fe9822327b34a", "x": "1bf8c3b1f7835d59",
+                      "weight": "6b9d7396d93090fe", "bias": "29f588db15bbde6b"},
+    "cnn32-2-short": {"out": "18b1714c002225c1", "x": "ab7ade5aac231e80",
+                      "weight": "758da2b84e292118", "bias": "b7c400a9d3a07ed9"},
+    "cnn32-3-short": {"out": "4254fb41aa503f22", "x": "b1d6ccb04f8a123d",
+                      "weight": "116aa50bb801070b", "bias": "f0074f82c59b3927"},
+    "one": {"out": "6588677cd9397bb4", "x": "b00357ce701bb079",
+            "weight": "b874405134680677", "bias": "4d06ded2632251a7"},
+    "empty": {"out": "716258ceafd6b230", "x": "d3da7dc1f4a772ea",
+              "weight": "f92c443876884588", "bias": "155434a95cc510c7"},
+    "s1p0": {"out": "33cb8f06a0281dc8", "x": "9d0c2f00fefbd5f2",
+             "weight": "393138787b4cd57f", "bias": "78db0f910ab456aa"},
+    "s1p1": {"out": "7652dd5948b3b77e", "x": "827c5ec6f10db010",
+             "weight": "56e60ce5a532a4d0"},
+    "s2p0": {"out": "505a40680cf792ec", "x": "5c52683739a86cb8",
+             "weight": "9e31521c5953b065"},
+    "s2p1": {"out": "a1ba2e711d797d79", "x": "688e151583cc4d2e",
+             "weight": "17235bb32f52c38e", "bias": "46bbffc112898004"},
+    "8x6-s1p1": {"out": "af9ffd5d11850e9e", "x": "3ccb3d79aa5f9e87",
+                 "weight": "5b2ef65d44e9255d", "bias": "168ace492a7e287d"},
+    "8x6-s2p0": {"out": "cb6fdd5d0f46dd40", "x": "03264ac7e2e64e0a",
+                 "weight": "5f335959aa3b103d", "bias": "5f881e7ff9742aa3"},
+}
+
+
+@pytest.mark.parametrize("name", list(CONV_CASES))
+def test_conv2d_keeps_its_bits(name):
+    assert _conv2d_case(name) == CONV_PINS[name]
 
 
 def _sgd_case(name: str) -> dict:
