@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -623,23 +624,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(values, (x, weight, bias), vjp)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    return windows.reshape(n, c * kh * kw, oh * ow), oh, ow
+@functools.lru_cache(maxsize=64)
+def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  pad: int) -> tuple[np.ndarray, int, int]:
+    """im2col of a sample's slots in a flat ``1 + c*h*w`` buffer, slot 0 the padding; read-only."""
+    pos = np.pad(np.arange(1, c * h * w + 1).reshape(c, h, w), ((0, 0), (pad,) * 2, (pad,) * 2))
+    windows = np.lib.stride_tricks.sliding_window_view(pos, (kh, kw), (1, 2))[:, ::stride, ::stride]
+    index = windows.transpose(0, 3, 4, 1, 2).ravel()
+    index.setflags(write=False)
+    return index, windows.shape[1], windows.shape[2]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation on (batch, channels, height, width) input."""
+    """2-D cross-correlation on (batch, channels, height, width) input: a gather
+    (``np.take``) and a scatter-add (``np.bincount``) through ``_window_index``,
+    with the floats of strided windows on a zero-padded copy and ``kh * kw``
+    strided adds (a gather only copies; ``bincount`` adds each element's pieces
+    to 0.0 in kernel-offset order).  Inf and NaN pass on without a warning."""
     if stride not in (1, 2):
         raise ParameterError(f"conv2d stride must be 1 or 2, got {stride}")
     if padding < 0:
@@ -653,33 +655,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {h}x{w}")
 
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
+    index, oh, ow = _window_index(c, h, w, kh, kw, stride, padding)
+    size = c * h * w
+    flat = np.concatenate((np.zeros((n, 1)), x.data.reshape(n, size)), axis=1)
+    cols = np.take(flat, index, axis=1).reshape(n, c * kh * kw, oh * ow)
     wmat = weight.data.reshape(f, -1)
-    out = np.matmul(wmat, cols).reshape(n, f, oh, ow)
-    if bias is not None:
-        out += bias.data.reshape(1, f, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(wmat, cols).reshape(n, f, oh, ow)
+        if bias is not None:
+            out += bias.data.reshape(1, f, 1, 1)
 
     def vjp(g: np.ndarray):
         gmat = g.reshape(n, f, oh * ow)
         dx = dw = None
-        if weight.requires_grad:
-            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
-            span_h, span_w = oh * stride, ow * stride
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + span_h:stride, j:j + span_w:stride] += dcols[:, :, i, j]
-            dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
-        if bias is None:
-            return (dx, dw)
-        return (dx, dw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if weight.requires_grad:
+                dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            if x.requires_grad:
+                slots = (np.arange(n)[:, None] * (size + 1) + index).ravel()
+                dx = np.bincount(slots, np.matmul(wmat.T, gmat).ravel(), n * (size + 1))
+                dx = dx.reshape(n, size + 1)[:, 1:].reshape(n, c, h, w)
+            if bias is None:
+                return (dx, dw)
+            return (dx, dw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out, parents, vjp)
@@ -806,13 +804,15 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"cross_entropy expects (batch, classes) logits, got {logits.shape}")
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     n, num_classes = z.shape
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: {n} rows but {y.shape} labels")
-    if np.logical_or.reduce((y < 0) | (y >= num_classes), axis=None):
-        raise DataError(f"cross_entropy: labels must lie in [0, {num_classes}), "
-                        f"got {y.min()}..{y.max()}")
+    whole = np.floor(y) == y if y.dtype.kind == "f" else True  # the int64 cast truncates 1.7
+    valid = whole & (y >= 0) & (y < num_classes)  # False for NaN and inf
+    if not np.logical_and.reduce(valid, axis=None):
+        raise DataError(f"cross_entropy: label {y[~valid][0]} is not a class in [0, {num_classes})")
+    y = y.astype(np.int64, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN rows, caught at the loss
         logp = _log_softmax(z)
         value = -(np.add.reduce(logp[np.arange(n), y], axis=None) / n)

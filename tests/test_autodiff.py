@@ -916,6 +916,31 @@ class TestValidation:
             with pytest.raises(DataError, match=r"\[0, 3\)"):
                 ad.cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
+    # the int64 cast truncated 1.7 to 1 and raised a bare ValueError on NaN
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf], ids=["1.7", "nan", "inf"])
+    def test_cross_entropy_label_not_a_whole_number(self, bad):
+        with pytest.raises(DataError, match=rf"label {bad} is not a class in \[0, 3\)"):
+            ad.cross_entropy(Tensor(np.zeros((2, 3))), [0.0, bad])
+
+    @pytest.mark.parametrize("planted", ["input", "weight", "upstream"])
+    def test_conv2d_passes_non_finite_values_on_without_a_warning(self, planted):
+        """An inf beside a -inf in one window, or an inf that meets a padded
+        zero, makes a NaN in the matmuls; the NaN reaches the output or the
+        gradients with no floating-point warning (which tier-1 makes an
+        error)."""
+        rng = np.random.default_rng(7)
+        arrays = {"input": rng.normal(size=(2, 2, 5, 5)),
+                  "weight": rng.uniform(0.5, 1.5, size=(3, 2, 3, 3)),
+                  "upstream": rng.normal(size=(2, 3, 5, 5))}
+        arrays[planted].flat[:2] = [np.inf, -np.inf]
+        x = Tensor(np.zeros((2, 2, 5, 5)), requires_grad=True)
+        w = Tensor(np.zeros((3, 2, 3, 3)), requires_grad=True)
+        x.data[...], w.data[...] = arrays["input"], arrays["weight"]  # past the constructor's check
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        out = ad.conv2d(x, w, b, stride=1, padding=1)
+        _, dw, _ = out._vjp(arrays["upstream"])
+        assert np.isnan(dw if planted == "upstream" else out.data).any()
+
     def test_cross_entropy_count_mismatch(self):
         with pytest.raises(ShapeError):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1, 2])
