@@ -99,8 +99,7 @@ def test_batchnorm_keeps_its_bits(mode, shape_name):
 # name -> (input shape, kernel shape, stride, padding, bias): cnn32's three
 # layers at its batch of 64 and at a short batch of 24; a batch of one and an
 # empty batch; stride 1 and 2 with padding 0 and 1; a non-square 8x6 input,
-# whose stride-2 windows leave its last row and column unread, with a 3x2
-# kernel.
+# and on it a 3x2 kernel whose stride-2 windows leave the last row unread.
 CONV_CASES = {
     "cnn32-1": ((64, 3, 32, 32), (8, 3, 3, 3), 2, 1, True),
     "cnn32-2": ((64, 8, 16, 16), (16, 8, 3, 3), 2, 1, True),
