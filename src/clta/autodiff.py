@@ -182,23 +182,25 @@ class Tensor:
 
         # a node's consumers all come before it: its pieces are in when it is popped
         flowing: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
-        for node in reversed(order):
-            parents, vjp = node._parents, node._vjp
-            node._parents = node._vjp = None
-            upstream = flowing.pop(node, None)
-            if upstream is None:
-                continue
-            for parent, piece in zip(parents, vjp(upstream)):
-                if piece is None or not parent.requires_grad:
+        # inf and NaN pass on to sgd_step's gradient check without a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for node in reversed(order):
+                parents, vjp = node._parents, node._vjp
+                node._parents = node._vjp = None
+                upstream = flowing.pop(node, None)
+                if upstream is None:
                     continue
-                if parent in flowing:
-                    flowing[parent] = flowing[parent] + piece
-                else:
-                    flowing[parent] = piece
+                for parent, piece in zip(parents, vjp(upstream)):
+                    if piece is None or not parent.requires_grad:
+                        continue
+                    if parent in flowing:
+                        flowing[parent] = flowing[parent] + piece
+                    else:
+                        flowing[parent] = piece
 
-        # what is left reached leaves; a lone piece may be shared, so copy it
-        for leaf, grad in flowing.items():
-            leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
+            # what is left reached leaves; a lone piece may be shared, so copy it
+            for leaf, grad in flowing.items():
+                leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
 
 
 def _coerce(value) -> Tensor:
@@ -484,10 +486,10 @@ def normalize(x: Tensor, groups: int, eps: float, gamma: Tensor, beta: Tensor) -
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, var, centered = _batch_moments(data.reshape(grouped), (2,), count)
         inv = _inverse_std(var, eps)
-    xhat = (centered * inv).reshape(shape)
-    gamma_b = gamma.data.reshape(affine)
-    values = xhat * gamma_b
-    values += beta.data.reshape(affine)
+        xhat = (centered * inv).reshape(shape)
+        gamma_b = gamma.data.reshape(affine)
+        values = xhat * gamma_b
+        values += beta.data.reshape(affine)
 
     def vjp(g: np.ndarray):
         pieces = (_unbroadcast(g * xhat, affine).reshape(channels) if gamma.requires_grad else None,
@@ -508,23 +510,22 @@ def normalize(x: Tensor, groups: int, eps: float, gamma: Tensor, beta: Tensor) -
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running: tuple[np.ndarray, np.ndarray], eps: float,
-               momentum: float | None, by_batch: bool,
+               running: tuple[np.ndarray, np.ndarray], eps: float, momentum: float | None,
                detach: bool) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
     """Per-channel batch normalization over every axis but 1, with the
     running-statistics update and the affine, in one call.
 
     ``running`` is the ``(mean, var)`` pair of per-channel running
     statistics; returns the output and the pair after this call.  With a
-    ``momentum`` the batch's mean and unbiased variance are folded in as
+    ``momentum`` the output is normalized by the batch's mean and biased
+    variance, and the batch's mean and unbiased variance are folded in as
     ``(1 - momentum) * old + momentum * batch`` (new arrays; the given ones
-    are not written), which needs two or more values per channel; ``None``
-    leaves the pair as it is.  ``by_batch`` normalizes by the batch's mean
-    and biased variance, otherwise by the running pair after the update.
-    ``detach`` returns an output outside any graph, as under ``no_grad``;
-    otherwise the output is one graph node over ``x``, ``gamma`` and
-    ``beta``.  A variance that is not finite, or zero with ``eps = 0``,
-    raises ``NumericError`` and leaves nothing updated.
+    are not written), which needs two or more values per channel.  With
+    ``None`` the output is normalized by the running pair, which is left
+    as it is.  ``detach`` returns an output outside any graph, as under
+    ``no_grad``; otherwise the output is one graph node over ``x``,
+    ``gamma`` and ``beta``.  A variance that is not finite, or zero with
+    ``eps = 0``, raises ``NumericError`` and leaves nothing updated.
 
     With ``inv = 1 / sqrt(var + eps)`` the affine folds into ``s = gamma *
     inv`` and the output is ``centered * s + beta``.  Gamma's gradient is
@@ -550,20 +551,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise DegenerateBatchError(f"batch_norm: a running-statistics update needs >= 2 "
                                    f"values per channel, got {count}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if by_batch or momentum is not None:
+        if momentum is None:
+            centered = data - running[0].reshape(shape)
+            inv = _inverse_std(running[1].reshape(shape), eps)
+        else:
             mean, var, centered = _batch_moments(data, axes, count)
-        if by_batch:  # checked before the update, which a failing call skips
-            inv = _inverse_std(var, eps)
-        if momentum is not None:
+            inv = _inverse_std(var, eps)  # checked before the update, which a failing call skips
             unbiased = var.ravel() * count / (count - 1)
             running = ((1.0 - momentum) * running[0] + momentum * mean.ravel(),
                        (1.0 - momentum) * running[1] + momentum * unbiased)
-        if not by_batch:
-            centered = data - running[0].reshape(shape)
-            inv = _inverse_std(running[1].reshape(shape), eps)
-    scale = gamma.data.reshape(shape) * inv
-    values = centered * scale
-    values += beta.data.reshape(shape)
+        scale = gamma.data.reshape(shape) * inv
+        values = centered * scale
+        values += beta.data.reshape(shape)
     if detach:
         return _make(values, (), None), running
 
@@ -576,7 +575,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         if not x.requires_grad:
             return (None, *pieces)
         gx = g * scale
-        if by_batch:
+        if momentum is not None:
             np.multiply(centered, scale * inv * inv * sum_gc / count, out=gc)
             gx -= gc
             gx -= scale * sum_g / count
@@ -614,7 +613,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dimensions differ ({x_shape} @ {w_shape})")
     if bias.data.shape != (w_shape[1],):
         raise ShapeError(f"linear: bias shape {bias.data.shape}, expected ({w_shape[1]},)")
-    values = x.data @ weight.data + bias.data
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN pass on to a checked boundary
+        values = x.data @ weight.data + bias.data
 
     def vjp(g: np.ndarray):
         return (g @ weight.data.T if x.requires_grad else None,

@@ -13,9 +13,10 @@ teacher network on the classes that teacher knows:
 
 Teacher strategies decide what happens to the saved snapshot while the
 student trains on a new task: keep it bit-frozen, let only its running
-normalization statistics follow the new data, or actually train it
-(everything, or just the normalization parameters) either up front or one
-step per student batch.
+normalization statistics follow the new data (``adapt_stats``: each batch
+is normalized by its own statistics, which are folded into the running
+ones, with no gradient), or actually train it (everything, or just the
+normalization parameters) either up front or one step per student batch.
 """
 
 from __future__ import annotations
@@ -71,15 +72,12 @@ class TeacherStrategy:
     ``teacher_lr`` and ``pretrain_epochs`` apply to the training kinds
     only.  A zero learning rate is legal: the continuous kinds then leave
     parameters untouched while their train-mode forwards still move the
-    running statistics.  ``adapt_with_running`` switches the statistics
-    adaptation mode to normalize by the updated running estimates rather
-    than the batch estimates.
+    running statistics.
     """
 
     kind: str = field(default="frozen", metadata={"choices": STRATEGY_KINDS})
     teacher_lr: float = field(default=0.1, metadata={">=": 0})
     pretrain_epochs: int = field(default=1, metadata={">=": 1})
-    adapt_with_running: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -200,13 +198,6 @@ def total_loss(ce, kd, weight: float):
 # ----------------------------------------------------------------------
 
 
-def teacher_norm_mode(strategy: TeacherStrategy) -> NormMode:
-    """Forward mode the teacher uses when producing distillation targets."""
-    if strategy.kind != "adapt_stats":
-        return NormMode.EVAL
-    return NormMode.ADAPT_STATS_RUNNING if strategy.adapt_with_running else NormMode.ADAPT_STATS
-
-
 def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
                     strategy: TeacherStrategy, n_old: int) -> list[Tensor]:
     """Logits of the teacher's first ``n_old`` heads, computed under
@@ -220,7 +211,7 @@ def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
     """
     if teacher is None:
         raise ContractError("teacher_forward called without a teacher snapshot")
-    mode = teacher_norm_mode(strategy)
+    mode = NormMode.ADAPT_STATS if strategy.kind == "adapt_stats" else NormMode.EVAL
     with no_grad():
         features = teacher.features(x, mode)
         return [head.forward(features, mode) for head in teacher.heads[:n_old]]

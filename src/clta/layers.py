@@ -10,16 +10,14 @@ estimates) or by the stored running statistics:
   whole computation is detached so no gradient can ever reach the layer.
   This is the mode a distillation teacher runs in when its statistics are
   allowed to track the new task's data.
-* ``ADAPT_STATS_RUNNING`` - ADAPT_STATS, but normalizing by the freshly
-  updated running statistics instead of the batch statistics.
 
-All four modes run the one ``autodiff.batch_norm`` call, which computes
-the batch moments once, folds them into the running statistics, and
-normalizes by the batch or the running statistics with the learned scale
-and shift folded in.  TRAIN and EVAL add one graph node; the adapt modes
-get a detached output and build no graph.  ``GroupNorm`` is one
-per-sample ``autodiff.normalize`` node, its scale and shift included;
-``LayerNorm`` is a ``GroupNorm`` with one group.
+All three modes run the one ``autodiff.batch_norm`` call: TRAIN and
+ADAPT_STATS compute the batch moments once, normalize by them and fold
+them into the running statistics, EVAL normalizes by the running
+statistics, each with the learned scale and shift folded in.  TRAIN and
+EVAL add one graph node; ADAPT_STATS gets a detached output and builds no
+graph.  ``GroupNorm`` is one per-sample ``autodiff.normalize`` node, its
+scale and shift included; ``LayerNorm`` is a ``GroupNorm`` with one group.
 ``Dense`` is one ``autodiff.linear`` node and ``Conv2d`` one
 ``autodiff.conv2d`` node, so each of these layers adds a single node to
 the graph.
@@ -49,7 +47,6 @@ class NormMode(Enum):
     TRAIN = "train"
     EVAL = "eval"
     ADAPT_STATS = "adapt_stats"
-    ADAPT_STATS_RUNNING = "adapt_stats_running"
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -158,12 +155,11 @@ class _AffineNorm(Layer):
         return [self.gamma, self.beta]
 
 
-# mode -> ``autodiff.batch_norm``'s (momentum, by_batch, detach)
+# mode -> ``autodiff.batch_norm``'s (momentum, detach)
 _BATCHNORM_MODES = {
-    NormMode.TRAIN: (MOMENTUM, True, False),
-    NormMode.EVAL: (None, False, False),
-    NormMode.ADAPT_STATS: (MOMENTUM, True, True),
-    NormMode.ADAPT_STATS_RUNNING: (MOMENTUM, False, True),
+    NormMode.TRAIN: (MOMENTUM, False),
+    NormMode.EVAL: (None, False),
+    NormMode.ADAPT_STATS: (MOMENTUM, True),
 }
 
 
@@ -180,10 +176,9 @@ class BatchNorm(_AffineNorm):
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         """One ``autodiff.batch_norm`` call over the batch and spatial axes.
 
-        TRAIN and ADAPT_STATS normalize by the batch statistics, EVAL and
-        ADAPT_STATS_RUNNING by the running ones; every mode but EVAL first
-        folds the batch statistics into the running ones, and the adapt
-        modes return a detached output.  A batch of one sample raises
+        TRAIN and ADAPT_STATS normalize by the batch statistics and fold
+        them into the running ones, EVAL by the running ones; ADAPT_STATS
+        returns a detached output.  A batch of one sample raises
         ``DegenerateBatchError`` in every mode but EVAL.
         """
         if x.data.ndim < 2 or x.shape[1] != self.num_features:

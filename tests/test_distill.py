@@ -9,8 +9,7 @@ from clta import autodiff as ad
 from clta.autodiff import Tensor, finite_difference_oracle
 from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_kd_loss,
                           continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
-                          pretrain_teacher, taskwise_kd_loss, teacher_forward,
-                          teacher_norm_mode, total_loss)
+                          pretrain_teacher, taskwise_kd_loss, teacher_forward, total_loss)
 from clta.errors import ContractError, DataError, NumericError, ParameterError
 from clta.layers import (Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
@@ -319,12 +318,6 @@ class TestConfigObjects:
             assert strategy.pretrains == (kind in ("pretrain_full", "pretrain_norm"))
             assert strategy.fixes_student_stats == (kind == "fix_stats")
 
-    def test_norm_mode_follows_the_strategy(self):
-        assert teacher_norm_mode(TeacherStrategy(kind="adapt_stats")) is NormMode.ADAPT_STATS
-        running = TeacherStrategy(kind="adapt_stats", adapt_with_running=True)
-        assert teacher_norm_mode(running) is NormMode.ADAPT_STATS_RUNNING
-        for kind in ("frozen", "fix_stats", "continuous_full", "pretrain_norm"):
-            assert teacher_norm_mode(TeacherStrategy(kind=kind)) is NormMode.EVAL
 
 
 def _teacher_with_history(seed=0):

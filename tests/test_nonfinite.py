@@ -9,7 +9,8 @@ drawn call index within one phase of a tiny ``run_stream``:
 * ``eval``     - the forward passes of ``evaluate_task_agnostic``;
 * ``backward`` - every VJP of every backward pass, student and teacher.
 
-Every such run must raise ``NumericError`` before ``run_stream`` returns.
+Every such run must raise ``NumericError`` before ``run_stream`` returns,
+with no RuntimeWarning on the way (tier-1 makes one an error).
 """
 
 import functools
@@ -28,9 +29,6 @@ from clta.distill import KDConfig, TeacherStrategy
 from clta.errors import NumericError
 from clta.harness import TrainConfig, WarmupConfig, run_stream
 from clta.layers import build_micro_cnn, build_micro_mlp
-
-# inf and NaN arithmetic warns on its way to the check that raises
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 PHASES = ("train", "teacher", "eval", "backward")
 # harness-level function -> the phase its ops belong to

@@ -81,12 +81,6 @@ BATCHNORM_PINS = {
     ("adapt_stats", "dense"): {
         "out": "646ce63194a0caac", "running_mean": "f5fdf78e6e98df5f",
         "running_var": "83c2e2c04f48e0a7"},
-    ("adapt_stats_running", "conv"): {
-        "out": "f0820d4965ccfa69", "running_mean": "24eb2ed08a929d41",
-        "running_var": "64240ad930bed4c3"},
-    ("adapt_stats_running", "dense"): {
-        "out": "f0f60966b7f220b2", "running_mean": "f5fdf78e6e98df5f",
-        "running_var": "83c2e2c04f48e0a7"},
 }
 
 
@@ -244,8 +238,7 @@ def test_backward_keeps_its_bits():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", [NormMode.TRAIN, NormMode.ADAPT_STATS,
-                                  NormMode.ADAPT_STATS_RUNNING], ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", [NormMode.TRAIN, NormMode.ADAPT_STATS], ids=lambda m: m.value)
 def test_batchnorm_single_sample_batch_message(mode):
     with pytest.raises(DegenerateBatchError) as info:
         BatchNorm(3).forward(Tensor(np.ones((1, 3))), mode)
