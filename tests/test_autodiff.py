@@ -330,7 +330,26 @@ class TestBatchNormOp:
         assert_close(run_graph(lambda x, g, b: bn_node(x, g, b, stats), inputs),
                      run_graph(chain, inputs))
 
-    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5)])
+    @pytest.mark.parametrize("affine", [False, True])
+    @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES)
+    def test_the_old_running_pair_does_not_reach_the_output(self, shape, affine):
+        """With an update the output is the batch moments' alone: the
+        running pair the update starts from moves no value or gradient."""
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        inputs = [rng.normal(1.5, 2.0, size=shape)]
+        if affine:
+            inputs += [rng.normal(1.0, 0.5, size=c), rng.normal(size=c)]
+        old = (rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+
+        def from_old(x, gamma=None, beta=None):
+            if gamma is None:
+                gamma, beta = Tensor(np.ones(c)), Tensor(np.zeros(c))
+            return ad.batch_norm(x, gamma, beta, old, 1e-5, 0.1, False)[0]
+
+        assert_same_bits(run_graph(from_old, inputs), run_graph(bn_node, inputs))
+
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5), (5, 3, 4), (5, 3, 1, 1)])
     def test_running_update_is_new_arrays_of_numpy_moments(self, shape):
         """The update folds numpy's mean and unbiased variance into new
         arrays; the output is normalized by the batch's own moments."""
@@ -929,8 +948,9 @@ class TestValidation:
         _, dw, _ = out._vjp(arrays["upstream"])
         assert np.isnan(dw if planted == "upstream" else out.data).any()
 
-    @pytest.mark.parametrize("layer, shape", [(BatchNorm(1), (5, 1)), (GroupNorm(2, 2), (1, 2, 5))],
-                             ids=["batch", "group"])
+    @pytest.mark.parametrize("layer, shape", [(BatchNorm(1), (5, 1)), (GroupNorm(2, 2), (1, 2, 5)),
+                                              (LayerNorm(5), (1, 5))],
+                             ids=["batch", "group", "layer"])
     def test_an_overflowing_affine_gives_inf_without_a_warning(self, layer, shape):
         """Four zeros and a one normalize to about 2 at the one; times gamma
         = 1e308 that overflows in the affine, which runs under the op's
@@ -940,6 +960,23 @@ class TestValidation:
         layer.gamma.data = np.full(layer.num_features, 1e308)
         out = layer.forward(Tensor(x), NormMode.TRAIN)
         assert np.isinf(out.data).any()
+
+    @pytest.mark.parametrize("x, bias", [(1e200, 0.0), (1e154, 1e308)], ids=["matmul", "bias"])
+    def test_an_overflowing_linear_gives_inf_without_a_warning(self, x, bias):
+        """``x @ w`` overflows, or a finite ``x @ w`` plus the bias does."""
+        out = ad.linear(Tensor([[x]]), Tensor([[x]]), Tensor([bias]))
+        np.testing.assert_array_equal(out.data, [[np.inf]])
+
+    @pytest.mark.parametrize("op", [lambda t, c: t * Tensor([[c]]),
+                                    lambda t, c: ad.linear(t, Tensor([[c]]), Tensor([0.0]))],
+                             ids=["mul", "linear"])
+    def test_an_overflowing_backward_gives_inf_without_a_warning(self, op):
+        """1e-200 times 1e200, twice, is finite forward, but the gradient
+        of the input is 1e200 * 1e200: it overflows in a VJP, which
+        ``backward`` runs under ``np.errstate``."""
+        x = Tensor([[1e-200]], requires_grad=True)
+        op(op(x, 1e200), 1e200).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[np.inf]])
 
     def test_cross_entropy_count_mismatch(self):
         with pytest.raises(ShapeError):

@@ -63,6 +63,14 @@ class TestValidateVerb:
             err = capsys.readouterr().err
             assert key in err and "duplicate" not in err, line
 
+    def test_a_removed_key_exits_one_and_names_its_line(self, tmp_path, capsys):
+        """Configs written with ``teacher.adapt_with_running``, since removed,
+        no longer validate."""
+        path = write_config(tmp_path, GOOD_CONFIG + "teacher.adapt_with_running = false\n")
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert "teacher.adapt_with_running" in err and "line 9" in err
+
     def test_empty_idx_file_exits_one_and_names_the_key(self, tmp_path, capsys):
         files = ""
         for key in ("images", "labels", "test_images", "test_labels"):

@@ -11,7 +11,7 @@ from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_k
                           continuous_teacher_step, global_kd_loss, multiclass_kd_loss,
                           pretrain_teacher, taskwise_kd_loss, teacher_forward, total_loss)
 from clta.errors import ContractError, DataError, NumericError, ParameterError
-from clta.layers import (Dense, NormMode, add_task_head, build_micro_mlp,
+from clta.layers import (BatchNorm, Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
 
 
@@ -362,6 +362,26 @@ class TestTeacherForward:
         expected = 0.9 * bn.running_mean + 0.1 * pre_activation.mean(axis=0)
         teacher_forward(teacher, Tensor(x), TeacherStrategy(kind="adapt_stats"), 1)
         np.testing.assert_allclose(bn.running_mean, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_norm_mode_follows_the_strategy(self, kind, monkeypatch):
+        """Statistics adaptation runs the teacher's BatchNorm in ADAPT_STATS,
+        which moves its running statistics; every other kind in EVAL."""
+        teacher, rng = _teacher_with_history()
+        before = model_checksum(teacher)
+        modes = []
+        original = BatchNorm.forward
+
+        def recorded(self, x, mode):
+            modes.append(mode)
+            return original(self, x, mode)
+
+        monkeypatch.setattr(BatchNorm, "forward", recorded)
+        teacher_forward(teacher, Tensor(rng.uniform(size=(8, 6)) + 0.5),
+                        TeacherStrategy(kind=kind), 1)
+        adapts = kind == "adapt_stats"
+        assert modes == [NormMode.ADAPT_STATS if adapts else NormMode.EVAL] * 2
+        assert (model_checksum(teacher) != before) == adapts
 
     def test_runs_the_backbone_and_the_old_heads_only(self, monkeypatch):
         """A trained teacher's extra head gives no targets, so it is not run."""

@@ -108,7 +108,7 @@ class TestBatchNorm:
                 bn.forward(Tensor(np.ones((1, 3))), mode)
         bn.forward(Tensor(np.ones((1, 3))), NormMode.EVAL)
 
-    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5)])
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5), (5, 3, 4), (5, 3, 1, 1)])
     @pytest.mark.parametrize("mode", [NormMode.TRAIN, NormMode.ADAPT_STATS])
     def test_running_update_equals_numpy_mean_and_var(self, shape, mode):
         """The running statistics take the batch moments the op normalizes

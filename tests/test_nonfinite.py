@@ -96,7 +96,7 @@ class _Injector:
             return _run(arch, kind, grad_clip)
 
 
-def _run(arch: str, kind: str, grad_clip):
+def _run(arch: str, kind: str, grad_clip, **strategy):
     if arch == "mlp":
         stream = synthetic_stream(2, 2, 10, dim=4, shift=0.1, seed=0)
         model = build_micro_mlp(4, hidden=8, seed=0)
@@ -104,7 +104,7 @@ def _run(arch: str, kind: str, grad_clip):
         stream = synthetic_stream(2, 2, 10, image_shape=(1, 8, 8), shift=0.1, seed=0)
         model = build_micro_cnn(1, seed=0)
     train = TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=(), grad_clip=grad_clip)
-    return run_stream(stream, model, KDConfig(weight=1.0), TeacherStrategy(kind=kind),
+    return run_stream(stream, model, KDConfig(weight=1.0), TeacherStrategy(kind=kind, **strategy),
                       train, WarmupConfig(), seed=0)
 
 
@@ -141,3 +141,11 @@ def test_planted_non_finite_value_raises(arch, phase, kind, grad_clip, where, el
 def test_a_clean_run_raises_nothing(arch):
     result = _Injector().run(arch, "continuous_full", None)
     assert np.all(np.isfinite(result.accuracy_matrix.values[np.tril_indices(2)]))
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_a_teacher_lr_that_overflows_ends_in_numeric_error(arch):
+    """A valid but huge teacher learning rate overflows the continuous
+    teacher's weights; the run raises NumericError, not a RuntimeWarning."""
+    with pytest.raises(NumericError):
+        _run(arch, "continuous_full", None, teacher_lr=1e300)
