@@ -21,7 +21,7 @@ from clta.distill import KDConfig, TeacherStrategy, global_kd_loss, total_loss
 from clta.errors import DegenerateBatchError, NumericError, ShapeError
 from clta.harness import TrainConfig, WarmupConfig, run_stream
 from clta.layers import (BatchNorm, NormMode, add_task_head, build_micro_cnn, build_micro_mlp,
-                         snapshot_model)
+                         model_checksum, snapshot_model)
 from clta.optim import sgd_step
 
 
@@ -309,23 +309,45 @@ STREAM_CASES = {
     "mlp-taskwise": ("mlp", "batch", "taskwise", "adapt_stats"),
     "mlp-layer": ("mlp", "layer", "global", "adapt_stats"),
     "cnn-group": ("cnn", "group", "global", "adapt_stats"),
+    "mlp-pretrain_full": ("mlp", "batch", "global", "pretrain_full"),
+    "cnn-pretrain_norm": ("cnn", "batch", "global", "pretrain_norm"),
+    "mlp-continuous_norm": ("mlp", "batch", "global", "continuous_norm"),
+    "mlp-auxiliary": ("mlp", "batch", "auxiliary", "adapt_stats"),
+    "cnn-auxiliary-clip": ("cnn", "batch", "auxiliary", "frozen"),
+    "mlp-warmup": ("mlp", "batch", "global", "fix_stats"),
+}
+# name -> the teacher, training and warmup settings that differ from the
+# defaults; the warmup's early stop fires after 21, 30 and 14 epochs
+STREAM_OPTIONS = {
+    "mlp-pretrain_full": {"strategy": {"pretrain_epochs": 2}},
+    "cnn-pretrain_norm": {"strategy": {"pretrain_epochs": 2}},
+    "cnn-auxiliary-clip": {"train": {"grad_clip": 0.5}},
+    "mlp-warmup": {"warmup": {"enabled": True, "max_epochs": 40, "ramp_epochs": 2,
+                              "early_stop_patience": 3}},
 }
 
 
 def _stream_arrays(name: str) -> dict:
-    """The accuracy matrix and the per-epoch CE, KD and bn_kld traces of a
-    3-task ``run_stream``, as float64 arrays."""
+    """The accuracy matrix, the per-epoch CE, KD and bn_kld traces and the
+    warmup CE history of a 3-task ``run_stream``, as float64 arrays, and the
+    final student's and teacher's ``model_checksum``."""
     arch, norm, variant, kind = STREAM_CASES[name]
+    options = STREAM_OPTIONS.get(name, {})
     if arch == "mlp":
         stream = synthetic_stream(3, 2, 12, dim=10, shift=0.05, seed=5)
         model = build_micro_mlp(10, norm=norm, seed=5, hidden=16)
     else:
         stream = synthetic_stream(3, 2, 6, image_shape=(1, 8, 8), shift=0.05, seed=5)
         model = build_micro_cnn(1, norm=norm, seed=5)
-    result = run_stream(stream, model, KDConfig(variant=variant), TeacherStrategy(kind=kind),
-                        TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=(1,)),
-                        WarmupConfig(), seed=5)
-    arrays = {"accuracy": result.accuracy_matrix.values}
+    result = run_stream(stream, model, KDConfig(variant=variant),
+                        TeacherStrategy(kind=kind, **options.get("strategy", {})),
+                        TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=(1,),
+                                    **options.get("train", {})),
+                        WarmupConfig(**options.get("warmup", {})), seed=5)
+    arrays = {"accuracy": result.accuracy_matrix.values,
+              "warmup_ce": np.concatenate([trace.warmup_ce for trace in result.traces]),
+              "model": model_checksum(result.model)[:16],
+              "teacher": model_checksum(result.teacher)[:16]}
     for term in ("ce", "kd", "bn_kld"):
         arrays[term] = np.asarray([getattr(trace, term) for trace in result.traces],
                                   dtype=np.float64)
@@ -347,6 +369,30 @@ STREAM_PINS = {
                   "kd": "8cecf53db6a2e47f", "bn_kld": "e0a61c7a988701c2"},
     "cnn-group": {"accuracy": "1718863e24b23ce8", "ce": "2aeaa1dade581a8a",
                   "kd": "2b5ce157a55808eb", "bn_kld": "e0a61c7a988701c2"},
+    "mlp-pretrain_full": {"accuracy": "43f61421c68014ac", "ce": "9724fa680874d702",
+                          "kd": "b834b94fa920d391", "bn_kld": "9e450047b07b5d83",
+                          "warmup_ce": "91d6039a01f57163", "model": "ccaf3c5cfb756d44",
+                          "teacher": "f80aef81f918e361"},
+    "cnn-pretrain_norm": {"accuracy": "807a470074d12368", "ce": "f05e932baf950bae",
+                          "kd": "f23b892d8725fce9", "bn_kld": "d8c6228d81f5a32b",
+                          "warmup_ce": "91d6039a01f57163", "model": "529cedd70e7644e4",
+                          "teacher": "1270a53a9d9b17e2"},
+    "mlp-continuous_norm": {"accuracy": "ecd513d92d5518b4", "ce": "3352f494d64d39f3",
+                            "kd": "38608d60a1772925", "bn_kld": "8471899f891dd7db",
+                            "warmup_ce": "91d6039a01f57163", "model": "8d2a36978538509b",
+                            "teacher": "83f0943d5cedf215"},
+    "mlp-auxiliary": {"accuracy": "c5e79755639f5a48", "ce": "eb266e49a22c80a6",
+                      "kd": "b8d803088ef5ee24", "bn_kld": "253f762387690e26",
+                      "warmup_ce": "91d6039a01f57163", "model": "873a28ed311cd2ce",
+                      "teacher": "022cb0ab0af1094b"},
+    "cnn-auxiliary-clip": {"accuracy": "69ddf3040d59e8b5", "ce": "13398551232a7299",
+                           "kd": "2be3c840ad9435f8", "bn_kld": "3c38905cf8684ff5",
+                           "warmup_ce": "91d6039a01f57163", "model": "c7f65ca73c622934",
+                           "teacher": "cc4d126ac916b8bf"},
+    "mlp-warmup": {"accuracy": "69ddf3040d59e8b5", "ce": "cb72d1ca4720fc07",
+                   "kd": "95abfdbccd8d0216", "bn_kld": "e0a61c7a988701c2",
+                   "warmup_ce": "e0a2753706e4492a", "model": "950787802d0d414b",
+                   "teacher": "9a1f0450751bad94"},
 }
 
 
@@ -364,4 +410,5 @@ def test_run_stream_keeps_its_bits(name):
             np.testing.assert_allclose(arrays[key], value, rtol=STREAM_RTOL[(name, key)],
                                        atol=0.0, err_msg=f"{name} {key}")
         else:
-            assert _digest(arrays[key]) == value, f"{name} {key}"
+            actual = arrays[key] if isinstance(arrays[key], str) else _digest(arrays[key])
+            assert actual == value, f"{name} {key}"
