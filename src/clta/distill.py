@@ -27,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .errors import ContractError, DataError, ParameterError, check_fields
+from .errors import ContractError, ParameterError, check_fields
 from .layers import IncrementalModel, NormMode
-from .optim import ce_step, iter_batches, newest_task_parameters
+from .optim import ce_epochs, ce_step, newest_task_parameters
 
 KD_VARIANTS = ("global", "taskwise", "multiclass", "auxiliary")
 
@@ -219,7 +219,7 @@ def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
 
 def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
                      labels_local: np.ndarray, strategy: TeacherStrategy,
-                     batch_size: int, seed: int) -> list[float]:
+                     batch_size: int, seed: int, task_index: int) -> list[float]:
     """Train the teacher on the new task's data before the student starts.
 
     Runs ``pretrain_epochs`` of SGD at ``teacher_lr``; the scope of the
@@ -229,22 +229,18 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
     if not strategy.pretrains:
         raise ContractError(f"pretrain_teacher called with strategy '{strategy.kind}'")
     n = inputs.shape[0]
-    if n < 2:  # a lone sample makes no batch
-        raise DataError(f"teacher pretraining needs at least 2 samples, got {n}")
-    params = strategy.trained_parameters(teacher)
-    history = []
-    for epoch in range(strategy.pretrain_epochs):
-        order = np.random.default_rng((seed, 0x7EAC, epoch)).permutation(n)
-        losses = [ce_step(teacher, params, inputs[idx], labels_local[idx], strategy.teacher_lr,
-                          grad_clip=None) for idx in iter_batches(n, batch_size, order)]
-        history.append(float(np.mean(losses)))
-    return history
+    # the shuffle key leaves out the task (every task replays the same
+    # orders); it is kept as it was so that every float stays the same
+    schedule = ((strategy.teacher_lr, np.random.default_rng((seed, 0x7EAC, epoch)).permutation(n))
+                for epoch in range(strategy.pretrain_epochs))
+    return list(ce_epochs(teacher, strategy.trained_parameters(teacher), inputs, labels_local,
+                          schedule, batch_size, None, task_index, "teacher CE"))
 
 
-def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray,
-                            yb_local: np.ndarray, strategy: TeacherStrategy) -> float:
+def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray, yb_local: np.ndarray,
+                            strategy: TeacherStrategy, task_index: int, epoch: int) -> float:
     """One SGD step on the teacher for the batch the student just saw."""
     if not strategy.steps_with_student:
         raise ContractError(f"continuous_teacher_step called with strategy '{strategy.kind}'")
     return ce_step(teacher, strategy.trained_parameters(teacher), xb, yb_local,
-                   strategy.teacher_lr, grad_clip=None)
+                   strategy.teacher_lr, None, task_index, epoch, "teacher CE")

@@ -10,7 +10,6 @@ task is the teacher strategy's business.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,8 +34,8 @@ from .errors import ContractError, DataError, NumericError, ParameterError, chec
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
 from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
                       evaluate_task_agnostic)
-from .optim import (ce_step, epoch_permutation, iter_batches, newest_task_parameters,
-                    sgd_step)
+from .optim import (ce_epochs, epoch_permutation, finite_loss, iter_batches,
+                    newest_task_parameters, sgd_step)
 
 
 @dataclass
@@ -141,30 +140,17 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
     Stops early once the epoch-mean loss has not improved for
     ``early_stop_patience`` epochs.  Returns the per-epoch loss history.
     """
-    if inputs.shape[0] < 2:  # a lone sample makes no batch
-        raise DataError(f"task {task_index}: warmup needs at least 2 samples, "
-                        f"got {inputs.shape[0]}")
-    head = model.heads[-1]
-    feats = capture_features(model, inputs)
-
-    history = []
-    best = np.inf
-    stall = 0
-    for epoch in range(cfg.max_epochs):
-        lr = one_cycle_lr(epoch, cfg)
-        order = epoch_permutation(seed, task_index, epoch, inputs.shape[0], stage=1)
-        losses = []
-        for idx in iter_batches(inputs.shape[0], batch_size, order):
-            logits = head.forward(Tensor(feats[idx]), NormMode.EVAL)
-            loss = ad.cross_entropy(logits, labels_local[idx])
-            losses.append(_finite_loss(loss, task_index, epoch, "warmup CE"))
-            loss.backward()
-            sgd_step(head.parameters(), lr)
-        mean_ce = float(np.mean(losses))
+    n = inputs.shape[0]
+    head_only = IncrementalModel([], model.feature_dim)  # the features are its inputs
+    head_only.heads.append(model.heads[-1])
+    schedule = ((one_cycle_lr(epoch, cfg), epoch_permutation(seed, task_index, epoch, n, stage=1))
+                for epoch in range(cfg.max_epochs))
+    history, best, stall = [], np.inf, 0
+    for mean_ce in ce_epochs(head_only, head_only.parameters(), capture_features(model, inputs),
+                             labels_local, schedule, batch_size, None, task_index, "warmup CE"):
         history.append(mean_ce)
         if best - mean_ce > 1e-12:
-            best = mean_ce
-            stall = 0
+            best, stall = mean_ce, 0
         else:
             stall += 1
             if stall >= cfg.early_stop_patience:
@@ -175,14 +161,6 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
 # ----------------------------------------------------------------------
 # per-task training
 # ----------------------------------------------------------------------
-
-
-def _finite_loss(loss: Tensor, task_index: int, epoch: int, term: str) -> float:
-    """The loss as a float; a NaN or inf raises, naming where it appeared."""
-    value = loss.item()
-    if not math.isfinite(value):
-        raise NumericError(f"task {task_index}, epoch {epoch}: non-finite {term} loss {value}")
-    return value
 
 
 def _kd_term(variant: str, student_logits, teacher_logits, aux_logits, kd: KDConfig):
@@ -212,9 +190,9 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
     all-zero on the first task.  The batch-norm KLD trace compares teacher
     and student statistics at each epoch's end (zero when inapplicable).
     """
-    if inputs.shape[0] < 2:  # a lone sample makes no batch, so nothing would train
-        raise DataError(f"task {task_index} needs at least 2 training samples, "
-                        f"got {inputs.shape[0]}")
+    n = inputs.shape[0]
+    if n < 2:  # a lone sample makes no batch, so nothing would train
+        raise DataError(f"task {task_index} needs at least 2 training samples, got {n}")
     if task_index >= 2 and teacher is None:
         raise ContractError(f"task {task_index} needs a teacher snapshot")
     if task_index == 1 and teacher is not None:
@@ -236,13 +214,12 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         add_task_head(teacher, int(labels_local.max()) + 1, seed=(seed, task_index, 9))
         if strategy.pretrains:
             pretrain_teacher(teacher, inputs, labels_local, strategy,
-                             train.batch_size, seed)
+                             train.batch_size, seed, task_index)
 
     student_mode = NormMode.TRAIN
     if strategy.fixes_student_stats and task_index >= 2:
         student_mode = NormMode.EVAL
 
-    n = inputs.shape[0]
     params = model.parameters()  # no head is added while the task trains
     for epoch in range(train.epochs):
         lr = lr_schedule(epoch, train)
@@ -252,29 +229,33 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
             xb = Tensor(inputs[idx])
             logits = model.forward(xb, student_mode)
             ce = ad.cross_entropy(logits[-1], labels_local[idx])
-            ce_vals.append(_finite_loss(ce, task_index, epoch, "CE"))
+            ce_vals.append(finite_loss(ce, task_index, epoch, "CE"))
 
             if teacher is None:
                 total = ce
                 kd_vals.append(0.0)
             else:
                 teacher_logits = teacher_forward(teacher, xb, strategy, n_old)
+                if not all(np.isfinite(t.data).all() for t in teacher_logits):
+                    raise NumericError(f"task {task_index}, epoch {epoch}: "
+                                       "non-finite teacher logits")
                 aux_logits = None
                 if kd.variant == "auxiliary":
                     with no_grad():
                         aux_logits = aux_teacher.heads[-1].forward(
                             aux_teacher.features(xb, NormMode.EVAL), NormMode.EVAL)
                 kd_t = _kd_term(kd.variant, logits, teacher_logits, aux_logits, kd)
-                kd_vals.append(_finite_loss(kd_t, task_index, epoch, "KD"))
+                kd_vals.append(finite_loss(kd_t, task_index, epoch, "KD"))
                 weight = 1.0 if kd.variant == "auxiliary" else kd.weight
                 total = total_loss(ce, kd_t, weight)
-                _finite_loss(total, task_index, epoch, "total")
+                finite_loss(total, task_index, epoch, "total")
 
             total.backward()
             sgd_step(params, lr, train.grad_clip)
 
             if teacher is not None and strategy.steps_with_student:
-                continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy)
+                continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy,
+                                        task_index, epoch)
 
         trace.ce.append(float(np.mean(ce_vals)))
         trace.kd.append(float(np.mean(kd_vals)))
@@ -314,12 +295,11 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
             teacher = snapshot_model(model)
             if kd.variant == "auxiliary":  # plain supervised training on this task alone
                 aux = add_task_head(snapshot_model(model), len(task.classes), seed=(seed, t, 5))
-                params = newest_task_parameters(aux)
-                for epoch in range(train.epochs):
-                    order = epoch_permutation(seed, t, epoch, len(inputs), stage=3)
-                    for idx in iter_batches(len(inputs), train.batch_size, order):
-                        ce_step(aux, params, inputs[idx], labels[idx],
-                                lr_schedule(epoch, train), train.grad_clip)
+                schedule = ((lr_schedule(epoch, train),
+                             epoch_permutation(seed, t, epoch, len(inputs), stage=3))
+                            for epoch in range(train.epochs))
+                list(ce_epochs(aux, newest_task_parameters(aux), inputs, labels, schedule,
+                               train.batch_size, train.grad_clip, t, "auxiliary CE"))
         add_task_head(model, len(task.classes), seed=(seed, t, 1))
         traces.append(train_task(model, teacher, t, inputs, labels, kd, strategy, train,
                                  warmup, seed, aux_teacher=aux))

@@ -1,6 +1,7 @@
 """The one SGD path: ``sgd_step`` moves parameters, ``iter_batches`` slices epochs,
-and ``ce_step`` is the newest-head cross-entropy step that the continuous and
-pretrained teachers and the auxiliary network share."""
+``ce_step`` is the newest-head cross-entropy step, ``ce_epochs`` the one loop of them
+behind warmup, teacher pretraining and the auxiliary network, and ``finite_loss``
+the one message form of a non-finite training loss: its task, epoch and term."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, NumericError, ParameterError
+from .errors import ContractError, DataError, NumericError, ParameterError
 from .layers import IncrementalModel, NormMode
 
 
@@ -94,14 +95,23 @@ def newest_task_parameters(model: IncrementalModel) -> list[Tensor]:
     return backbone + model.heads[-1].parameters()
 
 
-def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
-            yb_local: np.ndarray, lr: float, grad_clip: float | None) -> float:
+def finite_loss(loss: Tensor, task_index: int, epoch: int, term: str) -> float:
+    """The loss as a float; a NaN or inf raises, naming where it appeared."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"task {task_index}, epoch {epoch}: non-finite {term} loss {value}")
+    return value
+
+
+def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_local: np.ndarray,
+            lr: float, grad_clip: float | None, task_index: int, epoch: int, term: str) -> float:
     """One train-mode cross-entropy step on the newest head; returns the loss.
     Only ``params`` move, and none does when the list is empty (a norm-only
     scope on a norm-free model) or ``lr`` is zero; running statistics still do.
     Only the parameters that move are differentiated: the others are held
     out of the graph for the call (their ``requires_grad`` is restored after
-    it, also when it raises), and no backward runs when none moves."""
+    it, also when it raises), and no backward runs when none moves, nor when
+    the loss is not finite: ``finite_loss`` raises first."""
     steps = bool(params) and lr > 0
     stepped = set(params) if steps else set()
     held = [p for p in model.parameters() if p.requires_grad and p not in stepped]
@@ -110,9 +120,7 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
     try:
         features = model.features(Tensor(xb), NormMode.TRAIN)
         loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(f"ce_step: non-finite cross-entropy {value}")
+        value = finite_loss(loss, task_index, epoch, term)
         if steps:
             loss.backward()
             sgd_step(params, lr, grad_clip)
@@ -120,3 +128,18 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray,
         for p in held:
             p.requires_grad = True
     return value
+
+
+def ce_epochs(model: IncrementalModel, params: list[Tensor], inputs: np.ndarray,
+              labels_local: np.ndarray, schedule, batch_size: int,
+              grad_clip: float | None, task_index: int, term: str):
+    """Run ``ce_step`` over the batches of each ``(lr, order)`` epoch of ``schedule``
+    and yield the epoch's mean loss.  Lazy: an epoch runs only when its mean is
+    asked for, so a caller that stops early (the warmup) trains no further."""
+    n = len(inputs)
+    if n < 2:  # a lone sample makes no batch, so an epoch would have no mean
+        raise DataError(f"task {task_index}: {term} needs at least 2 samples, got {n}")
+    for epoch, (lr, order) in enumerate(schedule):
+        yield float(np.mean([ce_step(model, params, inputs[idx], labels_local[idx], lr,
+                                     grad_clip, task_index, epoch, term)
+                             for idx in iter_batches(n, batch_size, order)]))

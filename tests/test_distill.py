@@ -424,7 +424,7 @@ class TestTrainableTeachers:
         history = pretrain_teacher(teacher, x, y,
                                    TeacherStrategy(kind="pretrain_full", teacher_lr=0.1,
                                                    pretrain_epochs=4),
-                                   batch_size=16, seed=0)
+                                   batch_size=16, seed=0, task_index=2)
         assert len(history) == 4
         assert history[-1] < history[0]
 
@@ -435,7 +435,7 @@ class TestTrainableTeachers:
         with pytest.raises(DataError, match="at least 2 samples, got 1"):
             pretrain_teacher(teacher, x[:1], y[:1],
                              TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
-                             batch_size=16, seed=0)
+                             batch_size=16, seed=0, task_index=2)
 
     def test_pretrain_rejects_batch_size_one(self):
         """Batches of one are all dropped: without the check no step runs
@@ -447,7 +447,7 @@ class TestTrainableTeachers:
         with pytest.raises(ParameterError, match="batch_size: must be >= 2, got 1"):
             pretrain_teacher(teacher, x, y,
                              TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
-                             batch_size=1, seed=0)
+                             batch_size=1, seed=0, task_index=2)
         assert parameter_checksums(teacher) == before
 
     def test_pretrain_full_never_touches_old_heads(self):
@@ -457,7 +457,7 @@ class TestTrainableTeachers:
         x, y = self._task_data(rng)
         pretrain_teacher(teacher, x, y,
                          TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
-                         batch_size=16, seed=0)
+                         batch_size=16, seed=0, task_index=2)
         assert parameter_checksums(teacher)["head.0.weight"] == old_head
 
     def test_pretrain_norm_scope_is_normalization_only(self):
@@ -467,7 +467,7 @@ class TestTrainableTeachers:
         x, y = self._task_data(rng)
         pretrain_teacher(teacher, x, y,
                          TeacherStrategy(kind="pretrain_norm", pretrain_epochs=2),
-                         batch_size=16, seed=0)
+                         batch_size=16, seed=0, task_index=2)
         after = parameter_checksums(teacher)
         changed = sorted(k for k in before if before[k] != after[k])
         assert changed
@@ -482,7 +482,8 @@ class TestTrainableTeachers:
             p.data = np.where(p.data == 0.0, -0.0, p.data)
         before = parameter_checksums(teacher)
         x, y = self._task_data(rng, n=16)
-        continuous_teacher_step(teacher, x, y, TeacherStrategy(kind=kind, teacher_lr=0.0))
+        continuous_teacher_step(teacher, x, y, TeacherStrategy(kind=kind, teacher_lr=0.0),
+                                task_index=2, epoch=0)
         after = parameter_checksums(teacher)
         changed = sorted(k for k in before if before[k] != after[k])
         assert changed
@@ -495,11 +496,12 @@ class TestTrainableTeachers:
         x, y = self._task_data(rng)
         before = parameter_checksums(teacher)
         loss = continuous_teacher_step(teacher, x[:16], y[:16],
-                                       TeacherStrategy(kind="continuous_norm", teacher_lr=0.1))
+                                       TeacherStrategy(kind="continuous_norm", teacher_lr=0.1),
+                                       task_index=2, epoch=0)
         history = pretrain_teacher(teacher, x, y,
                                    TeacherStrategy(kind="pretrain_norm", teacher_lr=0.1,
                                                    pretrain_epochs=2),
-                                   batch_size=16, seed=0)
+                                   batch_size=16, seed=0, task_index=2)
         assert np.isfinite([loss, *history]).all()
         assert parameter_checksums(teacher) == before
 
@@ -516,7 +518,8 @@ class TestTrainableTeachers:
             p.data = p.data - 0.1 * p.grad
         old_head = parameter_checksums(teacher)["head.0.weight"]
         continuous_teacher_step(teacher, x, y,
-                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1))
+                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1),
+                                task_index=2, epoch=0)
         assert parameter_checksums(teacher) == parameter_checksums(expected)
         assert parameter_checksums(teacher)["head.0.weight"] == old_head
 
@@ -526,8 +529,31 @@ class TestTrainableTeachers:
         w_before = teacher.backbone[0].weight.data.copy()
         x, y = self._task_data(rng, n=16)
         continuous_teacher_step(teacher, x, y,
-                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1))
+                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1),
+                                task_index=2, epoch=0)
         assert np.abs(teacher.backbone[0].weight.data - w_before).max() > 0.0
+
+    def test_pretrain_nan_loss_names_task_and_epoch(self):
+        teacher, rng = _teacher_with_history(15)
+        add_task_head(teacher, 2, seed=(15, 9))
+        teacher.heads[-1].weight.data[0, 0] = np.nan
+        params = [p.data.copy() for p in teacher.parameters()]
+        x, y = self._task_data(rng)
+        with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite teacher CE loss nan$"):
+            pretrain_teacher(teacher, x, y, TeacherStrategy(kind="pretrain_full"),
+                             batch_size=16, seed=0, task_index=2)
+        # the train-mode forward moved the running statistics, but no step ran
+        for p, old in zip(teacher.parameters(), params):
+            np.testing.assert_array_equal(p.data, old)
+
+    def test_continuous_nan_loss_names_task_and_epoch(self):
+        teacher, rng = _teacher_with_history(16)
+        add_task_head(teacher, 2, seed=(16, 9))
+        teacher.heads[-1].weight.data[0, 0] = np.nan
+        x, y = self._task_data(rng, n=16)
+        with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite teacher CE loss nan$"):
+            continuous_teacher_step(teacher, x, y, TeacherStrategy(kind="continuous_full"),
+                                    task_index=2, epoch=0)
 
     def test_pretrain_is_seed_deterministic(self):
         results = []
@@ -537,7 +563,7 @@ class TestTrainableTeachers:
             x, y = self._task_data(rng)
             pretrain_teacher(teacher, x, y,
                              TeacherStrategy(kind="pretrain_full", pretrain_epochs=2),
-                             batch_size=16, seed=5)
+                             batch_size=16, seed=5, task_index=2)
             results.append(model_checksum(teacher))
         assert results[0] == results[1]
 

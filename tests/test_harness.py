@@ -13,7 +13,7 @@ from clta.harness import (TrainConfig, WarmupConfig, epoch_permutation,
                           sgd_step, train_task, warmup_head)
 from clta.layers import (NormMode, add_task_head, build_micro_mlp, model_checksum,
                          parameter_checksums, snapshot_model)
-from clta.optim import ce_step, newest_task_parameters
+from clta.optim import ce_epochs, ce_step, newest_task_parameters
 
 
 class TestTrainConfig:
@@ -231,7 +231,7 @@ class TestCeStep:
 
         for head in stepped.heads[:-1]:
             head.forward = must_not_run
-        loss = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None)
+        loss = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None, 2, 0, "CE")
 
         logits = reference.forward(Tensor(x), NormMode.TRAIN)
         expected = ad.cross_entropy(logits[-1], y)
@@ -252,7 +252,8 @@ class TestCeStep:
         for t, classes in enumerate((2, 3)):
             add_task_head(teacher, classes, seed=t)
         params = TeacherStrategy(kind=kind).trained_parameters(teacher)
-        ce_step(teacher, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None)
+        ce_step(teacher, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None,
+                2, 0, "teacher CE")
         assert all(p.grad is None for p in teacher.parameters())
 
     @pytest.fixture
@@ -279,7 +280,8 @@ class TestCeStep:
             add_task_head(teacher, classes, seed=t)
         before = parameter_checksums(teacher)
         ce_step(teacher, TeacherStrategy(kind="continuous_norm").trained_parameters(teacher),
-                rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), 0.1, None)
+                rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), 0.1, None,
+                2, 0, "teacher CE")
         after = parameter_checksums(teacher)
         moved = {key for key in before if before[key] != after[key]}
         assert moved == {f"backbone.{i}.batchnorm.{name}" for i in (1, 4)
@@ -296,7 +298,8 @@ class TestCeStep:
         before = parameter_checksums(teacher)
         scope = [] if params == "none" else teacher.norm_parameters()
         lr = 0.1 if params == "none" else 0.0
-        ce_step(teacher, scope, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None)
+        ce_step(teacher, scope, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None,
+                2, 0, "teacher CE")
         assert made and not any(out.requires_grad for out in made)
         after = parameter_checksums(teacher)
         assert {key for key in before if before[key] != after[key]} == {
@@ -310,13 +313,35 @@ class TestCeStep:
         model.heads[-1].weight.data[0, 0] = np.nan
         before = [p.data.copy() for p in model.parameters()]
         rng = np.random.default_rng(8)
-        with pytest.raises(NumericError, match="ce_step"):
+        with pytest.raises(NumericError, match="^task 3, epoch 1: non-finite teacher CE loss nan$"):
             ce_step(model, newest_task_parameters(model), rng.normal(size=(6, 5)),
-                    np.array([0, 1, 2, 0, 1, 2]), 0.1, None)
+                    np.array([0, 1, 2, 0, 1, 2]), 0.1, None, 3, 1, "teacher CE")
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old)
         # the parameters held out of the graph have their flag back
         assert all(p.requires_grad for p in model.parameters())
+
+
+class TestCeEpochs:
+    def test_runs_an_epoch_only_when_asked_and_numbers_the_epochs(self):
+        """Nothing moves until the first mean is asked for, each mean is that
+        of an epoch of ``ce_step`` calls, and a NaN names its epoch."""
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(12, 5)), np.tile([0, 1, 2], 4)
+        model, reference = (add_task_head(build_micro_mlp(5, seed=3), 3, seed=0)
+                            for _ in range(2))
+        orders = [np.arange(12), np.arange(12)[::-1], np.arange(12)]
+        epochs = ce_epochs(model, newest_task_parameters(model), x, y,
+                           ((0.1, order) for order in orders), 4, None, 4, "auxiliary CE")
+        assert model_checksum(model) == model_checksum(reference)
+        losses = [ce_step(reference, newest_task_parameters(reference), x[idx], y[idx], 0.1,
+                          None, 4, 0, "auxiliary CE") for idx in np.split(orders[0], 3)]
+        assert next(epochs) == float(np.mean(losses))
+        assert model_checksum(model) == model_checksum(reference)
+        next(epochs)
+        model.heads[-1].bias.data[0] = np.nan
+        with pytest.raises(NumericError, match="^task 4, epoch 2: non-finite auxiliary CE loss nan$"):
+            next(epochs)
 
 
 class TestBatching:
@@ -406,7 +431,7 @@ class TestWarmupHead:
         """A lone row makes no batch: without the check the history is
         the mean of no losses, NaN."""
         model, x, y = self._setup(4)
-        with pytest.raises(DataError, match="task 2: warmup needs at least 2 samples, got 1"):
+        with pytest.raises(DataError, match="task 2: warmup CE needs at least 2 samples, got 1"):
             warmup_head(model, x[:1], y[:1], WarmupConfig(enabled=True, max_epochs=3,
                                                           ramp_epochs=1),
                         batch_size=16, seed=0, task_index=2)
@@ -518,6 +543,16 @@ class TestTrainTask:
             train_task(model, None, 1, np.zeros((1, 8)), np.zeros(1, dtype=np.int64),
                        KDConfig(), TeacherStrategy(), desk_config(), WarmupConfig(),
                        seed=0)
+
+    def test_one_sample_task_rejected_before_the_auxiliary_network_trains(self):
+        """The auxiliary network trains before ``train_task`` checks the
+        task's size; a lone sample would leave its epochs without a mean."""
+        stream = synthetic_stream(2, 2, 10, dim=4, shift=0.1, seed=0)
+        train = stream.tasks[1].train
+        train.inputs, train.labels = train.inputs[:1], train.labels[:1]
+        with pytest.raises(DataError, match="^task 2: auxiliary CE needs at least 2 samples, got 1$"):
+            run_stream(stream, build_micro_mlp(4, hidden=8, seed=0), KDConfig(variant="auxiliary"),
+                       TeacherStrategy(), desk_config(), WarmupConfig(), seed=0)
 
     def test_auxiliary_variant_needs_the_aux_network(self):
         rng = np.random.default_rng(3)

@@ -146,6 +146,7 @@ def test_a_clean_run_raises_nothing(arch):
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 def test_a_teacher_lr_that_overflows_ends_in_numeric_error(arch):
     """A valid but huge teacher learning rate overflows the continuous
-    teacher's weights; the run raises NumericError, not a RuntimeWarning."""
-    with pytest.raises(NumericError):
+    teacher's weights; the run raises NumericError, not a RuntimeWarning,
+    at the teacher's logits, naming the task and epoch."""
+    with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite teacher logits$"):
         _run(arch, "continuous_full", None, teacher_lr=1e300)
