@@ -315,15 +315,21 @@ STREAM_CASES = {
     "mlp-auxiliary": ("mlp", "batch", "auxiliary", "adapt_stats"),
     "cnn-auxiliary-clip": ("cnn", "batch", "auxiliary", "frozen"),
     "mlp-warmup": ("mlp", "batch", "global", "fix_stats"),
+    "mlp-auxiliary-continuous": ("mlp", "batch", "auxiliary", "continuous_full"),
+    "cnn-auxiliary-pretrain-warmup": ("cnn", "batch", "auxiliary", "pretrain_full"),
 }
 # name -> the teacher, training and warmup settings that differ from the
-# defaults; the warmup's early stop fires after 21, 30 and 14 epochs
+# defaults; the warmup's early stop fires after 21, 30 and 14 epochs in
+# mlp-warmup, and after 11 of 12 on the first task in the CNN case
 STREAM_OPTIONS = {
     "mlp-pretrain_full": {"strategy": {"pretrain_epochs": 2}},
     "cnn-pretrain_norm": {"strategy": {"pretrain_epochs": 2}},
     "cnn-auxiliary-clip": {"train": {"grad_clip": 0.5}},
     "mlp-warmup": {"warmup": {"enabled": True, "max_epochs": 40, "ramp_epochs": 2,
                               "early_stop_patience": 3}},
+    "cnn-auxiliary-pretrain-warmup": {"strategy": {"pretrain_epochs": 2},
+                                      "warmup": {"enabled": True, "max_epochs": 12,
+                                                 "ramp_epochs": 2, "early_stop_patience": 3}},
 }
 
 
@@ -393,6 +399,16 @@ STREAM_PINS = {
                    "kd": "95abfdbccd8d0216", "bn_kld": "e0a61c7a988701c2",
                    "warmup_ce": "e0a2753706e4492a", "model": "950787802d0d414b",
                    "teacher": "9a1f0450751bad94"},
+    "mlp-auxiliary-continuous": {"accuracy": "de7b92bc635343e4", "ce": "434e52e49cab4aa2",
+                                 "kd": "f8eea1feb8798da7", "bn_kld": "68bd46a15df7c3eb",
+                                 "warmup_ce": "91d6039a01f57163", "model": "47d5d9fa7d804174",
+                                 "teacher": "f1a844329fb28802"},
+    "cnn-auxiliary-pretrain-warmup": {"accuracy": "de7b92bc635343e4",
+                                      "ce": "865a1ba2a3d382a1", "kd": "9323770436fdf574",
+                                      "bn_kld": "6703b8938a534caa",
+                                      "warmup_ce": "58f009cebe3b9069",
+                                      "model": "a160b6630bf65c61",
+                                      "teacher": "0691d204080dc0e2"},
 }
 
 
