@@ -5,7 +5,8 @@ then run SGD epochs over seeded shuffles where every batch contributes a
 cross-entropy on the current task plus a weighted distillation term
 against the teacher snapshot.  The teacher is a deep copy of the model
 taken at the end of the previous task; what happens to it during the new
-task is the teacher strategy's business.
+task is the teacher strategy's business.  Under auxiliary KD, ``train_task``
+also trains a copy of the teacher on the new task alone as a second source.
 """
 
 from __future__ import annotations
@@ -163,32 +164,36 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
 # ----------------------------------------------------------------------
 
 
-def _kd_term(variant: str, student_logits, teacher_logits, aux_logits, kd: KDConfig):
-    n_old = len(teacher_logits)
-    if variant == "global":
-        return global_kd_loss(ad.concat(student_logits[:n_old], axis=1),
-                              ad.concat(teacher_logits, axis=1), kd.temperature)
-    if variant == "taskwise":
-        return taskwise_kd_loss(list(zip(student_logits[:n_old], teacher_logits)),
-                                kd.temperature)
-    if variant == "multiclass":
-        return multiclass_kd_loss(ad.concat(student_logits[:n_old], axis=1),
-                                  ad.concat(teacher_logits, axis=1))
-    return auxiliary_kd_loss(student_logits, teacher_logits, aux_logits, kd)
+def _kd_term(kd: KDConfig, student_logits, teacher_logits, aux_teacher, xb):
+    """The distillation term and the weight it joins the cross-entropy with."""
+    if kd.variant == "auxiliary":  # the loss weights its two terms itself
+        with no_grad():
+            aux_logits = aux_teacher.heads[-1].forward(aux_teacher.features(xb, NormMode.EVAL),
+                                                       NormMode.EVAL)
+        return auxiliary_kd_loss(student_logits, teacher_logits, aux_logits, kd), 1.0
+    if kd.variant == "taskwise":  # zip stops at the teacher's old heads
+        return taskwise_kd_loss(zip(student_logits, teacher_logits), kd.temperature), kd.weight
+    student_old = ad.concat(student_logits[:len(teacher_logits)], axis=1)
+    teacher_old = ad.concat(teacher_logits, axis=1)
+    if kd.variant == "global":
+        return global_kd_loss(student_old, teacher_old, kd.temperature), kd.weight
+    return multiclass_kd_loss(student_old, teacher_old), kd.weight
 
 
 def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                task_index: int, inputs: np.ndarray, labels_local: np.ndarray,
                kd: KDConfig, strategy: TeacherStrategy, train: TrainConfig,
-               warmup: WarmupConfig, seed: int,
-               aux_teacher: IncrementalModel | None = None) -> TaskTrace:
+               warmup: WarmupConfig, seed: int) -> TaskTrace:
     """Run one task's training, mutating model (and teacher, per strategy).
 
     ``task_index`` is 1-based; a teacher must be present exactly when it
-    is >= 2.  The KD trace holds the raw loss for the plain variants and
-    the internally weighted sum for the auxiliary variant; both traces are
-    all-zero on the first task.  The batch-norm KLD trace compares teacher
-    and student statistics at each epoch's end (zero when inapplicable).
+    is >= 2.  Under auxiliary KD a copy of the teacher with a fresh head is
+    first trained on the task alone; it and a trained teacher's extra head
+    have as many classes as the student's new head.  The KD trace holds the
+    raw loss for the plain variants and the internally weighted sum for the
+    auxiliary variant; both traces are all-zero on the first task.  The
+    batch-norm KLD trace compares teacher and student statistics at each
+    epoch's end (zero when inapplicable).
     """
     n = inputs.shape[0]
     if n < 2:  # a lone sample makes no batch, so nothing would train
@@ -197,12 +202,19 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         raise ContractError(f"task {task_index} needs a teacher snapshot")
     if task_index == 1 and teacher is not None:
         raise ContractError("the first task cannot have a teacher")
-    if teacher is not None and kd.variant == "auxiliary" and aux_teacher is None:
-        raise ContractError("auxiliary KD needs the auxiliary network")
 
     n_old = len(model.heads) - 1
+    n_classes = model.heads[-1].out_features
     labels_local = np.asarray(labels_local, dtype=np.int64)
     trace = TaskTrace()
+
+    aux_teacher = None
+    if teacher is not None and kd.variant == "auxiliary":  # supervised on this task alone
+        aux_teacher = add_task_head(snapshot_model(teacher), n_classes, seed=(seed, task_index, 5))
+        schedule = ((lr_schedule(e, train), epoch_permutation(seed, task_index, e, n, stage=3))
+                    for e in range(train.epochs))
+        list(ce_epochs(aux_teacher, newest_task_parameters(aux_teacher), inputs, labels_local,
+                       schedule, train.batch_size, train.grad_clip, task_index, "auxiliary CE"))
 
     if warmup.enabled:
         trace.warmup_ce = warmup_head(model, inputs, labels_local, warmup,
@@ -211,7 +223,7 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
     if teacher is not None and strategy.trains_teacher:
         # the extra head only gives the teacher a cross-entropy on new-task
         # labels; distillation targets always come from the original heads
-        add_task_head(teacher, int(labels_local.max()) + 1, seed=(seed, task_index, 9))
+        add_task_head(teacher, n_classes, seed=(seed, task_index, 9))
         if strategy.pretrains:
             pretrain_teacher(teacher, inputs, labels_local, strategy,
                              train.batch_size, seed, task_index)
@@ -239,14 +251,8 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                 if not all(np.isfinite(t.data).all() for t in teacher_logits):
                     raise NumericError(f"task {task_index}, epoch {epoch}: "
                                        "non-finite teacher logits")
-                aux_logits = None
-                if kd.variant == "auxiliary":
-                    with no_grad():
-                        aux_logits = aux_teacher.heads[-1].forward(
-                            aux_teacher.features(xb, NormMode.EVAL), NormMode.EVAL)
-                kd_t = _kd_term(kd.variant, logits, teacher_logits, aux_logits, kd)
+                kd_t, weight = _kd_term(kd, logits, teacher_logits, aux_teacher, xb)
                 kd_vals.append(finite_loss(kd_t, task_index, epoch, "KD"))
-                weight = 1.0 if kd.variant == "auxiliary" else kd.weight
                 total = total_loss(ce, kd_t, weight)
                 finite_loss(total, task_index, epoch, "total")
 
@@ -289,20 +295,11 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
 
     for t in range(1, n_tasks + 1):
         task = stream.tasks[t - 1]
-        inputs, labels = task.train.inputs, task.local_labels(task.train)
-        aux = None
         if t >= 2:
             teacher = snapshot_model(model)
-            if kd.variant == "auxiliary":  # plain supervised training on this task alone
-                aux = add_task_head(snapshot_model(model), len(task.classes), seed=(seed, t, 5))
-                schedule = ((lr_schedule(epoch, train),
-                             epoch_permutation(seed, t, epoch, len(inputs), stage=3))
-                            for epoch in range(train.epochs))
-                list(ce_epochs(aux, newest_task_parameters(aux), inputs, labels, schedule,
-                               train.batch_size, train.grad_clip, t, "auxiliary CE"))
         add_task_head(model, len(task.classes), seed=(seed, t, 1))
-        traces.append(train_task(model, teacher, t, inputs, labels, kd, strategy, train,
-                                 warmup, seed, aux_teacher=aux))
+        traces.append(train_task(model, teacher, t, task.train.inputs,
+                                 task.local_labels(task.train), kd, strategy, train, warmup, seed))
         seen = int(np.sum(stream.class_counts[:t]))
         order = stream.class_order[:seen]
         for j in range(1, t + 1):

@@ -118,8 +118,11 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_lo
     for p in held:
         p.requires_grad = False
     try:
-        features = model.features(Tensor(xb), NormMode.TRAIN)
-        loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
+        try:
+            features = model.features(Tensor(xb), NormMode.TRAIN)
+            loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
+        except NumericError as exc:  # an op that fails names the task, epoch and term
+            raise NumericError(f"task {task_index}, epoch {epoch}: {term} forward: {exc}") from exc
         value = finite_loss(loss, task_index, epoch, term)
         if steps:
             loss.backward()

@@ -544,25 +544,31 @@ class TestTrainTask:
                        KDConfig(), TeacherStrategy(), desk_config(), WarmupConfig(),
                        seed=0)
 
-    def test_one_sample_task_rejected_before_the_auxiliary_network_trains(self):
-        """The auxiliary network trains before ``train_task`` checks the
-        task's size; a lone sample would leave its epochs without a mean."""
+    def test_one_sample_task_under_auxiliary_kd_rejected_by_train_task(self):
+        """``train_task`` checks the task's size before it builds the
+        auxiliary network, so a lone sample under auxiliary KD gets the same
+        message as under any other variant."""
         stream = synthetic_stream(2, 2, 10, dim=4, shift=0.1, seed=0)
         train = stream.tasks[1].train
         train.inputs, train.labels = train.inputs[:1], train.labels[:1]
-        with pytest.raises(DataError, match="^task 2: auxiliary CE needs at least 2 samples, got 1$"):
+        with pytest.raises(DataError, match="^task 2 needs at least 2 training samples, got 1$"):
             run_stream(stream, build_micro_mlp(4, hidden=8, seed=0), KDConfig(variant="auxiliary"),
                        TeacherStrategy(), desk_config(), WarmupConfig(), seed=0)
 
-    def test_auxiliary_variant_needs_the_aux_network(self):
+    def test_auxiliary_kd_trains_a_copy_of_the_teacher(self):
+        """``train_task`` builds the auxiliary network from the teacher and
+        trains it on the task alone: a frozen teacher comes out bit-identical,
+        and the KD term is live in every epoch."""
         rng = np.random.default_rng(3)
         model = self._fresh(3)
         teacher = snapshot_model(model)
+        before = model_checksum(teacher)
         add_task_head(model, 2, seed=(3, 2))
         x, y = two_class_task(rng)
-        with pytest.raises(ContractError):
-            train_task(model, teacher, 2, x, y, KDConfig(variant="auxiliary"),
-                       TeacherStrategy(), desk_config(), WarmupConfig(), seed=0)
+        trace = train_task(model, teacher, 2, x, y, KDConfig(variant="auxiliary"),
+                           TeacherStrategy(), desk_config(), WarmupConfig(), seed=0)
+        assert model_checksum(teacher) == before
+        assert all(value > 0.0 for value in trace.kd)
 
     def test_zero_weight_matches_a_plain_ce_loop(self):
         """With KD weight 0 the training trajectory must be bit-identical
@@ -663,6 +669,21 @@ class TestTeacherStrategiesInTraining:
                    TeacherStrategy(kind="continuous_norm"), desk_config(),
                    WarmupConfig(enabled=True, max_epochs=2, ramp_epochs=1), seed=0)
         assert all(p.grad is None for p in model.parameters() + teacher.parameters())
+
+    @pytest.mark.parametrize("kind", ["pretrain_full", "continuous_full"])
+    def test_the_teacher_head_has_every_class_of_the_student_head(self, kind):
+        """A training split without the task's last class still gives the
+        trained teacher's extra head every class of the student's new head,
+        so its cross-entropy is not identically zero and moves the weights."""
+        model, x2, _ = self._after_task1(4)
+        teacher = snapshot_model(model)
+        before = parameter_checksums(teacher)
+        add_task_head(model, 2, seed=(4, 2))
+        train_task(model, teacher, 2, x2, np.zeros(len(x2), dtype=np.int64), KDConfig(),
+                   TeacherStrategy(kind=kind), desk_config(), WarmupConfig(), seed=0)
+        assert teacher.heads[-1].out_features == model.heads[-1].out_features
+        after = parameter_checksums(teacher)
+        assert before["backbone.0.dense.weight"] != after["backbone.0.dense.weight"]
 
     def test_adapt_stats_moves_teacher_statistics_only(self):
         model, x2, y2 = self._after_task1(1)

@@ -150,3 +150,14 @@ def test_a_teacher_lr_that_overflows_ends_in_numeric_error(arch):
     at the teacher's logits, naming the task and epoch."""
     with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite teacher logits$"):
         _run(arch, "continuous_full", None, teacher_lr=1e300)
+
+
+@pytest.mark.parametrize("kind", ["pretrain_full", "pretrain_norm"])
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_a_pretrained_teacher_that_diverges_names_the_task(arch, kind):
+    """The same rate overflows a teacher while it pretrains, and the
+    train-mode BatchNorm forward fails before the loss is seen; the error
+    names the task, the epoch and the teacher's cross-entropy."""
+    with pytest.raises(NumericError, match="^task 2, epoch 0: teacher CE forward: op 'normalize' "
+                                           "produced a non-finite variance"):
+        _run(arch, kind, None, teacher_lr=1e300)
