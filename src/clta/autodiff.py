@@ -244,7 +244,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _broadcast_binary(op: str, a: Tensor, b: Tensor, forward, dfa, dfb) -> Tensor:
     try:
-        values = forward(a.data, b.data)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked at the loss
+            values = forward(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
@@ -284,7 +285,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-    return _make(a.data * factor, (a,), lambda g: (g * factor,))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf passes on to the checked loss
+        values = a.data * factor
+    return _make(values, (a,), lambda g: (g * factor,))
 
 
 def add_scalar(a: Tensor, offset: float) -> Tensor:

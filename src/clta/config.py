@@ -51,18 +51,18 @@ class DataSpec:
     path: str | None = None
     test_path: str | None = None
     split_scheme: str = field(default="equal", metadata={"choices": ("equal", "half_first")})
-    split_parts: int | None = field(default=None, metadata={">=": 1})
     order_seed: int | None = field(default=None, metadata={">=": 0})
     corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER)})
     corrupt_pattern: str = field(default="none", metadata={"choices": ("none", "every_other")})
 
     def __post_init__(self):
         check_fields(self)
+        if self.kind != "synthetic":  # parse_config names data.n_tasks first
+            self.class_groups()
 
     def class_groups(self) -> list[np.ndarray]:
         """The class ids of each task of an ``idx`` or ``cifar`` stream."""
-        parts = self.n_tasks if self.split_parts is None else self.split_parts
-        return split_classes(self.num_classes, self.split_scheme, parts,
+        return split_classes(self.num_classes, self.split_scheme, self.n_tasks,
                              order_seed=self.order_seed)
 
 
@@ -227,12 +227,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParameterError(f"model.arch: {parsed['model.arch']} does not take the "
                              f"{'vector' if vectors else 'image'} inputs of {source}")
     if kind != "synthetic":
-        parts_key = "data.n_tasks" if parsed["data.split_parts"] is None else "data.split_parts"
         try:
             split_classes(parsed["data.num_classes"], parsed["data.split_scheme"],
-                          parsed[parts_key])
+                          parsed["data.n_tasks"])
         except ParameterError as exc:
-            raise ParameterError(f"{parts_key}: {exc}") from exc
+            raise ParameterError(f"data.n_tasks: {exc}") from exc
 
     run = kwargs.pop("run")
     sections = {}

@@ -21,6 +21,7 @@ from .errors import (
     ConsistencyError,
     DataError,
     FormatError,
+    NumericError,
     ParameterError,
     TruncatedFileError,
 )
@@ -194,7 +195,10 @@ def synthetic_stream(n_tasks: int, classes_per_task: int, samples_per_class: int
             else:
                 center = rng.uniform(0.2, 0.8, size=2)
                 samples = _render_bumps(center, image_shape, rng, samples_per_class, blob_std)
-            xs_parts.append(np.clip(samples + offset, 0.0, 1.0))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow clips as if exact
+                xs_parts.append(np.clip(samples + offset, 0.0, 1.0))
+            if np.isnan(xs_parts[-1]).any():  # an infinite sample met an opposite infinite offset
+                raise NumericError(f"task {t}: shift {shift}, blob_std {blob_std} give inf - inf")
             ys_parts.append(np.full(samples_per_class, cls, dtype=np.int64))
         xs = np.concatenate(xs_parts)
         ys = np.concatenate(ys_parts)

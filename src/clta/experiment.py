@@ -72,12 +72,7 @@ def build_model(spec: ModelSpec, sample_inputs: np.ndarray, run_seed: int) -> In
 
 
 def expected_tasks(cfg: ExperimentConfig) -> int:
-    if cfg.data.kind == "synthetic":
-        return cfg.data.n_tasks
-    parts = cfg.data.split_parts if cfg.data.split_parts is not None else cfg.data.n_tasks
-    if cfg.data.split_scheme == "half_first":
-        return parts + 1
-    return parts
+    return cfg.data.n_tasks if cfg.data.kind == "synthetic" else len(cfg.data.class_groups())
 
 
 def _empty_row(cfg: ExperimentConfig, seed: int) -> dict:

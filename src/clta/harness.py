@@ -239,8 +239,11 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
         ce_vals, kd_vals = [], []
         for idx in iter_batches(n, train.batch_size, order):
             xb = Tensor(inputs[idx])
-            logits = model.forward(xb, student_mode)
-            ce = ad.cross_entropy(logits[-1], labels_local[idx])
+            try:
+                logits = model.forward(xb, student_mode)
+                ce = ad.cross_entropy(logits[-1], labels_local[idx])
+            except NumericError as exc:  # an op that fails names the task and epoch
+                raise NumericError(f"task {task_index}, epoch {epoch}: CE forward: {exc}") from exc
             ce_vals.append(finite_loss(ce, task_index, epoch, "CE"))
 
             if teacher is None:
@@ -256,8 +259,11 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
                 total = total_loss(ce, kd_t, weight)
                 finite_loss(total, task_index, epoch, "total")
 
-            total.backward()
-            sgd_step(params, lr, train.grad_clip)
+            try:
+                total.backward()
+                sgd_step(params, lr, train.grad_clip)
+            except NumericError as exc:
+                raise NumericError(f"task {task_index}, epoch {epoch}: {exc}") from exc
 
             if teacher is not None and strategy.steps_with_student:
                 continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy,

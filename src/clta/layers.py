@@ -62,10 +62,6 @@ class Layer:
     def parameters(self) -> list[Tensor]:
         return []
 
-    def norm_parameters(self) -> list[Tensor]:
-        """Parameters belonging to a normalization layer (empty otherwise)."""
-        return []
-
     def forward(self, x: Tensor, mode: NormMode) -> Tensor:
         raise NotImplementedError
 
@@ -149,9 +145,6 @@ class _AffineNorm(Layer):
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
 
     def parameters(self):
-        return [self.gamma, self.beta]
-
-    def norm_parameters(self):
         return [self.gamma, self.beta]
 
 
@@ -261,10 +254,8 @@ class IncrementalModel:
         return params
 
     def norm_parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self.backbone:
-            params.extend(layer.norm_parameters())
-        return params
+        return [p for layer in self.backbone if isinstance(layer, _AffineNorm)
+                for p in layer.parameters()]
 
     def batchnorm_layers(self) -> list[BatchNorm]:
         return [l for l in self.backbone if isinstance(l, BatchNorm)]

@@ -43,9 +43,6 @@ class AccuracyMatrix:
             raise ContractError(f"entry ({k}, {j}) outside the lower triangle of size {self.n}")
         return float(self.values[k, j])
 
-    def row(self, k: int) -> np.ndarray:
-        return self.values[k, : k + 1].copy()
-
     def is_complete(self) -> bool:
         return not any(np.isnan(self.values[k, j]) for k in range(self.n) for j in range(k + 1))
 
@@ -75,7 +72,7 @@ def accuracy_metrics(m: AccuracyMatrix) -> tuple[np.ndarray, float, float]:
     """Per-row means A_k, their overall mean, and the last row's mean."""
     if not m.is_complete():
         raise ContractError("accuracy matrix has unfilled lower-triangle entries")
-    a_k = np.array([m.row(k).mean() for k in range(m.n)])
+    a_k = np.array([m.values[k, :k + 1].mean() for k in range(m.n)])
     return a_k, float(a_k.mean()), float(a_k[-1])
 
 

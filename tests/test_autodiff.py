@@ -967,6 +967,14 @@ class TestValidation:
         out = ad.linear(Tensor([[x]]), Tensor([[x]]), Tensor([bias]))
         np.testing.assert_array_equal(out.data, [[np.inf]])
 
+    @pytest.mark.parametrize("op", [lambda: ad.scale(Tensor([1e308]), 10.0),
+                                    lambda: Tensor([1.7e308]) + Tensor([1.7e308])],
+                             ids=["scale", "add"])
+    def test_an_overflowing_elementwise_op_gives_inf_without_a_warning(self, op):
+        """A weighted loss term or the sum of two overflows to inf, which
+        the training loss check catches, not a numpy warning."""
+        np.testing.assert_array_equal(op().data, [np.inf])
+
     @pytest.mark.parametrize("op", [lambda t, c: t * Tensor([[c]]),
                                     lambda t, c: ad.linear(t, Tensor([[c]]), Tensor([0.0]))],
                              ids=["mul", "linear"])

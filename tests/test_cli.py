@@ -71,6 +71,13 @@ class TestValidateVerb:
         err = capsys.readouterr().err
         assert "teacher.adapt_with_running" in err and "line 9" in err
 
+    def test_a_split_parts_line_exits_one_as_an_unknown_key(self, tmp_path, capsys):
+        """``data.split_parts`` is gone; ``data.n_tasks`` is the one parts
+        count, so a config that still names it fails on its line."""
+        path = write_config(tmp_path, GOOD_CONFIG + "data.split_parts = 3\n")
+        assert main(["validate", path]) == 1
+        assert "line 9: unknown key 'data.split_parts'" in capsys.readouterr().err
+
     def test_empty_idx_file_exits_one_and_names_the_key(self, tmp_path, capsys):
         files = ""
         for key in ("images", "labels", "test_images", "test_labels"):
@@ -111,15 +118,16 @@ class TestValidateVerb:
 
     def test_class_splits_that_do_not_divide_exit_one(self, tmp_path, capsys):
         image_data = ["data.kind = idx", "model.arch = cnn", "data.dim = none"]
-        for lines, key in ((["data.split_parts = 3"], "data.split_parts"),
+        for lines, key in ((["data.n_tasks = 3"], "data.n_tasks"),
                            (["data.num_classes = 0"], "data.num_classes"),
                            (["data.num_classes = 9", "data.split_scheme = half_first"],
                             "data.n_tasks")):
-            kept = [line for line in GOOD_CONFIG.splitlines()
-                    if not line.startswith("data.dim")]
+            keys = ["data.dim"] + [line.split(" = ")[0] for line in lines]
+            kept = [line for line in GOOD_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
             path = write_config(tmp_path, "\n".join(kept + image_data + lines) + "\n")
             assert main(["validate", path]) == 1, lines
-            assert key in capsys.readouterr().err, lines
+            err = capsys.readouterr().err
+            assert key in err and "unknown" not in err and "duplicate" not in err, lines
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "ghost.cfg")]) == 1

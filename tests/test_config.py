@@ -19,7 +19,7 @@ from clta.harness import TrainConfig, WarmupConfig
 # value differs from the key's default and is already in normalized form
 ALL_KEYS = {
     "data.kind": ("cifar", "data.kind", "cifar"),
-    "data.n_tasks": ("5", "data.n_tasks", 5),
+    "data.n_tasks": ("4", "data.n_tasks", 4),
     "data.classes_per_task": ("3", "data.classes_per_task", 3),
     "data.dim": ("24", "data.dim", 24),
     "data.image_shape": ("3x8x8", "data.image_shape", (3, 8, 8)),
@@ -35,7 +35,6 @@ ALL_KEYS = {
     "data.path": ("train.bin", "data.path", "train.bin"),
     "data.test_path": ("test.bin", "data.test_path", "test.bin"),
     "data.split_scheme": ("half_first", "data.split_scheme", "half_first"),
-    "data.split_parts": ("4", "data.split_parts", 4),
     "data.order_seed": ("9", "data.order_seed", 9),
     "corrupt.severity": ("3", "data.corrupt_severity", 3),
     "corrupt.pattern": ("every_other", "data.corrupt_pattern", "every_other"),
@@ -160,11 +159,12 @@ class TestParsing:
             parse_config("kd.weight = 1.0\nthis line has no equals sign\n")
         assert "line 2" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["kd.lambda", "teacher.adapt_with_running"])
+    @pytest.mark.parametrize("key", ["kd.lambda", "teacher.adapt_with_running",
+                                     "data.split_parts"])
     def test_unknown_key_is_named(self, key):
         with pytest.raises(ParameterError) as err:
             parse_config(f"{key} = true\n")
-        assert key in str(err.value)
+        assert str(err.value) == f"line 1: unknown key '{key}'"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(FormatError) as err:
@@ -234,7 +234,7 @@ class TestValidation:
         "run.seeds = -1",
         "run.seeds = 0,1,-2",
         "data.num_classes = 0",
-        "data.split_parts = 0",
+        "data.n_tasks = -1",
     ])
     def test_out_of_range_values_name_the_key(self, line):
         with pytest.raises(ParameterError) as err:
@@ -293,15 +293,14 @@ class TestValidation:
 
     @settings(max_examples=80, deadline=None)
     @given(num_classes=st.integers(1, 24), scheme=st.sampled_from(["equal", "half_first"]),
-           n_tasks=st.integers(1, 8), split_parts=st.one_of(st.none(), st.integers(1, 8)))
+           n_tasks=st.integers(1, 8))
     def test_class_split_rule_accepts_exactly_the_splittable_streams(
-            self, num_classes, scheme, n_tasks, split_parts):
+            self, num_classes, scheme, n_tasks):
         text = (f"data.kind = idx\nmodel.arch = cnn\ndata.dim = none\n"
                 f"data.num_classes = {num_classes}\ndata.split_scheme = {scheme}\n"
-                f"data.n_tasks = {n_tasks}\ndata.split_parts = {render(split_parts)}\n")
-        parts = n_tasks if split_parts is None else split_parts
+                f"data.n_tasks = {n_tasks}\n")
         try:
-            split_classes(num_classes, scheme, parts)
+            split_classes(num_classes, scheme, n_tasks)
             splittable = True
         except ParameterError:
             splittable = False
@@ -309,9 +308,16 @@ class TestValidation:
             parse_config(text)
             accepted = True
         except ParameterError as exc:
-            assert ("data.n_tasks" if split_parts is None else "data.split_parts") in str(exc)
+            assert str(exc).startswith("data.n_tasks: ")
             accepted = False
-        assert accepted == splittable
+        # a DataSpec built in Python takes the same rule, so none reaches run_seed unsplittable
+        try:
+            DataSpec(kind="idx", num_classes=num_classes, split_scheme=scheme, n_tasks=n_tasks,
+                     dim=None)
+            built = True
+        except ParameterError:
+            built = False
+        assert accepted == splittable == built
 
     @pytest.mark.parametrize("cls,name", RANGED_FIELDS,
                              ids=[f"{cls.__name__}.{name}" for cls, name in RANGED_FIELDS])
@@ -447,7 +453,7 @@ class TestFileValidation:
     @pytest.mark.parametrize("position, value, extra, match", [
         (3, 12, "", "label 12 of record 3 (byte 11) is not below data.num_classes = 10"),
         (0, 255, "", "label 255 of record 0 (byte 8) is not below data.num_classes = 10"),
-        (None, None, "data.num_classes = 9\ndata.split_parts = 3\n",
+        (None, None, "data.num_classes = 9\ndata.n_tasks = 3\n",
          "label 9 of record 9 (byte 17) is not below data.num_classes = 9"),
     ])
     def test_idx_label_at_or_above_num_classes_names_record_and_byte(
@@ -471,7 +477,7 @@ class TestFileValidation:
         # the groups are those of the shuffled class order, [4 6 2 7 3 | 5 9 0 8 1]
         ((0, 1, 5, 6), "data.order_seed = 0\n",
          "task 1 (classes [4, 6, 2, 7, 3]) gets 1 training samples"),
-        ((0, 1, 5, 5, 6, 6), "data.split_scheme = half_first\ndata.split_parts = 5\n",
+        ((0, 1, 5, 5, 6, 6), "data.split_scheme = half_first\ndata.n_tasks = 5\n",
          "task 4 (classes [7]) gets 0 training samples"),
     ])
     def test_a_class_group_with_too_few_training_samples_names_key_and_task(

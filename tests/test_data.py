@@ -11,7 +11,7 @@ from clta.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, SIGMA_LADDER,
                        load_idx, split_classes, stream_from_datasets,
                        synthetic_stream)
 from clta.errors import (CltaError, ConsistencyError, DataError, FormatError,
-                         ParameterError, TruncatedFileError)
+                         NumericError, ParameterError, TruncatedFileError)
 
 
 class TestDataset:
@@ -131,6 +131,21 @@ class TestSyntheticStream:
         stream = synthetic_stream(3, 2, 40, dim=8, shift=0.15, seed=2)
         means = [task.train.inputs.mean() for task in stream.tasks]
         assert means[0] < means[1] < means[2]
+
+    def test_a_sum_that_overflows_clips_without_a_warning(self):
+        """Samples and an offset near the float maximum overflow to inf, which
+        clips to 1 as the exact sum would."""
+        inputs = synthetic_stream(1, 2, 20, dim=4, shift=1e308, blob_std=1e308,
+                                  seed=0).tasks[0].train.inputs
+        assert set(np.unique(inputs)) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("shift", [1.7e308, -1.7e308])
+    def test_an_infinite_sample_against_an_infinite_offset_raises_numeric_error(self, shift):
+        """A spread near the float maximum draws infinite samples; against an
+        infinite offset of the other sign their sum has no value."""
+        with pytest.raises(NumericError,
+                           match=r"^task 2: shift .*, blob_std 1\.7e\+308 give inf - inf$"):
+            synthetic_stream(2, 2, 5, dim=4, shift=shift, blob_std=1.7e308, seed=0)
 
     def test_image_mode_renders_channel_grids(self):
         stream = synthetic_stream(2, 2, 8, image_shape=(1, 8, 8), seed=0)

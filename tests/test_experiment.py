@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clta import experiment
 from clta.cli import main
-from clta.config import ModelSpec, parse_config
+from clta.config import _KEY_TABLE, ModelSpec, parse_config
+from clta.distill import KD_VARIANTS, STRATEGY_KINDS
 from clta.errors import ParameterError
 from clta.experiment import (ExperimentResult, aggregate_csv, aggregate_rows,
                              build_model, build_stream, expected_tasks,
@@ -245,6 +249,54 @@ class TestRunning:
         assert "nan" in text.splitlines()[1]
 
 
+FLOAT_KEYS = tuple(key for key, (tag, _, _) in _KEY_TABLE.items() if tag.endswith("float"))
+# extreme values, each valid for some float key: near the float maximum, the
+# smallest normal and subnormal, zero, and two ordinary magnitudes
+EXTREME_FLOATS = ("1.7e308", "-1.7e308", "1e300", "1e-300", "5e-324", "0.0", "1e-3", "1e3")
+GEOMETRY = {"mlp": "data.dim = 4\nmodel.hidden = 8\n",
+            "cnn": "model.arch = cnn\ndata.dim = none\ndata.image_shape = 1x8x8\n"}
+
+
+class TestValidateThenRun:
+    @settings(max_examples=150, deadline=None)
+    @given(arch=st.sampled_from(sorted(GEOMETRY)), variant=st.sampled_from(KD_VARIANTS),
+           kind=st.sampled_from(STRATEGY_KINDS),
+           norm=st.sampled_from(["batch", "none", "layer", "group"]),
+           warmup=st.booleans(), n_tasks=st.integers(2, 3), epochs=st.integers(1, 2),
+           floats=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREME_FLOATS),
+                                  max_size=4))
+    # a KD weight or the inputs' shift and spread that overflow an elementwise
+    # op once ended their seed in a bare RuntimeWarning
+    @example(arch="mlp", variant="auxiliary", kind="frozen", norm="batch", warmup=False,
+             n_tasks=3, epochs=1, floats={"kd.weight": "1.7e308"})
+    @example(arch="cnn", variant="auxiliary", kind="frozen", norm="batch", warmup=False,
+             n_tasks=3, epochs=1, floats={"kd.weight": "1.7e308"})
+    @example(arch="mlp", variant="global", kind="frozen", norm="batch", warmup=False,
+             n_tasks=3, epochs=1, floats={"kd.weight": "1.7e308", "kd.temperature": "1e-3"})
+    @example(arch="mlp", variant="taskwise", kind="frozen", norm="batch", warmup=False,
+             n_tasks=3, epochs=1, floats={"kd.weight": "1.7e308", "kd.temperature": "1e-3"})
+    @example(arch="mlp", variant="global", kind="frozen", norm="batch", warmup=False,
+             n_tasks=2, epochs=1, floats={"data.shift": "1.7e308", "data.blob_std": "1.7e308"})
+    def test_a_config_that_validates_runs_or_fails_with_numeric_error(
+            self, arch, variant, kind, norm, warmup, n_tasks, epochs, floats):
+        """A seed of any config that ``parse_config`` accepts ends ``ok`` or
+        in ``NumericError``, with no numpy warning on the way."""
+        text = (GEOMETRY[arch] + f"model.norm = {norm}\nkd.variant = {variant}\n"
+                f"teacher.kind = {kind}\nwarmup.enabled = {str(warmup).lower()}\n"
+                "warmup.max_epochs = 2\nwarmup.ramp_epochs = 1\n"
+                f"data.n_tasks = {n_tasks}\ndata.samples_per_class = 5\ntrain.batch_size = 8\n"
+                f"train.epochs = {epochs}\ntrain.decay_epochs = {'1' if epochs == 2 else ''}\n"
+                + "".join(f"{key} = {value}\n" for key, value in floats.items()))
+        try:
+            cfg = parse_config(text)
+        except ParameterError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = run_seed(cfg, 0)["status"]
+        assert status == "ok" or status.startswith("failed: NumericError: "), status
+
+
 class TestJson:
     def test_document_shape_and_rounding(self):
         cfg = parse_config(BASE_CONFIG)
@@ -319,5 +371,5 @@ class TestBuilders:
     def test_expected_tasks_accounts_for_half_first(self):
         assert expected_tasks(parse_config(BASE_CONFIG)) == 2
         cfg = parse_config("data.kind = idx\nmodel.arch = cnn\ndata.split_scheme = half_first\n"
-                           "data.split_parts = 5\n")
+                           "data.n_tasks = 5\n")
         assert expected_tasks(cfg) == 6

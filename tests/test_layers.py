@@ -245,6 +245,19 @@ class TestIncrementalModel:
         assert [l.shape[1] for l in logits] == [3, 2]
         assert model.total_classes() == 5
 
+    @pytest.mark.parametrize("norm", ["batch", "group", "layer", "none"])
+    def test_norm_parameters_are_each_norm_layers_gamma_and_beta_in_backbone_order(self, norm):
+        """The teacher's norm-only step and its clipping sum take them in
+        this order."""
+        for model in (build_micro_mlp(6, norm=norm, seed=0, hidden=16),
+                      build_micro_cnn(1, norm=norm, seed=0)):
+            add_task_head(model, 2, seed=1)
+            expected = [p for layer in model.backbone if hasattr(layer, "gamma")
+                        for p in (layer.gamma, layer.beta)]
+            assert bool(expected) == (norm != "none")
+            got = model.norm_parameters()
+            assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
     def test_capture_features_returns_backbone_output(self):
         model = self._model()
         x = Tensor(np.random.default_rng(1).uniform(size=(4, 6)))

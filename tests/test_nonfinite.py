@@ -96,15 +96,16 @@ class _Injector:
             return _run(arch, kind, grad_clip)
 
 
-def _run(arch: str, kind: str, grad_clip, **strategy):
+def _run(arch: str, kind: str, grad_clip, kd=KDConfig(weight=1.0), base_lr=0.1, **strategy):
     if arch == "mlp":
         stream = synthetic_stream(2, 2, 10, dim=4, shift=0.1, seed=0)
         model = build_micro_mlp(4, hidden=8, seed=0)
     else:
         stream = synthetic_stream(2, 2, 10, image_shape=(1, 8, 8), shift=0.1, seed=0)
         model = build_micro_cnn(1, seed=0)
-    train = TrainConfig(epochs=2, batch_size=8, lr_decay_epochs=(), grad_clip=grad_clip)
-    return run_stream(stream, model, KDConfig(weight=1.0), TeacherStrategy(kind=kind, **strategy),
+    train = TrainConfig(epochs=2, batch_size=8, base_lr=base_lr, lr_decay_epochs=(),
+                        grad_clip=grad_clip)
+    return run_stream(stream, model, kd, TeacherStrategy(kind=kind, **strategy),
                       train, WarmupConfig(), seed=0)
 
 
@@ -161,3 +162,28 @@ def test_a_pretrained_teacher_that_diverges_names_the_task(arch, kind):
     with pytest.raises(NumericError, match="^task 2, epoch 0: teacher CE forward: op 'normalize' "
                                            "produced a non-finite variance"):
         _run(arch, kind, None, teacher_lr=1e300)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_a_kd_weight_that_overflows_the_auxiliary_loss_ends_in_numeric_error(arch):
+    """The auxiliary loss sums two terms that each carry a weight near the
+    float maximum; the sum overflows to inf without a warning and is caught
+    as the KD loss."""
+    with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite KD loss inf$"):
+        _run(arch, "adapt_stats", None, kd=KDConfig(variant="auxiliary", weight=1.7e308))
+
+
+def test_a_student_forward_that_fails_names_the_task_and_epoch():
+    """A huge learning rate overflows the student's first-task weights, and
+    its train-mode BatchNorm forward fails on the next batch."""
+    with pytest.raises(NumericError, match="^task 1, epoch 0: CE forward: op 'normalize' "
+                                           "produced a non-finite variance"):
+        _run("mlp", "adapt_stats", None, base_lr=1e300)
+
+
+def test_a_student_update_that_fails_names_the_task_and_epoch():
+    """A huge multiclass KD weight gives the student a non-finite gradient
+    on the second task; ``sgd_step``'s message gains the task and epoch."""
+    with pytest.raises(NumericError, match="^task 2, epoch 0: sgd_step: parameter 0 has a "
+                                           "non-finite gradient$"):
+        _run("mlp", "adapt_stats", None, kd=KDConfig(variant="multiclass", weight=1e308))
