@@ -7,7 +7,7 @@ default the key's default and its metadata the key's value rule (see
 ``errors.check_value``).  A key is spelled ``<section>.<field>``, where the
 section is the ``ExperimentConfig`` field holding the dataclass (``run``
 for ExperimentConfig's own fields, ``teacher`` for ``strategy``), except
-six keys that ``_KEY_NAMES`` spells out, such as ``corrupt.severity`` for
+five keys that ``_KEY_NAMES`` spells out, such as ``corrupt.severity`` for
 ``data.corrupt_severity``.  Parsing fills every unspecified key with its
 default and rejects keys it does not know, so typos fail loudly.  The
 normalized dump writes every key back in canonical order from the fields;
@@ -53,12 +53,14 @@ class DataSpec:
     split_scheme: str = field(default="equal", metadata={"choices": ("equal", "half_first")})
     order_seed: int | None = field(default=None, metadata={">=": 0})
     corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER)})
-    corrupt_pattern: str = field(default="none", metadata={"choices": ("none", "every_other")})
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind != "synthetic":  # parse_config names data.n_tasks first
-            self.class_groups()
+        if self.kind != "synthetic":
+            try:
+                self.class_groups()
+            except ParameterError as exc:
+                raise ParameterError(f"data.n_tasks: {exc}") from exc
 
     def class_groups(self) -> list[np.ndarray]:
         """The class ids of each task of an ``idx`` or ``cifar`` stream."""
@@ -92,7 +94,31 @@ class ExperimentConfig:
     workers: int = field(default=1, metadata={">=": 1})
 
     def __post_init__(self):
+        """The per-field rules, then those that tie keys of several sections."""
         check_fields(self)
+        seeds, data, model = self.seeds, self.data, self.model
+        if not seeds:
+            raise ParameterError("run.seeds: at least one seed is required")
+        if len(set(seeds)) != len(seeds):
+            raise ParameterError(f"run.seeds: each seed may appear once, "
+                                 f"got {_normalize('intlist', seeds)}")
+        for seed in seeds:
+            check_value("run.seeds", seed, {">=": 0})
+        if model.norm == "group":
+            widths = (model.hidden,) if model.arch == "mlp" else CNN_WIDTHS
+            if any(width % model.groups for width in widths):
+                raise ParameterError(f"model.groups: {model.groups} must divide "
+                                     f"every layer width {widths}")
+        geometry = (data.dim, data.image_shape)
+        if data.kind == "synthetic" and geometry.count(None) != 1:
+            raise ParameterError("data.dim or data.image_shape: exactly one must be set")
+        # the idx and cifar loaders always return images
+        source = (f"data.kind = {data.kind}" if data.kind != "synthetic"
+                  else "data.dim" if geometry[1] is None else "data.image_shape")
+        vectors = source == "data.dim"
+        if (model.arch == "mlp") != vectors:
+            raise ParameterError(f"model.arch: {model.arch} does not take the "
+                                 f"{'vector' if vectors else 'image'} inputs of {source}")
 
 
 # section -> the dataclass its keys fill: the class an ExperimentConfig field
@@ -104,7 +130,6 @@ _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
 # strategy keys start with "teacher."
 _KEY_NAMES = {
     "data.corrupt_severity": "corrupt.severity",
-    "data.corrupt_pattern": "corrupt.pattern",
     "strategy.teacher_lr": "teacher.lr",
     "train.lr_decay_epochs": "train.decay_epochs",
     "train.lr_decay_factor": "train.decay_factor",
@@ -180,7 +205,8 @@ def _normalize(tag: str, value) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key-value document, apply defaults, validate everything."""
+    """Parse a key-value document, apply defaults and check each value's own
+    rule; the config dataclasses check the rules that tie keys together."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -195,52 +221,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FormatError(f"line {lineno}: duplicate key '{key}'")
         raw[key] = value
 
-    parsed = {}
     kwargs = {section: {} for section in _SECTIONS}
     for key, (tag, section, spec) in _KEY_TABLE.items():
         value = _parse_value(key, tag, raw[key]) if key in raw else spec.default
         check_value(key, value, spec.metadata)
-        parsed[key] = kwargs[section][spec.name] = value
-
-    seeds = parsed["run.seeds"]
-    if not seeds:
-        raise ParameterError("run.seeds: at least one seed is required")
-    if len(set(seeds)) != len(seeds):
-        raise ParameterError(f"run.seeds: each seed may appear once, "
-                             f"got {_normalize('intlist', seeds)}")
-    for seed in seeds:
-        check_value("run.seeds", seed, {">=": 0})
-    if parsed["model.norm"] == "group":
-        widths = (parsed["model.hidden"],) if parsed["model.arch"] == "mlp" else CNN_WIDTHS
-        if any(width % parsed["model.groups"] for width in widths):
-            raise ParameterError(f"model.groups: {parsed['model.groups']} must divide "
-                                 f"every layer width {widths}")
-    kind = parsed["data.kind"]
-    geometry = (parsed["data.dim"], parsed["data.image_shape"])
-    if kind == "synthetic" and geometry.count(None) != 1:
-        raise ParameterError("data.dim or data.image_shape: exactly one must be set")
-    # the idx and cifar loaders always return images
-    source = (f"data.kind = {kind}" if kind != "synthetic"
-              else "data.dim" if geometry[1] is None else "data.image_shape")
-    vectors = source == "data.dim"
-    if (parsed["model.arch"] == "mlp") != vectors:
-        raise ParameterError(f"model.arch: {parsed['model.arch']} does not take the "
-                             f"{'vector' if vectors else 'image'} inputs of {source}")
-    if kind != "synthetic":
-        try:
-            split_classes(parsed["data.num_classes"], parsed["data.split_scheme"],
-                          parsed["data.n_tasks"])
-        except ParameterError as exc:
-            raise ParameterError(f"data.n_tasks: {exc}") from exc
-
+        kwargs[section][spec.name] = value
     run = kwargs.pop("run")
-    sections = {}
-    for section, kw in kwargs.items():
-        try:
-            sections[section] = _SECTIONS[section](**kw)
-        except ParameterError as exc:
-            raise ParameterError(f"{section}: {exc}") from exc
-    return ExperimentConfig(**sections, **run)
+    return ExperimentConfig(**{section: _SECTIONS[section](**kw)
+                               for section, kw in kwargs.items()}, **run)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -52,7 +52,8 @@ class Dataset:
                 f"labels outside [0, {self.num_classes}): "
                 f"range [{self.labels.min()}, {self.labels.max()}]"
             )
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
+        # written so that a NaN, which fails every comparison, is rejected too
+        if self.inputs.size and not (self.inputs.min() >= 0.0 and self.inputs.max() <= 1.0):
             raise DataError("inputs fall outside [0, 1]")
 
     def __len__(self) -> int:

@@ -53,7 +53,7 @@ def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
             train = load_cifar_binary(spec.path, spec.num_classes)
             test = load_cifar_binary(spec.test_path, spec.num_classes)
         stream = stream_from_datasets(train, test, spec.class_groups())
-    if spec.corrupt_pattern == "every_other":
+    if spec.corrupt_severity:
         stream = corrupt_every_other(stream, CorruptionSpec(spec.corrupt_severity), seed)
     return stream
 

@@ -59,9 +59,9 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         steps = (*self.lr_decay_epochs, self.epochs)
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ParameterError(f"decay epochs {tuple(self.lr_decay_epochs)} must be strictly "
-                                 f"increasing and < epochs ({self.epochs})")
+        if min(steps) < 0 or any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ParameterError(f"train.decay_epochs: {tuple(self.lr_decay_epochs)} must be "
+                                 f"strictly increasing and in [0, train.epochs = {self.epochs})")
 
 
 @dataclass
@@ -77,9 +77,8 @@ class WarmupConfig:
     def __post_init__(self):
         check_fields(self)
         if self.ramp_epochs >= self.max_epochs:
-            raise ParameterError(
-                f"need ramp_epochs < max_epochs, got {self.ramp_epochs} / {self.max_epochs}"
-            )
+            raise ParameterError(f"warmup.ramp_epochs: must be < warmup.max_epochs "
+                                 f"({self.max_epochs}), got {self.ramp_epochs}")
 
 
 @dataclass

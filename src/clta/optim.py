@@ -125,8 +125,11 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_lo
             raise NumericError(f"task {task_index}, epoch {epoch}: {term} forward: {exc}") from exc
         value = finite_loss(loss, task_index, epoch, term)
         if steps:
-            loss.backward()
-            sgd_step(params, lr, grad_clip)
+            try:
+                loss.backward()
+                sgd_step(params, lr, grad_clip)
+            except NumericError as exc:  # so does a failing update
+                raise NumericError(f"task {task_index}, epoch {epoch}: {term}: {exc}") from exc
     finally:
         for p in held:
             p.requires_grad = True

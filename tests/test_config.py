@@ -1,6 +1,7 @@
 import math
+import re
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ ALL_KEYS = {
     "data.split_scheme": ("half_first", "data.split_scheme", "half_first"),
     "data.order_seed": ("9", "data.order_seed", 9),
     "corrupt.severity": ("3", "data.corrupt_severity", 3),
-    "corrupt.pattern": ("every_other", "data.corrupt_pattern", "every_other"),
     "model.arch": ("cnn", "model.arch", "cnn"),
     "model.norm": ("group", "model.norm", "group"),
     "model.hidden": ("32", "model.hidden", 32),
@@ -194,7 +194,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             parse_config("data.kind = streaming\n")
         with pytest.raises(ParameterError):
-            parse_config("corrupt.pattern = all\n")
+            parse_config("data.split_scheme = thirds\n")
 
     def test_severity_range(self):
         with pytest.raises(ParameterError) as err:
@@ -235,6 +235,7 @@ class TestValidation:
         "run.seeds = 0,1,-2",
         "data.num_classes = 0",
         "data.n_tasks = -1",
+        "train.decay_epochs = -3,2",
     ])
     def test_out_of_range_values_name_the_key(self, line):
         with pytest.raises(ParameterError) as err:
@@ -318,6 +319,55 @@ class TestValidation:
         except ParameterError:
             built = False
         assert accepted == splittable == built
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"seeds": ()}, "run.seeds"),
+        ({"seeds": (0, 0)}, "run.seeds"),
+        ({"seeds": (-1,)}, "run.seeds"),
+        ({"model": ModelSpec(arch="cnn")}, "model.arch"),
+        ({"data": DataSpec(dim=None, image_shape=(1, 8, 8))}, "model.arch"),
+        ({"data": DataSpec(kind="idx")}, "model.arch"),
+        ({"model": ModelSpec(norm="group", hidden=6, groups=4)}, "model.groups"),
+        ({"data": DataSpec(image_shape=(1, 8, 8))}, "data.dim or data.image_shape"),
+        ({"data": DataSpec(dim=None)}, "data.dim or data.image_shape"),
+    ])
+    def test_a_config_built_in_python_meets_the_rules_that_tie_keys(self, changes, key):
+        """``replace`` and the constructor take the rules ``parse_config``
+        takes, so no such config reaches ``run_experiment``."""
+        for build in (lambda: replace(parse_config(""), **changes),
+                      lambda: ExperimentConfig(**changes)):
+            with pytest.raises(ParameterError, match=f"^{re.escape(key)}: "):
+                build()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds=st.lists(st.integers(-2, 3), max_size=3),
+           kind=st.sampled_from(["synthetic", "idx", "cifar"]),
+           dim=st.one_of(st.none(), st.integers(1, 8)),
+           image_shape=st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 8),
+                                                      st.integers(1, 8))),
+           arch=st.sampled_from(["mlp", "cnn"]),
+           norm=st.sampled_from(["batch", "none", "layer", "group"]),
+           hidden=st.integers(1, 48), groups=st.integers(1, 48))
+    def test_text_and_python_accept_the_same_configs(self, seeds, kind, dim, image_shape,
+                                                     arch, norm, hidden, groups):
+        """For drawn values of the keys the tying rules read, the parsed
+        document and the same values built in Python pass or fail alike,
+        with one message."""
+        text = (f"run.seeds = {','.join(map(str, seeds))}\ndata.kind = {kind}\n"
+                f"data.dim = {render(dim)}\ndata.image_shape = {render(image_shape)}\n"
+                f"model.arch = {arch}\nmodel.norm = {norm}\nmodel.hidden = {hidden}\n"
+                f"model.groups = {groups}\n")
+        outcomes = []
+        for build in (lambda: parse_config(text),
+                      lambda: ExperimentConfig(
+                          data=DataSpec(kind=kind, dim=dim, image_shape=image_shape),
+                          model=ModelSpec(arch=arch, norm=norm, hidden=hidden, groups=groups),
+                          seeds=tuple(seeds))):
+            try:
+                outcomes.append(dump_config(build()))
+            except ParameterError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("cls,name", RANGED_FIELDS,
                              ids=[f"{cls.__name__}.{name}" for cls, name in RANGED_FIELDS])

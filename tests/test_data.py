@@ -29,6 +29,13 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.full((2, 2), 1.5), np.array([0, 1]), 4)
 
+    def test_a_nan_input_is_rejected_with_the_rest(self):
+        """A NaN fails every comparison, so it must not hide the 2.0 beside it."""
+        with pytest.raises(DataError, match="outside"):
+            Dataset([[np.nan, 2.0], [0.2, 0.3]], [0, 1], 2)
+        with pytest.raises(DataError, match="outside"):
+            Dataset([[np.nan, 0.5], [0.2, 0.3]], [0, 1], 2)
+
 
 class TestTaskAndStream:
     def _dataset(self, labels, num_classes=6):

@@ -35,6 +35,14 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(lr_decay_epochs=(6, 25), epochs=20)
 
+    @pytest.mark.parametrize("decays", [(-3, 2), (-1,), (20,), (6, 6)])
+    def test_each_decay_epoch_lies_in_the_run_and_names_the_key(self, decays):
+        with pytest.raises(ParameterError, match=r"^train\.decay_epochs: "):
+            TrainConfig(lr_decay_epochs=decays, epochs=20)
+
+    def test_decay_at_the_first_epoch_is_allowed(self):
+        assert TrainConfig(lr_decay_epochs=(0, 5), epochs=20).lr_decay_epochs == (0, 5)
+
     def test_tiny_batches_rejected(self):
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=1)
@@ -306,6 +314,29 @@ class TestCeStep:
             f"backbone.{i}.batchnorm.{name}" for i in (1, 4)
             for name in ("running_mean", "running_var")}
         assert all(p.grad is None and p.requires_grad for p in teacher.parameters())
+
+    def test_a_non_finite_gradient_names_the_task_epoch_and_term(self, monkeypatch):
+        """A NaN left in a stepped gradient fails the update, which names
+        where it happened; no parameter moves and every flag is back."""
+        model = build_micro_mlp(5, seed=3)
+        add_task_head(model, 3, seed=0)
+        params = newest_task_parameters(model)
+        backward = Tensor.backward
+
+        def planting(self, *args, **kwargs):
+            backward(self, *args, **kwargs)
+            params[0].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", planting)
+        before = [p.data.copy() for p in model.parameters()]
+        rng = np.random.default_rng(8)
+        with pytest.raises(NumericError, match="^task 2, epoch 0: teacher CE: sgd_step: "
+                                               "parameter 0 has a non-finite gradient$"):
+            ce_step(model, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]),
+                    0.1, None, 2, 0, "teacher CE")
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+        assert all(p.requires_grad for p in model.parameters())
 
     def test_non_finite_loss_raises_before_a_parameter_moves(self):
         model = build_micro_mlp(5, seed=3)
