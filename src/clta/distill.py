@@ -233,8 +233,9 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
     # orders); it is kept as it was so that every float stays the same
     schedule = ((strategy.teacher_lr, np.random.default_rng((seed, 0x7EAC, epoch)).permutation(n))
                 for epoch in range(strategy.pretrain_epochs))
-    return list(ce_epochs(teacher, strategy.trained_parameters(teacher), inputs, labels_local,
-                          schedule, batch_size, None, task_index, "teacher CE"))
+    return [ce for ce, _ in ce_epochs(teacher, strategy.trained_parameters(teacher), inputs,
+                                      labels_local, schedule, batch_size, None, task_index,
+                                      "teacher CE")]
 
 
 def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray, yb_local: np.ndarray,
@@ -243,4 +244,4 @@ def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray, yb_local:
     if not strategy.steps_with_student:
         raise ContractError(f"continuous_teacher_step called with strategy '{strategy.kind}'")
     return ce_step(teacher, strategy.trained_parameters(teacher), xb, yb_local,
-                   strategy.teacher_lr, None, task_index, epoch, "teacher CE")
+                   strategy.teacher_lr, None, task_index, epoch, "teacher CE")[0]

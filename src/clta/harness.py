@@ -3,7 +3,10 @@
 The protocol for each task: optionally warm the new head up in isolation,
 then run SGD epochs over seeded shuffles where every batch contributes a
 cross-entropy on the current task plus a weighted distillation term
-against the teacher snapshot.  The teacher is a deep copy of the model
+against the teacher snapshot.  The student trains through
+``optim.ce_epochs`` like every other network; ``train_task`` adds the
+distillation term with a function of its own and builds the task's trace
+from the epochs that loop yields.  The teacher is a deep copy of the model
 taken at the end of the previous task; what happens to it during the new
 task is the teacher strategy's business.  Under auxiliary KD, ``train_task``
 also trains a copy of the teacher on the new task alone as a second source.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .data import TaskStream
 from .distill import (
     KDConfig,
@@ -35,8 +38,8 @@ from .errors import ContractError, DataError, NumericError, ParameterError, chec
 from .layers import IncrementalModel, NormMode, add_task_head, snapshot_model
 from .metrics import (AccuracyMatrix, bn_stats_kld, capture_features,
                       evaluate_task_agnostic)
-from .optim import (ce_epochs, epoch_permutation, finite_loss, iter_batches,
-                    newest_task_parameters, sgd_step)
+from .optim import ce_epochs, epoch_permutation, finite_loss, newest_task_parameters
+from .optim import iter_batches, sgd_step  # unused here; the benchmark tracer looks them up here
 
 
 @dataclass
@@ -62,6 +65,12 @@ class TrainConfig:
         if min(steps) < 0 or any(b <= a for a, b in zip(steps, steps[1:])):
             raise ParameterError(f"train.decay_epochs: {tuple(self.lr_decay_epochs)} must be "
                                  f"strictly increasing and in [0, train.epochs = {self.epochs})")
+        try:  # the learning rate of the last decayed epoch divides by this power
+            self.lr_decay_factor ** len(self.lr_decay_epochs)
+        except OverflowError:
+            raise ParameterError(f"train.decay_factor: {self.lr_decay_factor} ** "
+                                 f"{len(self.lr_decay_epochs)}, one factor per decay epoch, "
+                                 "overflows") from None
 
 
 @dataclass
@@ -146,8 +155,8 @@ def warmup_head(model: IncrementalModel, inputs: np.ndarray, labels_local: np.nd
     schedule = ((one_cycle_lr(epoch, cfg), epoch_permutation(seed, task_index, epoch, n, stage=1))
                 for epoch in range(cfg.max_epochs))
     history, best, stall = [], np.inf, 0
-    for mean_ce in ce_epochs(head_only, head_only.parameters(), capture_features(model, inputs),
-                             labels_local, schedule, batch_size, None, task_index, "warmup CE"):
+    for mean_ce, _ in ce_epochs(head_only, head_only.parameters(), capture_features(model, inputs),
+                                labels_local, schedule, batch_size, None, task_index, "warmup CE"):
         history.append(mean_ce)
         if best - mean_ce > 1e-12:
             best, stall = mean_ce, 0
@@ -231,49 +240,28 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
     if strategy.fixes_student_stats and task_index >= 2:
         student_mode = NormMode.EVAL
 
-    params = model.parameters()  # no head is added while the task trains
-    for epoch in range(train.epochs):
-        lr = lr_schedule(epoch, train)
-        order = epoch_permutation(seed, task_index, epoch, n, stage=0)
-        ce_vals, kd_vals = [], []
-        for idx in iter_batches(n, train.batch_size, order):
-            xb = Tensor(inputs[idx])
-            try:
-                logits = model.forward(xb, student_mode)
-                ce = ad.cross_entropy(logits[-1], labels_local[idx])
-            except NumericError as exc:  # an op that fails names the task and epoch
-                raise NumericError(f"task {task_index}, epoch {epoch}: CE forward: {exc}") from exc
-            ce_vals.append(finite_loss(ce, task_index, epoch, "CE"))
+    def distill(ce, logits, xb, yb_local, epoch):
+        """The KD term and total loss; a continuous teacher then steps on the batch."""
+        teacher_logits = teacher_forward(teacher, xb, strategy, n_old)
+        if not all(np.isfinite(t.data).all() for t in teacher_logits):
+            raise NumericError(f"task {task_index}, epoch {epoch}: non-finite teacher logits")
+        kd_t, weight = _kd_term(kd, logits, teacher_logits, aux_teacher, xb)
+        kd_value = finite_loss(kd_t, task_index, epoch, "KD")
+        total = total_loss(ce, kd_t, weight)
+        finite_loss(total, task_index, epoch, "total")
+        if strategy.steps_with_student:
+            continuous_teacher_step(teacher, xb.data, yb_local, strategy, task_index, epoch)
+        return kd_value, total
 
-            if teacher is None:
-                total = ce
-                kd_vals.append(0.0)
-            else:
-                teacher_logits = teacher_forward(teacher, xb, strategy, n_old)
-                if not all(np.isfinite(t.data).all() for t in teacher_logits):
-                    raise NumericError(f"task {task_index}, epoch {epoch}: "
-                                       "non-finite teacher logits")
-                kd_t, weight = _kd_term(kd, logits, teacher_logits, aux_teacher, xb)
-                kd_vals.append(finite_loss(kd_t, task_index, epoch, "KD"))
-                total = total_loss(ce, kd_t, weight)
-                finite_loss(total, task_index, epoch, "total")
-
-            try:
-                total.backward()
-                sgd_step(params, lr, train.grad_clip)
-            except NumericError as exc:
-                raise NumericError(f"task {task_index}, epoch {epoch}: {exc}") from exc
-
-            if teacher is not None and strategy.steps_with_student:
-                continuous_teacher_step(teacher, inputs[idx], labels_local[idx], strategy,
-                                        task_index, epoch)
-
-        trace.ce.append(float(np.mean(ce_vals)))
-        trace.kd.append(float(np.mean(kd_vals)))
-        if teacher is not None and model.batchnorm_layers() and teacher.batchnorm_layers():
-            trace.bn_kld.append(bn_stats_kld(teacher, model))
-        else:
-            trace.bn_kld.append(0.0)
+    schedule = ((lr_schedule(e, train), epoch_permutation(seed, task_index, e, n, stage=0))
+                for e in range(train.epochs))
+    compares_bn = teacher is not None and model.batchnorm_layers() and teacher.batchnorm_layers()
+    for mean_ce, mean_kd in ce_epochs(model, model.parameters(), inputs, labels_local, schedule,
+                                      train.batch_size, train.grad_clip, task_index, "CE",
+                                      student_mode, None if teacher is None else distill):
+        trace.ce.append(mean_ce)
+        trace.kd.append(mean_kd)
+        trace.bn_kld.append(bn_stats_kld(teacher, model) if compares_bn else 0.0)
     return trace
 
 

@@ -1,7 +1,8 @@
 """The one SGD path: ``sgd_step`` moves parameters, ``iter_batches`` slices epochs,
-``ce_step`` is the newest-head cross-entropy step, ``ce_epochs`` the one loop of them
-behind warmup, teacher pretraining and the auxiliary network, and ``finite_loss``
-the one message form of a non-finite training loss: its task, epoch and term."""
+``ce_step`` is the newest-head cross-entropy step (with an optional distillation
+term), ``ce_epochs`` the one loop of them behind the student, warmup, teacher
+pretraining and the auxiliary network, and ``finite_loss`` the one message form
+of a non-finite training loss: its task, epoch and term."""
 
 from __future__ import annotations
 
@@ -104,8 +105,12 @@ def finite_loss(loss: Tensor, task_index: int, epoch: int, term: str) -> float:
 
 
 def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_local: np.ndarray,
-            lr: float, grad_clip: float | None, task_index: int, epoch: int, term: str) -> float:
-    """One train-mode cross-entropy step on the newest head; returns the loss.
+            lr: float, grad_clip: float | None, task_index: int, epoch: int, term: str,
+            mode: NormMode = NormMode.TRAIN, distill=None) -> tuple[float, float]:
+    """One cross-entropy step on the newest head in ``mode``; returns the loss
+    and the KD term.  Without ``distill`` only the newest head runs and the KD
+    term is 0.0; with it every head runs, and ``distill(loss, logits, x,
+    yb_local, epoch)`` returns the KD term and the total loss that is descended.
     Only ``params`` move, and none does when the list is empty (a norm-only
     scope on a norm-free model) or ``lr`` is zero; running statistics still do.
     Only the parameters that move are differentiated: the others are held
@@ -119,33 +124,40 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_lo
         p.requires_grad = False
     try:
         try:
-            features = model.features(Tensor(xb), NormMode.TRAIN)
-            loss = ad.cross_entropy(model.heads[-1].forward(features, NormMode.TRAIN), yb_local)
+            x = Tensor(xb)
+            features = model.features(x, mode)
+            logits = [head.forward(features, mode)
+                      for head in (model.heads if distill else model.heads[-1:])]
+            loss = ad.cross_entropy(logits[-1], yb_local)
         except NumericError as exc:  # an op that fails names the task, epoch and term
             raise NumericError(f"task {task_index}, epoch {epoch}: {term} forward: {exc}") from exc
         value = finite_loss(loss, task_index, epoch, term)
+        kd, total = distill(loss, logits, x, yb_local, epoch) if distill else (0.0, loss)
         if steps:
             try:
-                loss.backward()
+                total.backward()
                 sgd_step(params, lr, grad_clip)
             except NumericError as exc:  # so does a failing update
                 raise NumericError(f"task {task_index}, epoch {epoch}: {term}: {exc}") from exc
     finally:
         for p in held:
             p.requires_grad = True
-    return value
+    return value, kd
 
 
 def ce_epochs(model: IncrementalModel, params: list[Tensor], inputs: np.ndarray,
               labels_local: np.ndarray, schedule, batch_size: int,
-              grad_clip: float | None, task_index: int, term: str):
+              grad_clip: float | None, task_index: int, term: str,
+              mode: NormMode = NormMode.TRAIN, distill=None):
     """Run ``ce_step`` over the batches of each ``(lr, order)`` epoch of ``schedule``
-    and yield the epoch's mean loss.  Lazy: an epoch runs only when its mean is
-    asked for, so a caller that stops early (the warmup) trains no further."""
+    and yield the epoch's mean loss and mean KD term.  Lazy: an epoch runs only when
+    its means are asked for, so a caller that stops early (the warmup) trains no
+    further, and one that reads the model between yields sees an epoch's end."""
     n = len(inputs)
     if n < 2:  # a lone sample makes no batch, so an epoch would have no mean
         raise DataError(f"task {task_index}: {term} needs at least 2 samples, got {n}")
     for epoch, (lr, order) in enumerate(schedule):
-        yield float(np.mean([ce_step(model, params, inputs[idx], labels_local[idx], lr,
-                                     grad_clip, task_index, epoch, term)
-                             for idx in iter_batches(n, batch_size, order)]))
+        ce_vals, kd_vals = zip(*(ce_step(model, params, inputs[idx], labels_local[idx], lr,
+                                         grad_clip, task_index, epoch, term, mode, distill)
+                                 for idx in iter_batches(n, batch_size, order)))
+        yield float(np.mean(ce_vals)), float(np.mean(kd_vals))

@@ -236,6 +236,7 @@ class TestValidation:
         "data.num_classes = 0",
         "data.n_tasks = -1",
         "train.decay_epochs = -3,2",
+        "train.decay_factor = 1e200",
     ])
     def test_out_of_range_values_name_the_key(self, line):
         with pytest.raises(ParameterError) as err:

@@ -262,7 +262,7 @@ class TestValidateThenRun:
     @given(arch=st.sampled_from(sorted(GEOMETRY)), variant=st.sampled_from(KD_VARIANTS),
            kind=st.sampled_from(STRATEGY_KINDS),
            norm=st.sampled_from(["batch", "none", "layer", "group"]),
-           warmup=st.booleans(), n_tasks=st.integers(2, 3), epochs=st.integers(1, 2),
+           warmup=st.booleans(), n_tasks=st.integers(2, 3), epochs=st.integers(1, 3),
            floats=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREME_FLOATS),
                                   max_size=4))
     # a KD weight or the inputs' shift and spread that overflow an elementwise
@@ -277,15 +277,20 @@ class TestValidateThenRun:
              n_tasks=3, epochs=1, floats={"kd.weight": "1.7e308", "kd.temperature": "1e-3"})
     @example(arch="mlp", variant="global", kind="frozen", norm="batch", warmup=False,
              n_tasks=2, epochs=1, floats={"data.shift": "1.7e308", "data.blob_std": "1.7e308"})
+    # a decay factor whose power over the decays overflows once ended its
+    # seed in a bare OverflowError
+    @example(arch="mlp", variant="global", kind="frozen", norm="batch", warmup=False,
+             n_tasks=2, epochs=3, floats={"train.decay_factor": "1.7e308"})
     def test_a_config_that_validates_runs_or_fails_with_numeric_error(
             self, arch, variant, kind, norm, warmup, n_tasks, epochs, floats):
         """A seed of any config that ``parse_config`` accepts ends ``ok`` or
         in ``NumericError``, with no numpy warning on the way."""
+        decays = ",".join(str(e) for e in range(1, epochs))  # "", "1" or "1,2"
         text = (GEOMETRY[arch] + f"model.norm = {norm}\nkd.variant = {variant}\n"
                 f"teacher.kind = {kind}\nwarmup.enabled = {str(warmup).lower()}\n"
                 "warmup.max_epochs = 2\nwarmup.ramp_epochs = 1\n"
                 f"data.n_tasks = {n_tasks}\ndata.samples_per_class = 5\ntrain.batch_size = 8\n"
-                f"train.epochs = {epochs}\ntrain.decay_epochs = {'1' if epochs == 2 else ''}\n"
+                f"train.epochs = {epochs}\ntrain.decay_epochs = {decays}\n"
                 + "".join(f"{key} = {value}\n" for key, value in floats.items()))
         try:
             cfg = parse_config(text)

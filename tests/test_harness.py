@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -239,13 +240,13 @@ class TestCeStep:
 
         for head in stepped.heads[:-1]:
             head.forward = must_not_run
-        loss = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None, 2, 0, "CE")
+        loss, kd = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None, 2, 0, "CE")
 
         logits = reference.forward(Tensor(x), NormMode.TRAIN)
         expected = ad.cross_entropy(logits[-1], y)
         expected.backward()
         sgd_step(newest_task_parameters(reference), 0.1)
-        assert loss == expected.item()
+        assert (loss, kd) == (expected.item(), 0.0)
         assert parameter_checksums(stepped) == parameter_checksums(reference)
 
 
@@ -366,8 +367,8 @@ class TestCeEpochs:
                            ((0.1, order) for order in orders), 4, None, 4, "auxiliary CE")
         assert model_checksum(model) == model_checksum(reference)
         losses = [ce_step(reference, newest_task_parameters(reference), x[idx], y[idx], 0.1,
-                          None, 4, 0, "auxiliary CE") for idx in np.split(orders[0], 3)]
-        assert next(epochs) == float(np.mean(losses))
+                          None, 4, 0, "auxiliary CE")[0] for idx in np.split(orders[0], 3)]
+        assert next(epochs) == (float(np.mean(losses)), 0.0)
         assert model_checksum(model) == model_checksum(reference)
         next(epochs)
         model.heads[-1].bias.data[0] = np.nan
@@ -506,6 +507,23 @@ class TestTrainTask:
         assert trace.ce[-1] < trace.ce[0]
         assert trace.kd == [0.0] * 4
         assert trace.bn_kld == [0.0] * 4
+
+    def test_the_first_task_is_a_plain_ce_run(self):
+        """On task 1 the student is trained as ``ce_epochs`` trains any
+        network, under the stage-0 shuffle: the CE trace and the parameters
+        match bit for bit."""
+        x, y = two_class_task(np.random.default_rng(3))
+        model = self._fresh(3)
+        direct = copy.deepcopy(model)
+        train = desk_config(grad_clip=1.0)
+        schedule = ((lr_schedule(e, train), epoch_permutation(7, 1, e, len(x), stage=0))
+                    for e in range(train.epochs))
+        ce = [mean_ce for mean_ce, _ in ce_epochs(direct, direct.parameters(), x, y, schedule,
+                                                  train.batch_size, train.grad_clip, 1, "CE")]
+        trace = train_task(model, None, 1, x, y, KDConfig(), TeacherStrategy(), train,
+                           WarmupConfig(), seed=7)
+        assert trace.ce == ce
+        assert model_checksum(model) == model_checksum(direct)
 
     def test_non_finite_losses_name_task_epoch_and_term(self):
         rng = np.random.default_rng(5)

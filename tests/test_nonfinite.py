@@ -183,7 +183,7 @@ def test_a_student_forward_that_fails_names_the_task_and_epoch():
 
 def test_a_student_update_that_fails_names_the_task_and_epoch():
     """A huge multiclass KD weight gives the student a non-finite gradient
-    on the second task; ``sgd_step``'s message gains the task and epoch."""
-    with pytest.raises(NumericError, match="^task 2, epoch 0: sgd_step: parameter 0 has a "
+    on the second task; ``sgd_step``'s message gains the task, epoch and term."""
+    with pytest.raises(NumericError, match="^task 2, epoch 0: CE: sgd_step: parameter 0 has a "
                                            "non-finite gradient$"):
         _run("mlp", "adapt_stats", None, kd=KDConfig(variant="multiclass", weight=1e308))
