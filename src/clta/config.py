@@ -56,6 +56,10 @@ class DataSpec:
 
     def __post_init__(self):
         check_fields(self)
+        shape = self.image_shape
+        if shape is not None and (len(shape) != 3 or min(shape) < 1):
+            raise ParameterError(f"data.image_shape: expected CxHxW of positive sizes, got "
+                                 f"{'x'.join(map(str, shape))}")
         if self.kind != "synthetic":
             try:
                 self.class_groups()
@@ -179,11 +183,8 @@ def _parse_value(key: str, tag: str, text: str):
             return text == "true"
         if tag == "intlist":
             return tuple(int(p) for p in text.split(",") if p.strip() != "")
-        if tag == "shape":
-            shape = tuple(int(p) for p in text.lower().split("x"))
-            if len(shape) != 3 or min(shape) < 1:
-                raise ParameterError(f"{key}: expected CxHxW of positive sizes, got '{text}'")
-            return shape
+        if tag == "shape":  # DataSpec checks the sizes
+            return tuple(int(p) for p in text.lower().split("x"))
         return text
     except ValueError as exc:
         raise ParameterError(f"{key}: cannot read '{text}' as {tag}") from exc

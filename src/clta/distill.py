@@ -239,9 +239,9 @@ def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,
 
 
 def continuous_teacher_step(teacher: IncrementalModel, xb: np.ndarray, yb_local: np.ndarray,
-                            strategy: TeacherStrategy, task_index: int, epoch: int) -> float:
+                            strategy: TeacherStrategy) -> float:
     """One SGD step on the teacher for the batch the student just saw."""
     if not strategy.steps_with_student:
         raise ContractError(f"continuous_teacher_step called with strategy '{strategy.kind}'")
     return ce_step(teacher, strategy.trained_parameters(teacher), xb, yb_local,
-                   strategy.teacher_lr, None, task_index, epoch, "teacher CE")[0]
+                   strategy.teacher_lr, None, "teacher CE")[0]

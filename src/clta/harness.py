@@ -5,11 +5,13 @@ then run SGD epochs over seeded shuffles where every batch contributes a
 cross-entropy on the current task plus a weighted distillation term
 against the teacher snapshot.  The student trains through
 ``optim.ce_epochs`` like every other network; ``train_task`` adds the
-distillation term with a function of its own and builds the task's trace
-from the epochs that loop yields.  The teacher is a deep copy of the model
-taken at the end of the previous task; what happens to it during the new
-task is the teacher strategy's business.  Under auxiliary KD, ``train_task``
-also trains a copy of the teacher on the new task alone as a second source.
+distillation term with a function of its own that runs inside each step,
+so that loop names a failing teacher forward by task and epoch too, and
+builds the task's trace from the epochs the loop yields.  The teacher is a
+deep copy of the model taken at the end of the previous task; what happens
+to it during the new task is the teacher strategy's business.  Under
+auxiliary KD, ``train_task`` also trains a copy of the teacher on the new
+task alone as a second source.
 """
 
 from __future__ import annotations
@@ -240,17 +242,17 @@ def train_task(model: IncrementalModel, teacher: IncrementalModel | None,
     if strategy.fixes_student_stats and task_index >= 2:
         student_mode = NormMode.EVAL
 
-    def distill(ce, logits, xb, yb_local, epoch):
+    def distill(ce, logits, xb, yb_local):
         """The KD term and total loss; a continuous teacher then steps on the batch."""
         teacher_logits = teacher_forward(teacher, xb, strategy, n_old)
         if not all(np.isfinite(t.data).all() for t in teacher_logits):
-            raise NumericError(f"task {task_index}, epoch {epoch}: non-finite teacher logits")
+            raise NumericError("non-finite teacher logits")
         kd_t, weight = _kd_term(kd, logits, teacher_logits, aux_teacher, xb)
-        kd_value = finite_loss(kd_t, task_index, epoch, "KD")
+        kd_value = finite_loss(kd_t, "KD")
         total = total_loss(ce, kd_t, weight)
-        finite_loss(total, task_index, epoch, "total")
+        finite_loss(total, "total")
         if strategy.steps_with_student:
-            continuous_teacher_step(teacher, xb.data, yb_local, strategy, task_index, epoch)
+            continuous_teacher_step(teacher, xb.data, yb_local, strategy)
         return kd_value, total
 
     schedule = ((lr_schedule(e, train), epoch_permutation(seed, task_index, e, n, stage=0))

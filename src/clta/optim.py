@@ -2,7 +2,8 @@
 ``ce_step`` is the newest-head cross-entropy step (with an optional distillation
 term), ``ce_epochs`` the one loop of them behind the student, warmup, teacher
 pretraining and the auxiliary network, and ``finite_loss`` the one message form
-of a non-finite training loss: its task, epoch and term."""
+of a non-finite training loss.  A failing step names its term, and ``ce_epochs``,
+which counts the epochs, puts ``task <t>, epoch <e>: `` in front of any of its errors."""
 
 from __future__ import annotations
 
@@ -96,21 +97,21 @@ def newest_task_parameters(model: IncrementalModel) -> list[Tensor]:
     return backbone + model.heads[-1].parameters()
 
 
-def finite_loss(loss: Tensor, task_index: int, epoch: int, term: str) -> float:
-    """The loss as a float; a NaN or inf raises, naming where it appeared."""
+def finite_loss(loss: Tensor, term: str) -> float:
+    """The loss as a float; a NaN or inf raises, naming its term."""
     value = loss.item()
     if not math.isfinite(value):
-        raise NumericError(f"task {task_index}, epoch {epoch}: non-finite {term} loss {value}")
+        raise NumericError(f"non-finite {term} loss {value}")
     return value
 
 
 def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_local: np.ndarray,
-            lr: float, grad_clip: float | None, task_index: int, epoch: int, term: str,
-            mode: NormMode = NormMode.TRAIN, distill=None) -> tuple[float, float]:
+            lr: float, grad_clip: float | None, term: str, mode: NormMode = NormMode.TRAIN,
+            distill=None) -> tuple[float, float]:
     """One cross-entropy step on the newest head in ``mode``; returns the loss
     and the KD term.  Without ``distill`` only the newest head runs and the KD
     term is 0.0; with it every head runs, and ``distill(loss, logits, x,
-    yb_local, epoch)`` returns the KD term and the total loss that is descended.
+    yb_local)`` returns the KD term and the total loss that is descended.
     Only ``params`` move, and none does when the list is empty (a norm-only
     scope on a norm-free model) or ``lr`` is zero; running statistics still do.
     Only the parameters that move are differentiated: the others are held
@@ -129,16 +130,16 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_lo
             logits = [head.forward(features, mode)
                       for head in (model.heads if distill else model.heads[-1:])]
             loss = ad.cross_entropy(logits[-1], yb_local)
-        except NumericError as exc:  # an op that fails names the task, epoch and term
-            raise NumericError(f"task {task_index}, epoch {epoch}: {term} forward: {exc}") from exc
-        value = finite_loss(loss, task_index, epoch, term)
-        kd, total = distill(loss, logits, x, yb_local, epoch) if distill else (0.0, loss)
+        except NumericError as exc:  # an op that fails names the term
+            raise NumericError(f"{term} forward: {exc}") from exc
+        value = finite_loss(loss, term)
+        kd, total = distill(loss, logits, x, yb_local) if distill else (0.0, loss)
         if steps:
             try:
                 total.backward()
                 sgd_step(params, lr, grad_clip)
             except NumericError as exc:  # so does a failing update
-                raise NumericError(f"task {task_index}, epoch {epoch}: {term}: {exc}") from exc
+                raise NumericError(f"{term}: {exc}") from exc
     finally:
         for p in held:
             p.requires_grad = True
@@ -152,12 +153,16 @@ def ce_epochs(model: IncrementalModel, params: list[Tensor], inputs: np.ndarray,
     """Run ``ce_step`` over the batches of each ``(lr, order)`` epoch of ``schedule``
     and yield the epoch's mean loss and mean KD term.  Lazy: an epoch runs only when
     its means are asked for, so a caller that stops early (the warmup) trains no
-    further, and one that reads the model between yields sees an epoch's end."""
+    further, and one that reads the model between yields sees an epoch's end.  Any
+    ``NumericError`` of a step, its distillation included, gains its task and epoch."""
     n = len(inputs)
     if n < 2:  # a lone sample makes no batch, so an epoch would have no mean
         raise DataError(f"task {task_index}: {term} needs at least 2 samples, got {n}")
     for epoch, (lr, order) in enumerate(schedule):
-        ce_vals, kd_vals = zip(*(ce_step(model, params, inputs[idx], labels_local[idx], lr,
-                                         grad_clip, task_index, epoch, term, mode, distill)
-                                 for idx in iter_batches(n, batch_size, order)))
+        try:
+            ce_vals, kd_vals = zip(*(ce_step(model, params, inputs[idx], labels_local[idx], lr,
+                                             grad_clip, term, mode, distill)
+                                     for idx in iter_batches(n, batch_size, order)))
+        except NumericError as exc:  # whatever fails in a step, distillation too
+            raise NumericError(f"task {task_index}, epoch {epoch}: {exc}") from exc
         yield float(np.mean(ce_vals)), float(np.mean(kd_vals))

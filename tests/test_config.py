@@ -340,12 +340,20 @@ class TestValidation:
             with pytest.raises(ParameterError, match=f"^{re.escape(key)}: "):
                 build()
 
+    @pytest.mark.parametrize("shape", [(1, 8), (-1, 8, 8), (1, 0, 8), (1, 8, 8, 8)])
+    def test_replace_takes_the_image_shape_rule(self, shape):
+        """A shape that is not three sizes >= 1 fails when the config is
+        built, not in the run's data or first layer."""
+        cfg = parse_config("model.arch = cnn\ndata.dim = none\ndata.image_shape = 1x8x8\n")
+        with pytest.raises(ParameterError, match="^data.image_shape: "):
+            replace(cfg, data=replace(cfg.data, image_shape=shape))
+
     @settings(max_examples=150, deadline=None)
     @given(seeds=st.lists(st.integers(-2, 3), max_size=3),
            kind=st.sampled_from(["synthetic", "idx", "cifar"]),
            dim=st.one_of(st.none(), st.integers(1, 8)),
-           image_shape=st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 8),
-                                                      st.integers(1, 8))),
+           image_shape=st.one_of(st.none(), st.tuples(st.integers(-1, 3), st.integers(-1, 8),
+                                                      st.integers(-1, 8))),
            arch=st.sampled_from(["mlp", "cnn"]),
            norm=st.sampled_from(["batch", "none", "layer", "group"]),
            hidden=st.integers(1, 48), groups=st.integers(1, 48))

@@ -13,6 +13,7 @@ from clta.distill import (STRATEGY_KINDS, KDConfig, TeacherStrategy, auxiliary_k
 from clta.errors import ContractError, DataError, NumericError, ParameterError
 from clta.layers import (BatchNorm, Dense, NormMode, add_task_head, build_micro_mlp,
                          model_checksum, parameter_checksums, snapshot_model)
+from clta.optim import ce_epochs
 
 
 def softmax(z, t=1.0):
@@ -482,8 +483,7 @@ class TestTrainableTeachers:
             p.data = np.where(p.data == 0.0, -0.0, p.data)
         before = parameter_checksums(teacher)
         x, y = self._task_data(rng, n=16)
-        continuous_teacher_step(teacher, x, y, TeacherStrategy(kind=kind, teacher_lr=0.0),
-                                task_index=2, epoch=0)
+        continuous_teacher_step(teacher, x, y, TeacherStrategy(kind=kind, teacher_lr=0.0))
         after = parameter_checksums(teacher)
         changed = sorted(k for k in before if before[k] != after[k])
         assert changed
@@ -496,8 +496,7 @@ class TestTrainableTeachers:
         x, y = self._task_data(rng)
         before = parameter_checksums(teacher)
         loss = continuous_teacher_step(teacher, x[:16], y[:16],
-                                       TeacherStrategy(kind="continuous_norm", teacher_lr=0.1),
-                                       task_index=2, epoch=0)
+                                       TeacherStrategy(kind="continuous_norm", teacher_lr=0.1))
         history = pretrain_teacher(teacher, x, y,
                                    TeacherStrategy(kind="pretrain_norm", teacher_lr=0.1,
                                                    pretrain_epochs=2),
@@ -518,8 +517,7 @@ class TestTrainableTeachers:
             p.data = p.data - 0.1 * p.grad
         old_head = parameter_checksums(teacher)["head.0.weight"]
         continuous_teacher_step(teacher, x, y,
-                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1),
-                                task_index=2, epoch=0)
+                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1))
         assert parameter_checksums(teacher) == parameter_checksums(expected)
         assert parameter_checksums(teacher)["head.0.weight"] == old_head
 
@@ -529,8 +527,7 @@ class TestTrainableTeachers:
         w_before = teacher.backbone[0].weight.data.copy()
         x, y = self._task_data(rng, n=16)
         continuous_teacher_step(teacher, x, y,
-                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1),
-                                task_index=2, epoch=0)
+                                TeacherStrategy(kind="continuous_full", teacher_lr=0.1))
         assert np.abs(teacher.backbone[0].weight.data - w_before).max() > 0.0
 
     def test_pretrain_nan_loss_names_task_and_epoch(self):
@@ -547,13 +544,24 @@ class TestTrainableTeachers:
             np.testing.assert_array_equal(p.data, old)
 
     def test_continuous_nan_loss_names_task_and_epoch(self):
+        """The step names its term; the student's ``ce_epochs``, whose
+        distillation takes the step, puts the task and epoch in front."""
         teacher, rng = _teacher_with_history(16)
         add_task_head(teacher, 2, seed=(16, 9))
         teacher.heads[-1].weight.data[0, 0] = np.nan
         x, y = self._task_data(rng, n=16)
+        strategy = TeacherStrategy(kind="continuous_full")
+        with pytest.raises(NumericError, match="^non-finite teacher CE loss nan$"):
+            continuous_teacher_step(teacher, x, y, strategy)
+
+        def distill(ce, logits, xb, yb_local):
+            continuous_teacher_step(teacher, xb.data, yb_local, strategy)
+            return 0.0, ce
+
+        student = add_task_head(build_micro_mlp(6, seed=16), 2, seed=0)
         with pytest.raises(NumericError, match="^task 2, epoch 0: non-finite teacher CE loss nan$"):
-            continuous_teacher_step(teacher, x, y, TeacherStrategy(kind="continuous_full"),
-                                    task_index=2, epoch=0)
+            next(ce_epochs(student, student.parameters(), x, y, [(0.1, np.arange(16))], 16,
+                           None, 2, "CE", distill=distill))
 
     def test_pretrain_is_seed_deterministic(self):
         results = []

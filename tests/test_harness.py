@@ -240,7 +240,7 @@ class TestCeStep:
 
         for head in stepped.heads[:-1]:
             head.forward = must_not_run
-        loss, kd = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None, 2, 0, "CE")
+        loss, kd = ce_step(stepped, newest_task_parameters(stepped), x, y, 0.1, None, "CE")
 
         logits = reference.forward(Tensor(x), NormMode.TRAIN)
         expected = ad.cross_entropy(logits[-1], y)
@@ -262,7 +262,7 @@ class TestCeStep:
             add_task_head(teacher, classes, seed=t)
         params = TeacherStrategy(kind=kind).trained_parameters(teacher)
         ce_step(teacher, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None,
-                2, 0, "teacher CE")
+                "teacher CE")
         assert all(p.grad is None for p in teacher.parameters())
 
     @pytest.fixture
@@ -290,7 +290,7 @@ class TestCeStep:
         before = parameter_checksums(teacher)
         ce_step(teacher, TeacherStrategy(kind="continuous_norm").trained_parameters(teacher),
                 rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), 0.1, None,
-                2, 0, "teacher CE")
+                "teacher CE")
         after = parameter_checksums(teacher)
         moved = {key for key in before if before[key] != after[key]}
         assert moved == {f"backbone.{i}.batchnorm.{name}" for i in (1, 4)
@@ -308,7 +308,7 @@ class TestCeStep:
         scope = [] if params == "none" else teacher.norm_parameters()
         lr = 0.1 if params == "none" else 0.0
         ce_step(teacher, scope, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]), lr, None,
-                2, 0, "teacher CE")
+                "teacher CE")
         assert made and not any(out.requires_grad for out in made)
         after = parameter_checksums(teacher)
         assert {key for key in before if before[key] != after[key]} == {
@@ -318,7 +318,8 @@ class TestCeStep:
 
     def test_a_non_finite_gradient_names_the_task_epoch_and_term(self, monkeypatch):
         """A NaN left in a stepped gradient fails the update, which names
-        where it happened; no parameter moves and every flag is back."""
+        its term, and ``ce_epochs`` the task and epoch in front; no
+        parameter moves and every flag is back."""
         model = build_micro_mlp(5, seed=3)
         add_task_head(model, 3, seed=0)
         params = newest_task_parameters(model)
@@ -331,23 +332,34 @@ class TestCeStep:
         monkeypatch.setattr(Tensor, "backward", planting)
         before = [p.data.copy() for p in model.parameters()]
         rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(NumericError, match="^teacher CE: sgd_step: "
+                                               "parameter 0 has a non-finite gradient$"):
+            ce_step(model, params, x, y, 0.1, None, "teacher CE")
         with pytest.raises(NumericError, match="^task 2, epoch 0: teacher CE: sgd_step: "
                                                "parameter 0 has a non-finite gradient$"):
-            ce_step(model, params, rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2]),
-                    0.1, None, 2, 0, "teacher CE")
+            next(ce_epochs(model, params, x, y, [(0.1, np.arange(6))], 6, None, 2, "teacher CE"))
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old)
         assert all(p.requires_grad for p in model.parameters())
 
     def test_non_finite_loss_raises_before_a_parameter_moves(self):
+        """The loss names its term, and ``ce_epochs`` the task and the epoch
+        it reached in front."""
         model = build_micro_mlp(5, seed=3)
         add_task_head(model, 3, seed=0)
+        params = newest_task_parameters(model)
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 5)), np.array([0, 1, 2, 0, 1, 2])
+        epochs = ce_epochs(model, params, x, y, [(0.1, np.arange(6))] * 2, 6, None, 3,
+                           "teacher CE")
+        next(epochs)
         model.heads[-1].weight.data[0, 0] = np.nan
         before = [p.data.copy() for p in model.parameters()]
-        rng = np.random.default_rng(8)
+        with pytest.raises(NumericError, match="^non-finite teacher CE loss nan$"):
+            ce_step(model, params, x, y, 0.1, None, "teacher CE")
         with pytest.raises(NumericError, match="^task 3, epoch 1: non-finite teacher CE loss nan$"):
-            ce_step(model, newest_task_parameters(model), rng.normal(size=(6, 5)),
-                    np.array([0, 1, 2, 0, 1, 2]), 0.1, None, 3, 1, "teacher CE")
+            next(epochs)
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old)
         # the parameters held out of the graph have their flag back
@@ -367,7 +379,7 @@ class TestCeEpochs:
                            ((0.1, order) for order in orders), 4, None, 4, "auxiliary CE")
         assert model_checksum(model) == model_checksum(reference)
         losses = [ce_step(reference, newest_task_parameters(reference), x[idx], y[idx], 0.1,
-                          None, 4, 0, "auxiliary CE")[0] for idx in np.split(orders[0], 3)]
+                          None, "auxiliary CE")[0] for idx in np.split(orders[0], 3)]
         assert next(epochs) == (float(np.mean(losses)), 0.0)
         assert model_checksum(model) == model_checksum(reference)
         next(epochs)
@@ -540,6 +552,21 @@ class TestTrainTask:
         model.heads[0].weight.data[0, 0] = np.nan
         with pytest.raises(NumericError, match="task 2, epoch 0: non-finite KD"):
             train_task(model, teacher, 2, x, y, KDConfig(), TeacherStrategy(),
+                       desk_config(), WarmupConfig(), seed=0)
+
+    def test_a_failing_adapt_stats_teacher_forward_names_the_task_and_epoch(self):
+        """The ``adapt_stats`` teacher's forward runs inside the student's
+        step; a huge first weight overflows its batch variance, and the
+        error gains the task and epoch of the step it failed in."""
+        rng = np.random.default_rng(5)
+        x, y = two_class_task(rng)
+        model = self._fresh(5)
+        teacher = snapshot_model(model)
+        add_task_head(model, 2, seed=(5, 2))
+        teacher.backbone[0].weight.data[0, 0] = 1e200
+        with pytest.raises(NumericError, match="^task 2, epoch 0: op 'normalize' produced a "
+                                               "non-finite variance"):
+            train_task(model, teacher, 2, x, y, KDConfig(), TeacherStrategy(kind="adapt_stats"),
                        desk_config(), WarmupConfig(), seed=0)
 
     # a +inf logit, or a row of all -inf, in the CE term (the newest head) or
