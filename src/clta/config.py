@@ -31,6 +31,11 @@ from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
 
 
+# data.kind -> the DataSpec fields naming the files it reads
+DATA_FILES = {"idx": ("images", "labels", "test_images", "test_labels"),
+              "cifar": ("path", "test_path")}
+
+
 @dataclass
 class DataSpec:
     kind: str = field(default="synthetic", metadata={"choices": ("synthetic", "idx", "cifar")})
@@ -42,7 +47,6 @@ class DataSpec:
     samples_per_class: int = field(default=40, metadata={">=": 3})
     shift: float = 0.0
     blob_std: float = field(default=0.06, metadata={">=": 0})
-    seed: int | None = field(default=None, metadata={">=": 0})
     num_classes: int = field(default=10, metadata={">=": 1})
     images: str | None = None
     labels: str | None = None
@@ -60,6 +64,9 @@ class DataSpec:
         if shape is not None and (len(shape) != 3 or min(shape) < 1):
             raise ParameterError(f"data.image_shape: expected CxHxW of positive sizes, got "
                                  f"{'x'.join(map(str, shape))}")
+        for name in DATA_FILES.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise ParameterError(f"data.{name}: required for data.kind = {self.kind}")
         if self.kind != "synthetic":
             try:
                 self.class_groups()
@@ -78,7 +85,6 @@ class ModelSpec:
     norm: str = field(default="batch", metadata={"choices": ("batch", "none", "layer", "group")})
     hidden: int = field(default=64, metadata={">=": 1})
     groups: int = field(default=4, metadata={">=": 1})
-    seed: int | None = field(default=None, metadata={">=": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -249,13 +255,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ``data.num_classes``, and each task's class group gets at least 2
     training samples and 1 test sample.  Reads the label bytes (the body of
     an IDX label file, the first byte of each CIFAR record) but no pixels."""
-    required = {"idx": ("images", "labels", "test_images", "test_labels"),
-                "cifar": ("path", "test_path")}.get(cfg.data.kind, ())
     counts, per_class = {}, {}
-    for name in required:
+    for name in DATA_FILES.get(cfg.data.kind, ()):
         value = getattr(cfg.data, name)
-        if value is None:
-            raise ParameterError(f"data.{name}: required for data.kind = {cfg.data.kind}")
         if not os.path.isfile(value):
             raise ParameterError(f"data.{name}: file not found: {value}")
         labels = None

@@ -173,8 +173,8 @@ def synthetic_stream(n_tasks: int, classes_per_task: int, samples_per_class: int
     """Deterministic stream of Gaussian-blob classes with per-task drift.
 
     Task t's inputs get an additive offset of t * shift (1-based t) before
-    clipping to [0,1], so later tasks sit in a brighter input regime.  The
-    80/20 train/test split is stratified per class.
+    clipping to [0,1], so later tasks sit in a brighter input regime.  Each
+    class's first round(0.8 * samples_per_class) samples train, the rest test.
     """
     if n_tasks < 1 or classes_per_task < 1 or samples_per_class < 1:
         raise ParameterError("all synthetic stream counts must be >= 1")
@@ -182,13 +182,12 @@ def synthetic_stream(n_tasks: int, classes_per_task: int, samples_per_class: int
         raise ParameterError("exactly one of dim or image_shape must be given")
     rng = np.random.default_rng(seed)
     num_classes = n_tasks * classes_per_task
+    n_train = int(round(0.8 * samples_per_class))
     tasks = []
-    next_class = 0
     for t in range(1, n_tasks + 1):
         offset = t * shift
-        xs_parts, ys_parts = [], []
-        classes = np.arange(next_class, next_class + classes_per_task)
-        next_class += classes_per_task
+        classes = np.arange((t - 1) * classes_per_task, t * classes_per_task)
+        train_parts, test_parts = [], []
         for cls in classes:
             if dim is not None:
                 center = rng.uniform(0.05, 0.35, size=dim)
@@ -197,22 +196,16 @@ def synthetic_stream(n_tasks: int, classes_per_task: int, samples_per_class: int
                 center = rng.uniform(0.2, 0.8, size=2)
                 samples = _render_bumps(center, image_shape, rng, samples_per_class, blob_std)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow clips as if exact
-                xs_parts.append(np.clip(samples + offset, 0.0, 1.0))
-            if np.isnan(xs_parts[-1]).any():  # an infinite sample met an opposite infinite offset
+                samples = np.clip(samples + offset, 0.0, 1.0)
+            if np.isnan(samples).any():  # an infinite sample met an opposite infinite offset
                 raise NumericError(f"task {t}: shift {shift}, blob_std {blob_std} give inf - inf")
-            ys_parts.append(np.full(samples_per_class, cls, dtype=np.int64))
-        xs = np.concatenate(xs_parts)
-        ys = np.concatenate(ys_parts)
-        n_train = int(round(0.8 * samples_per_class))
-        train_idx, test_idx = [], []
-        for i in range(classes_per_task):
-            base = i * samples_per_class
-            train_idx.extend(range(base, base + n_train))
-            test_idx.extend(range(base + n_train, base + samples_per_class))
+            train_parts.append(samples[:n_train])
+            test_parts.append(samples[n_train:])
         tasks.append(Task(
             classes=classes,
-            train=Dataset(xs[train_idx], ys[train_idx], num_classes),
-            test=Dataset(xs[test_idx], ys[test_idx], num_classes),
+            train=Dataset(np.concatenate(train_parts), np.repeat(classes, n_train), num_classes),
+            test=Dataset(np.concatenate(test_parts),
+                         np.repeat(classes, samples_per_class - n_train), num_classes),
         ))
     return TaskStream(tasks)
 

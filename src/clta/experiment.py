@@ -33,7 +33,6 @@ METRIC_NAMES = ("acc_inc", "acc_final", "forg_inc", "forg_final", "wall_s")
 
 def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
     """Materialize the task stream a seed will train on."""
-    seed = run_seed if spec.seed is None else spec.seed
     if spec.kind == "synthetic":
         stream = synthetic_stream(
             n_tasks=spec.n_tasks,
@@ -42,7 +41,7 @@ def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
             dim=spec.dim,
             image_shape=spec.image_shape,
             shift=spec.shift,
-            seed=seed,
+            seed=run_seed,
             blob_std=spec.blob_std,
         )
     else:
@@ -54,20 +53,19 @@ def build_stream(spec: DataSpec, run_seed: int) -> TaskStream:
             test = load_cifar_binary(spec.test_path, spec.num_classes)
         stream = stream_from_datasets(train, test, spec.class_groups())
     if spec.corrupt_severity:
-        stream = corrupt_every_other(stream, CorruptionSpec(spec.corrupt_severity), seed)
+        stream = corrupt_every_other(stream, CorruptionSpec(spec.corrupt_severity), run_seed)
     return stream
 
 
 def build_model(spec: ModelSpec, sample_inputs: np.ndarray, run_seed: int) -> IncrementalModel:
-    seed = (run_seed, 11) if spec.seed is None else spec.seed
     if spec.arch == "mlp":
         if sample_inputs.ndim != 2:
             raise ParameterError("model.arch = mlp needs vector inputs")
-        return build_micro_mlp(sample_inputs.shape[1], norm=spec.norm, seed=seed,
+        return build_micro_mlp(sample_inputs.shape[1], norm=spec.norm, seed=(run_seed, 11),
                                hidden=spec.hidden, groups=spec.groups)
     if sample_inputs.ndim != 4:
         raise ParameterError("model.arch = cnn needs image inputs")
-    return build_micro_cnn(sample_inputs.shape[1], norm=spec.norm, seed=seed,
+    return build_micro_cnn(sample_inputs.shape[1], norm=spec.norm, seed=(run_seed, 11),
                            groups=spec.groups)
 
 

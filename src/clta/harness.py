@@ -278,7 +278,9 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
     """Train through every task in order and fill the accuracy matrix.
 
     Row t holds the task-agnostic accuracy on every test split seen so far,
-    measured right after task t finished.  Deterministic given the seed.
+    measured right after task t finished; a ``NumericError`` in that
+    evaluation gains ``task <t>, test of task <j>: ``.  Deterministic given
+    the seed.
     """
     if model.heads:
         raise ContractError("run_stream expects a model with no heads yet")
@@ -299,8 +301,11 @@ def run_stream(stream: TaskStream, model: IncrementalModel, kd: KDConfig,
         order = stream.class_order[:seen]
         for j in range(1, t + 1):
             test = stream.tasks[j - 1].test
-            matrix.set(t - 1, j - 1,
-                       evaluate_task_agnostic(model, test.inputs, test.labels, order))
+            try:
+                accuracy = evaluate_task_agnostic(model, test.inputs, test.labels, order)
+            except NumericError as exc:  # a finite weight may overflow only here
+                raise NumericError(f"task {t}, test of task {j}: {exc}") from exc
+            matrix.set(t - 1, j - 1, accuracy)
 
     wall = time.perf_counter() - started
     return RunResult(matrix, traces, wall, model=model, teacher=teacher)

@@ -80,21 +80,17 @@ def forgetting_metrics(m: AccuracyMatrix) -> tuple[np.ndarray, float, float]:
     """Mean drop from each old task's best historical accuracy.
 
     f_{k,j} = max over l in [j, k-1] of a_{l,j}, minus a_{k,j}; F_k is the
-    mean over old tasks j < k.  F_1 is 0 by convention and a single-task
-    matrix reports all zeros.
+    mean over old tasks j < k.  Row k-1 of the running column maximum holds
+    every best at once, since ``fmax`` skips the NaNs above the diagonal.
+    F_1 is 0 by convention and a single-task matrix reports all zeros.
     """
     if not m.is_complete():
         raise ContractError("accuracy matrix has unfilled lower-triangle entries")
+    best = np.fmax.accumulate(m.values, axis=0)
     f_k = np.zeros(m.n)
     for k in range(1, m.n):
-        drops = []
-        for j in range(k):
-            best = max(m.get(l, j) for l in range(j, k))
-            drops.append(best - m.get(k, j))
-        f_k[k] = float(np.mean(drops))
-    if m.n == 1:
-        return f_k, 0.0, 0.0
-    forg_inc = float(f_k[1:].mean())
+        f_k[k] = np.mean(best[k - 1, :k] - m.values[k, :k])
+    forg_inc = float(f_k[1:].mean()) if m.n > 1 else 0.0
     return f_k, forg_inc, float(f_k[-1])
 
 

@@ -26,6 +26,10 @@ GOOD_CONFIG = (
     "run.output = cli_run\n"
 )
 
+# data.kind = idx file keys for configs rejected before any file is read
+IDX_FILES = [f"data.{key} = {key}.idx" for key in ("images", "labels", "test_images",
+                                                   "test_labels")]
+
 
 def write_config(tmp_path, text=GOOD_CONFIG):
     path = tmp_path / "exp.cfg"
@@ -53,7 +57,7 @@ class TestValidateVerb:
                      "teacher.pretrain_epochs = 0", "train.epochs = 0",
                      "train.batch_size = 1", "train.base_lr = 0", "train.decay_factor = 1",
                      "train.grad_clip = 0", "warmup.max_lr = 0", "warmup.patience = 0",
-                     "model.seed = -1", "data.seed = -1", "data.order_seed = -1",
+                     "data.order_seed = -1",
                      "run.seeds = -1", "data.samples_per_class = 1",
                      "data.samples_per_class = 2"):
             key = line.split(" = ")[0]
@@ -108,7 +112,7 @@ class TestValidateVerb:
     def test_arch_that_does_not_fit_the_inputs_exits_one(self, tmp_path, capsys):
         for lines in (["model.arch = cnn"],
                       ["data.dim = none", "data.image_shape = 1x8x8"],
-                      ["data.kind = idx"]):
+                      ["data.kind = idx", *IDX_FILES]):
             keys = [line.split(" = ")[0] for line in lines]
             kept = [line for line in GOOD_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
             path = write_config(tmp_path, "\n".join(kept + lines) + "\n")
@@ -116,7 +120,7 @@ class TestValidateVerb:
             assert "model.arch" in capsys.readouterr().err, lines
 
     def test_class_splits_that_do_not_divide_exit_one(self, tmp_path, capsys):
-        image_data = ["data.kind = idx", "model.arch = cnn", "data.dim = none"]
+        image_data = ["data.kind = idx", "model.arch = cnn", "data.dim = none", *IDX_FILES]
         for lines, key in ((["data.n_tasks = 3"], "data.n_tasks"),
                            (["data.num_classes = 0"], "data.num_classes"),
                            (["data.num_classes = 9", "data.split_scheme = half_first"],

@@ -27,7 +27,6 @@ ALL_KEYS = {
     "data.samples_per_class": ("33", "data.samples_per_class", 33),
     "data.shift": ("0.25", "data.shift", 0.25),
     "data.blob_std": ("0.1", "data.blob_std", 0.1),
-    "data.seed": ("7", "data.seed", 7),
     "data.num_classes": ("16", "data.num_classes", 16),
     "data.images": ("a.idx", "data.images", "a.idx"),
     "data.labels": ("b.idx", "data.labels", "b.idx"),
@@ -42,7 +41,6 @@ ALL_KEYS = {
     "model.norm": ("group", "model.norm", "group"),
     "model.hidden": ("32", "model.hidden", 32),
     "model.groups": ("2", "model.groups", 2),
-    "model.seed": ("11", "model.seed", 11),
     "kd.variant": ("auxiliary", "kd.variant", "auxiliary"),
     "kd.temperature": ("3.5", "kd.temperature", 3.5),
     "kd.weight": ("2.5", "kd.weight", 2.5),
@@ -78,6 +76,10 @@ TOKENS = ("0", "1", "2", "3", "-1", "64", "1e9", "0.5", "-0.5", "nan", "inf", "-
 RANGED_FIELDS = [(cls, f.name) for cls in (DataSpec, ModelSpec, ExperimentConfig, KDConfig,
                                            TeacherStrategy, TrainConfig, WarmupConfig)
                  for f in fields(cls) if set(f.metadata) & {">=", ">", "<="}]
+
+# placeholder files for a DataSpec of data.kind = idx that never reads them
+IDX_FILES = {"images": "a.idx", "labels": "b.idx", "test_images": "c.idx",
+             "test_labels": "d.idx"}
 
 FLOAT_KEYS = ("data.shift", "data.blob_std", "kd.temperature", "kd.weight",
               "kd.aux_weight", "teacher.lr", "train.base_lr", "train.decay_factor",
@@ -160,7 +162,7 @@ class TestParsing:
         assert "line 2" in str(err.value)
 
     @pytest.mark.parametrize("key", ["kd.lambda", "teacher.adapt_with_running",
-                                     "data.split_parts"])
+                                     "data.split_parts", "data.seed"])
     def test_unknown_key_is_named(self, key):
         with pytest.raises(ParameterError) as err:
             parse_config(f"{key} = true\n")
@@ -228,8 +230,6 @@ class TestValidation:
         "model.groups = 0",
         "data.blob_std = -1",
         "run.seeds = 1,2,1",
-        "model.seed = -1",
-        "data.seed = -1",
         "data.order_seed = -1",
         "run.seeds = -1",
         "run.seeds = 0,1,-2",
@@ -300,7 +300,8 @@ class TestValidation:
             self, num_classes, scheme, n_tasks):
         text = (f"data.kind = idx\nmodel.arch = cnn\ndata.dim = none\n"
                 f"data.num_classes = {num_classes}\ndata.split_scheme = {scheme}\n"
-                f"data.n_tasks = {n_tasks}\n")
+                f"data.n_tasks = {n_tasks}\n"
+                + "".join(f"data.{name} = {path}\n" for name, path in IDX_FILES.items()))
         try:
             split_classes(num_classes, scheme, n_tasks)
             splittable = True
@@ -315,7 +316,7 @@ class TestValidation:
         # a DataSpec built in Python takes the same rule, so none reaches run_seed unsplittable
         try:
             DataSpec(kind="idx", num_classes=num_classes, split_scheme=scheme, n_tasks=n_tasks,
-                     dim=None)
+                     dim=None, **IDX_FILES)
             built = True
         except ParameterError:
             built = False
@@ -327,7 +328,7 @@ class TestValidation:
         ({"seeds": (-1,)}, "run.seeds"),
         ({"model": ModelSpec(arch="cnn")}, "model.arch"),
         ({"data": DataSpec(dim=None, image_shape=(1, 8, 8))}, "model.arch"),
-        ({"data": DataSpec(kind="idx")}, "model.arch"),
+        ({"data": DataSpec(kind="idx", **IDX_FILES)}, "model.arch"),
         ({"model": ModelSpec(norm="group", hidden=6, groups=4)}, "model.groups"),
         ({"data": DataSpec(image_shape=(1, 8, 8))}, "data.dim or data.image_shape"),
         ({"data": DataSpec(dim=None)}, "data.dim or data.image_shape"),
@@ -347,6 +348,19 @@ class TestValidation:
         cfg = parse_config("model.arch = cnn\ndata.dim = none\ndata.image_shape = 1x8x8\n")
         with pytest.raises(ParameterError, match="^data.image_shape: "):
             replace(cfg, data=replace(cfg.data, image_shape=shape))
+
+    @pytest.mark.parametrize("files", [IDX_FILES, {"path": "a.bin", "test_path": "b.bin"}],
+                             ids=["idx", "cifar"])
+    def test_a_data_spec_built_in_python_needs_the_files_of_its_kind(self, files):
+        """Each file key that ``data.kind`` reads is required when the spec
+        is built, so none reaches ``run_seed`` as ``None``."""
+        kind = "idx" if "images" in files else "cifar"
+        DataSpec(kind=kind, dim=None, **files)
+        for name in files:
+            others = {other: path for other, path in files.items() if other != name}
+            with pytest.raises(ParameterError,
+                               match=f"^data.{name}: required for data.kind = {kind}$"):
+                DataSpec(kind=kind, dim=None, **others)
 
     @settings(max_examples=150, deadline=None)
     @given(seeds=st.lists(st.integers(-2, 3), max_size=3),
@@ -462,9 +476,8 @@ class TestRoundTrip:
 
 class TestFileValidation:
     def test_idx_kind_requires_existing_files(self, tmp_path):
-        cfg = parse_config("data.kind = idx\nmodel.arch = cnn\n")
         with pytest.raises(ParameterError) as err:
-            validate_config(cfg)
+            parse_config("data.kind = idx\nmodel.arch = cnn\n")
         assert "data.images" in str(err.value)
 
         missing = parse_config(

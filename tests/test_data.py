@@ -154,6 +154,24 @@ class TestSyntheticStream:
                            match=r"^task 2: shift .*, blob_std 1\.7e\+308 give inf - inf$"):
             synthetic_stream(2, 2, 5, dim=4, shift=shift, blob_std=1.7e308, seed=0)
 
+    @pytest.mark.parametrize("geometry", [{"dim": 3}, {"image_shape": (1, 6, 6)}],
+                             ids=["vectors", "images"])
+    @pytest.mark.parametrize("samples_per_class", [3, 7, 20])
+    def test_each_class_splits_its_first_samples_off_for_training(self, geometry,
+                                                                   samples_per_class):
+        """A task's train labels are its classes, each repeated
+        round(0.8 * samples_per_class) times, and its test labels the rest,
+        in class order."""
+        stream = synthetic_stream(3, 2, samples_per_class, seed=0, **geometry)
+        n_train = int(round(0.8 * samples_per_class))
+        for task in stream.tasks:
+            np.testing.assert_array_equal(task.train.labels, np.repeat(task.classes, n_train))
+            np.testing.assert_array_equal(task.test.labels,
+                                          np.repeat(task.classes, samples_per_class - n_train))
+            shape = (1, 6, 6) if "image_shape" in geometry else (3,)
+            assert task.train.inputs.shape == (2 * n_train, *shape)
+            assert task.test.inputs.shape == (2 * (samples_per_class - n_train), *shape)
+
     def test_image_mode_renders_channel_grids(self):
         stream = synthetic_stream(2, 2, 8, image_shape=(1, 8, 8), seed=0)
         assert stream.tasks[0].train.inputs.shape == (12, 1, 8, 8)

@@ -358,13 +358,6 @@ class TestBuilders:
         assert not np.array_equal(clean.tasks[1].train.inputs,
                                   noisy.tasks[1].train.inputs)
 
-    def test_fixed_data_seed_decouples_stream_from_run_seed(self):
-        cfg = parse_config(BASE_CONFIG + "data.seed = 123\n")
-        a = build_stream(cfg.data, run_seed=0)
-        b = build_stream(cfg.data, run_seed=9)
-        np.testing.assert_array_equal(a.tasks[0].train.inputs,
-                                      b.tasks[0].train.inputs)
-
     def test_model_arch_must_match_input_rank(self):
         cfg = parse_config(BASE_CONFIG)
         stream = build_stream(cfg.data, run_seed=0)
@@ -376,5 +369,6 @@ class TestBuilders:
     def test_expected_tasks_accounts_for_half_first(self):
         assert expected_tasks(parse_config(BASE_CONFIG)) == 2
         cfg = parse_config("data.kind = idx\nmodel.arch = cnn\ndata.split_scheme = half_first\n"
-                           "data.n_tasks = 5\n")
+                           "data.n_tasks = 5\ndata.images = a\ndata.labels = b\n"
+                           "data.test_images = c\ndata.test_labels = d\n")
         assert expected_tasks(cfg) == 6

@@ -10,12 +10,12 @@ drawn call index within one phase of a tiny ``run_stream``:
 * ``backward`` - every VJP of every backward pass, student and teacher.
 
 Every such run must raise ``NumericError`` before ``run_stream`` returns,
-with no RuntimeWarning on the way (tier-1 makes one an error), and a NaN
-or inf planted while a task trains (every phase but ``eval``) raises one
-that names the task.  A
-finite value near the float maximum (``±1.7e308``, ``1e200``) is planted
-the same way: such a run may finish, but if it stops, it stops with
-``NumericError`` and no warning.
+with no RuntimeWarning on the way (tier-1 makes one an error), and one
+that names the task: ``task <t>, epoch <e>: `` while a task trains,
+``task <t>, test of task <j>: `` in evaluation.  A finite value near the
+float maximum (``±1.7e308``, ``1e200``) is planted the same way: such a
+run may finish, but if it stops, it stops with such a ``NumericError`` and
+no warning.
 """
 
 import functools
@@ -134,6 +134,9 @@ def _call_counts(arch: str, kind: str, grad_clip) -> Counter:
 @example(kind="continuous_full", grad_clip=None, where=0.999999, elem=0.0, value=math.nan)
 @example(kind="continuous_full", grad_clip=1.0, where=0.999999, elem=0.5, value=math.inf)
 @example(kind="adapt_stats", grad_clip=None, where=0.999999, elem=0.0, value=math.nan)
+# a finite plant that training passes on: on the MLP's train phase the
+# seed stops only in evaluation, at the logits
+@example(kind="adapt_stats", grad_clip=None, where=0.234375, elem=0.0, value=1.7e308)
 def test_planted_non_finite_value_raises(arch, phase, kind, grad_clip, where, elem, value):
     total = _call_counts(arch, kind, grad_clip)[phase]
     assert total > 0
@@ -142,8 +145,8 @@ def test_planted_non_finite_value_raises(arch, phase, kind, grad_clip, where, el
         injector.run(arch, kind, grad_clip)
     except NumericError as exc:
         # a planted NaN or inf is caught where it is planted; a finite value
-        # may overflow later, in another phase
-        assert math.isfinite(value) or phase == "eval" or str(exc).startswith("task "), exc
+        # may overflow later, in another phase; either names its task
+        assert str(exc).startswith("task "), exc
     else:
         assert math.isfinite(value), "a planted NaN or inf ended in no NumericError"
     assert injector.planted

@@ -27,3 +27,28 @@ def test_cli_quick_start_config_validates(tmp_path, capsys):
     path.write_text(text)
     assert main(["validate", str(path)]) == 0
     assert "configuration ok: demo (5 seeds)" in capsys.readouterr().out
+
+
+def test_cli_quick_start_runs_end_to_end(tmp_path, monkeypatch, capsys):
+    """The commands below the demo config run as written: ``run`` writes
+    under ``CLTA_OUTPUT_ROOT``, where ``report`` and ``plot`` find it."""
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "demo.cfg").write_text(fenced_block("## Quick start (CLI)", ""))
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+    commands = [line.split("#")[0].split()
+                for line in fenced_block("## Quick start (CLI)", "sh").splitlines()]
+    assert [argv[:2] for argv in commands] == [["clta", verb]
+                                               for verb in ("validate", "run", "report", "plot")]
+    outputs = []
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    assert "experiment demo: 5/5 seeds finished" in outputs[2]
+    run_dir = tmp_path / "runs" / "demo"
+    svgs = sorted(run_dir.glob("*.svg"))
+    assert svgs and [f"wrote {path}" for path in svgs] == sorted(outputs[3].splitlines())
+    for path in svgs:
+        assert path.read_text().rstrip().endswith("</svg>"), path
+    assert not (work / "runs").exists()
