@@ -1,8 +1,8 @@
 """Command line front end: run, validate, plot, report.
 
 Exit codes: 0 on success, 1 on configuration or validation problems,
-2 when a run or a tool step fails at runtime.  A ``CLTA_OUTPUT_ROOT``
-environment variable reroutes relative output paths under one root.
+2 when a run or a tool step fails at runtime.  ``run.output`` alone names
+a run's directory, so the ``config.txt`` written there reparses to its run.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ from .errors import CltaError
 from .experiment import METRIC_NAMES, load_run, run_experiment, write_results
 from .plots import write_plots
 
-OUTPUT_ROOT_ENV = "CLTA_OUTPUT_ROOT"
-
-
-def _resolve_output(path: str) -> str:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,15 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="incremental learning experiments with distillation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="train every seed and write result files")
-    p_run.add_argument("config", help="path to a key = value configuration file")
-    p_run.add_argument("--output", default=None, help="override the output directory")
-    p_val = sub.add_parser("validate", help="check a configuration without running it")
-    p_val.add_argument("config")
-    p_plot = sub.add_parser("plot", help="draw SVG charts from a finished run")
-    p_plot.add_argument("run_dir")
-    p_rep = sub.add_parser("report", help="print the aggregate metrics of a run")
-    p_rep.add_argument("run_dir")
+    for verb, arg, what in (("run", "config", "train every seed and write result files"),
+                            ("validate", "config", "check a configuration without running it"),
+                            ("plot", "run_dir", "draw SVG charts from a finished run"),
+                            ("report", "run_dir", "print the aggregate metrics of a run")):
+        sub.add_parser(verb, help=what).add_argument(arg)
     return parser
 
 
@@ -50,11 +37,10 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_run(cfg: ExperimentConfig, output: str | None) -> int:
-    out_dir = _resolve_output(output or cfg.output)
+def _cmd_run(cfg: ExperimentConfig) -> int:
+    os.makedirs(cfg.output, exist_ok=True)  # a directory it cannot make costs no training
     result = run_experiment(cfg)
-    written = write_results(result, out_dir)
-    for path in written:
+    for path in write_results(result, cfg.output):
         print(f"wrote {path}")
     failed = [r for r in result.rows if r["status"] != "ok"]
     for row in failed:
@@ -87,7 +73,8 @@ def _cmd_report(run_dir: str) -> int:
 
 def main(argv=None) -> int:
     """Run and validate start from a valid configuration, plot and report
-    from a run directory holding results.json; either missing exits 1."""
+    from a run directory holding results.json; either missing exits 1.  A
+    run whose directory cannot be made or written exits 2 with one line."""
     args = _build_parser().parse_args(argv)
     if args.command in ("run", "validate"):
         try:
@@ -96,13 +83,15 @@ def main(argv=None) -> int:
         except (CltaError, OSError) as exc:
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 1
-        return _cmd_run(cfg, args.output) if args.command == "run" else _cmd_validate(cfg)
-    run_dir = _resolve_output(args.run_dir)
-    if not os.path.isfile(os.path.join(run_dir, "results.json")):
-        print(f"no results.json under {run_dir}", file=sys.stderr)
+        if args.command == "validate":
+            return _cmd_validate(cfg)
+    elif not os.path.isfile(os.path.join(args.run_dir, "results.json")):
+        print(f"no results.json under {args.run_dir}", file=sys.stderr)
         return 1
     try:
-        return _cmd_plot(run_dir) if args.command == "plot" else _cmd_report(run_dir)
+        if args.command == "run":
+            return _cmd_run(cfg)
+        return (_cmd_plot if args.command == "plot" else _cmd_report)(args.run_dir)
     except (CltaError, OSError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2

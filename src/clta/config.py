@@ -114,6 +114,8 @@ class ExperimentConfig:
                                  f"got {_normalize('intlist', seeds)}")
         for seed in seeds:
             check_value("run.seeds", seed, {">=": 0})
+        if not self.output or "\0" in self.output:
+            raise ParameterError(f"run.output: {self.output!r} does not name a directory")
         if model.norm == "group":
             widths = (model.hidden,) if model.arch == "mlp" else CNN_WIDTHS
             if any(width % model.groups for width in widths):
@@ -252,9 +254,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ``data.kind`` needs exists and passes its loader's size checks, IDX
     headers (magic, rank, sizes against the file length, image count against
     label count) and CIFAR file lengths, every label byte is below
-    ``data.num_classes``, and each task's class group gets at least 2
-    training samples and 1 test sample.  Reads the label bytes (the body of
-    an IDX label file, the first byte of each CIFAR record) but no pixels."""
+    ``data.num_classes``, each task's class group gets at least 2 training
+    samples and 1 test sample, and the nearest existing part of
+    ``run.output`` is a directory this process may write in.  Reads the label
+    bytes (the body of an IDX label file, the first byte of each CIFAR
+    record) but no pixels."""
     counts, per_class = {}, {}
     for name in DATA_FILES.get(cfg.data.kind, ()):
         value = getattr(cfg.data, name)
@@ -297,6 +301,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if n < least:
                 raise DataError(f"data.{name}: task {t} (classes {group.tolist()}) gets {n} "
                                 f"{split} samples, needs at least {least}")
+    part = os.path.abspath(cfg.output)
+    while not os.path.lexists(part):  # ends at the root, which exists
+        part = os.path.dirname(part)
+    if not (os.path.isdir(part) and os.access(part, os.W_OK | os.X_OK)):
+        raise ParameterError(f"run.output: cannot make {cfg.output}: {part} is not a "
+                             f"writable directory")
 
 
 def load_config(path) -> ExperimentConfig:

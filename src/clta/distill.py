@@ -213,8 +213,7 @@ def teacher_forward(teacher: IncrementalModel | None, x: Tensor,
         raise ContractError("teacher_forward called without a teacher snapshot")
     mode = NormMode.ADAPT_STATS if strategy.kind == "adapt_stats" else NormMode.EVAL
     with no_grad():
-        features = teacher.features(x, mode)
-        return [head.forward(features, mode) for head in teacher.heads[:n_old]]
+        return teacher.forward(x, mode, slice(n_old))
 
 
 def pretrain_teacher(teacher: IncrementalModel, inputs: np.ndarray,

@@ -10,6 +10,8 @@ OS kills leaves its seed a failed row too.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -189,27 +191,33 @@ def _round6(obj):
     return obj
 
 
+def _csv_text(rows) -> str:
+    """Rows of cells as CSV; a cell holding a comma, quote or newline is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def results_csv(result: ExperimentResult) -> str:
     n_tasks = max(len(r["a_k"]) for r in result.rows)
     header = ["config_id", "seed", *METRIC_NAMES] + [f"a_k_{i}" for i in range(1, n_tasks + 1)]
-    lines = [",".join(header)]
+    rows = [header]
     for row in result.rows:
-        cells = [row["config_id"], str(row["seed"])]
-        cells += [format_number(row[name]) for name in METRIC_NAMES]
-        cells += [format_number(v) for v in row["a_k"]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append([row["config_id"], row["seed"],
+                     *(format_number(row[name]) for name in METRIC_NAMES),
+                     *(format_number(v) for v in row["a_k"])])
+    return _csv_text(rows)
 
 
 def aggregate_csv(result: ExperimentResult) -> str:
     header = ["config_id", "seeds_ok", "seeds_total"]
-    cells = [result.config.config_id, str(result.aggregate["seeds_ok"]),
-             str(result.aggregate["seeds_total"])]
+    cells = [result.config.config_id, result.aggregate["seeds_ok"],
+             result.aggregate["seeds_total"]]
     for name in METRIC_NAMES:
         header += [f"{name}_mean", f"{name}_std"]
         cells += [format_number(result.aggregate[f"{name}_mean"]),
                   format_number(result.aggregate[f"{name}_std"])]
-    return ",".join(header) + "\n" + ",".join(cells) + "\n"
+    return _csv_text([header, cells])
 
 
 def results_json(result: ExperimentResult) -> str:

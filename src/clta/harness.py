@@ -178,8 +178,7 @@ def _kd_term(kd: KDConfig, student_logits, teacher_logits, aux_teacher, xb):
     """The distillation term and the weight it joins the cross-entropy with."""
     if kd.variant == "auxiliary":  # the loss weights its two terms itself
         with no_grad():
-            aux_logits = aux_teacher.heads[-1].forward(aux_teacher.features(xb, NormMode.EVAL),
-                                                       NormMode.EVAL)
+            aux_logits = aux_teacher.forward(xb, NormMode.EVAL, slice(-1, None))[0]
         return auxiliary_kd_loss(student_logits, teacher_logits, aux_logits, kd), 1.0
     if kd.variant == "taskwise":  # zip stops at the teacher's old heads
         return taskwise_kd_loss(zip(student_logits, teacher_logits), kd.temperature), kd.weight

@@ -241,9 +241,11 @@ class IncrementalModel:
             )
         return h
 
-    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL) -> list[Tensor]:
+    def forward(self, x: Tensor, mode: NormMode = NormMode.EVAL,
+                heads: slice = slice(None)) -> list[Tensor]:
+        """The logits of ``self.heads[heads]``, every head by default."""
         h = self.features(x, mode)
-        return [head.forward(h, mode) for head in self.heads]
+        return [head.forward(h, mode) for head in self.heads[heads]]
 
     def parameters(self) -> list[Tensor]:
         params: list[Tensor] = []

@@ -126,9 +126,7 @@ def ce_step(model: IncrementalModel, params: list[Tensor], xb: np.ndarray, yb_lo
     try:
         try:
             x = Tensor(xb)
-            features = model.features(x, mode)
-            logits = [head.forward(features, mode)
-                      for head in (model.heads if distill else model.heads[-1:])]
+            logits = model.forward(x, mode, slice(0 if distill else -1, None))
             loss = ad.cross_entropy(logits[-1], yb_local)
         except NumericError as exc:  # an op that fails names the term
             raise NumericError(f"{term} forward: {exc}") from exc

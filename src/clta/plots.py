@@ -7,6 +7,7 @@ inputs, so charts can be compared byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -29,9 +30,12 @@ def _escape(text: str) -> str:
 
 
 def _span(values):
+    """The axis range of ``values``; a constant one is widened by half a unit,
+    or by one ulp where half a unit would round away."""
     lo, hi = min(values), max(values)
     if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
+        pad = max(0.5, math.ulp(max(abs(lo), abs(hi))))
+        lo, hi = lo - pad, hi + pad
     return lo, hi
 
 

@@ -7,9 +7,11 @@ import os
 import struct
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clta import cli, experiment
 from clta.cli import main
 from clta.config import parse_config
 from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
@@ -29,6 +31,13 @@ GOOD_CONFIG = (
 # data.kind = idx file keys for configs rejected before any file is read
 IDX_FILES = [f"data.{key} = {key}.idx" for key in ("images", "labels", "test_images",
                                                    "test_labels")]
+
+
+def good_config_with(line):
+    """GOOD_CONFIG with the key of ``line`` set as ``line`` sets it."""
+    kept = [other for other in GOOD_CONFIG.splitlines()
+            if other.split(" = ")[0] != line.split(" = ")[0]]
+    return "\n".join(kept + [line]) + "\n"
 
 
 def write_config(tmp_path, text=GOOD_CONFIG):
@@ -65,7 +74,8 @@ class TestValidateVerb:
             path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
             assert main(["validate", path]) == 1, line
             err = capsys.readouterr().err
-            assert key in err and "duplicate" not in err, line
+            assert f"{key}: " in err and "unknown key" not in err, line
+            assert "duplicate" not in err, line
 
     def test_a_removed_key_exits_one_and_names_its_line(self, tmp_path, capsys):
         """Configs written with ``teacher.adapt_with_running``, since removed,
@@ -137,9 +147,8 @@ class TestValidateVerb:
 
 
 class TestRunVerb:
-    def test_run_writes_results_under_the_output_root(self, tmp_path, monkeypatch,
-                                                      capsys):
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+    def test_run_writes_results_under_run_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         code = main(["run", write_config(tmp_path)])
         assert code == 0
         out_dir = tmp_path / "cli_run"
@@ -147,16 +156,74 @@ class TestRunVerb:
             assert (out_dir / name).is_file()
         assert "results.csv" in capsys.readouterr().out
 
-    def test_explicit_output_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CLTA_OUTPUT_ROOT", raising=False)
-        target = tmp_path / "elsewhere"
-        code = main(["run", write_config(tmp_path), "--output", str(target)])
-        assert code == 0
-        assert (target / "results.csv").is_file()
+    def test_config_txt_reparses_to_the_directory_it_sits_in(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", write_config(tmp_path)]) == 0
+        written = tmp_path / "cli_run" / "config.txt"
+        assert os.path.samefile(parse_config(written.read_text()).output, written.parent)
+        assert main(["validate", str(written)]) == 0
+
+    def test_an_output_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write_config(tmp_path), "--output", "elsewhere"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --output elsewhere" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("output", ["blocker", "blocker/out", "blocker/a/b"])
+    def test_an_output_at_or_under_a_file_fails_validation(self, tmp_path, monkeypatch,
+                                                           capsys, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        path = write_config(tmp_path, good_config_with(f"run.output = {output}"))
+        for verb in ("validate", "run"):
+            assert main([verb, path]) == 1, verb
+            assert capsys.readouterr().err == (
+                f"invalid configuration: run.output: cannot make {output}: "
+                f"{tmp_path / 'blocker'} is not a writable directory\n"), verb
+
+    def test_the_directory_exists_before_the_first_seed_trains(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def run_seed(cfg, seed):
+            seen.append(os.path.isdir(cfg.output))
+            return real_run_seed(cfg, seed)
+
+        real_run_seed = experiment.run_seed
+        monkeypatch.setattr(experiment, "run_seed", run_seed)
+        assert main(["run", write_config(tmp_path)]) == 0
+        assert seen == [True]
+
+    def test_a_directory_that_cannot_be_made_exits_two_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        # a path that turns bad between validation and the run
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "validate_config", lambda cfg: None)
+        monkeypatch.setattr(experiment, "run_seed", lambda cfg, seed: pytest.fail("trained"))
+        (tmp_path / "blocker").write_text("")
+        path = write_config(tmp_path, good_config_with("run.output = blocker/out"))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run failed: "), err
+        assert "blocker/out" in err[0], err
+
+    def test_a_result_file_that_cannot_be_written_exits_two_with_one_line(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cli_run" / "results.csv").mkdir(parents=True)
+        path = write_config(tmp_path)
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run failed: "), err
+        assert os.path.join("cli_run", "results.csv") in err[0], err
 
     def test_failing_seeds_exit_two_but_still_write(self, tmp_path, monkeypatch,
                                                     capsys):
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         # a valid learning rate so large that the first step overflows,
         # which only the run sees; the overflow ends in NumericError even
         # where numpy's RuntimeWarnings are errors, as under these tests
@@ -169,7 +236,7 @@ class TestRunVerb:
 
     def test_a_task_without_training_samples_exits_one_without_output(
             self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         # sound headers and labels, but every sample is of class 0, so the
         # second task of classes 5-9 gets none
         files = ""
@@ -186,7 +253,7 @@ class TestRunVerb:
                 in capsys.readouterr().err)
 
     def test_invalid_config_exits_one_without_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, "data.kind = idx\nmodel.arch = cnn\n")
         assert main(["run", path]) == 1
         assert not (tmp_path / "cli_run").exists()
@@ -194,9 +261,10 @@ class TestRunVerb:
 
 class TestPlotAndReportVerbs:
     def _finished_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        """The run directory, relative to the working directory."""
+        monkeypatch.chdir(tmp_path)
         assert main(["run", write_config(tmp_path)]) == 0
-        return str(tmp_path / "cli_run")
+        return "cli_run"
 
     def test_plot_after_run(self, tmp_path, monkeypatch, capsys):
         run_dir = self._finished_run(tmp_path, monkeypatch)
@@ -204,8 +272,7 @@ class TestPlotAndReportVerbs:
         assert os.path.isfile(os.path.join(run_dir, "accuracy_over_tasks.svg"))
         assert "loss_task_1.svg" in capsys.readouterr().out
 
-    def test_plot_without_results_exits_one(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CLTA_OUTPUT_ROOT", raising=False)
+    def test_plot_without_results_exits_one(self, tmp_path):
         assert main(["plot", str(tmp_path)]) == 1
 
     def test_report_prints_the_aggregate(self, tmp_path, monkeypatch, capsys):
@@ -217,13 +284,8 @@ class TestPlotAndReportVerbs:
         assert "acc_inc" in out
         assert "forg_final" in out
 
-    def test_report_without_results_exits_one(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CLTA_OUTPUT_ROOT", raising=False)
+    def test_report_without_results_exits_one(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
-
-    def test_env_var_resolves_relative_run_dirs(self, tmp_path, monkeypatch):
-        self._finished_run(tmp_path, monkeypatch)
-        assert main(["report", "cli_run"]) == 0
 
 
 def run_document():

@@ -237,11 +237,14 @@ class TestValidation:
         "data.n_tasks = -1",
         "train.decay_epochs = -3,2",
         "train.decay_factor = 1e200",
+        "run.output = ",
+        "run.output = a\0b",
     ])
     def test_out_of_range_values_name_the_key(self, line):
         with pytest.raises(ParameterError) as err:
             parse_config(line + "\n")
-        assert line.split(" = ")[0] in str(err.value)
+        key = line.split(" = ")[0]
+        assert f"{key}: " in str(err.value) and "unknown key" not in str(err.value)
 
     @settings(max_examples=80, deadline=None)
     # model.groups >= 1 is a range rule of its own, checked above

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -115,6 +116,17 @@ class TestCsvLayout:
         np.testing.assert_allclose(wall_mean, 2.0)
         np.testing.assert_allclose(wall_std, np.std([1.0, 3.0], ddof=1), rtol=1e-5)
 
+    @pytest.mark.parametrize("config_id", ["demo, v2", 'say "v2"', 'a,"b",c'])
+    def test_cells_with_commas_and_quotes_read_back(self, tmp_path, config_id):
+        cfg = parse_config(f"run.config_id = {config_id}\n")
+        rows = [dict(hand_row(seed), config_id=cfg.config_id) for seed in (0, 1)]
+        write_results(ExperimentResult(cfg, rows, aggregate_rows(rows)), tmp_path)
+        for name in ("results.csv", "aggregate.csv"):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                header, *body = csv.reader(fh)
+            assert body and all(len(row) == len(header) for row in body), name
+            assert [row[0] for row in body] == [config_id] * len(body), name
+
     def test_files_end_with_newline(self):
         cfg = parse_config("run.config_id = demo\n")
         result = ExperimentResult(cfg, [hand_row()], aggregate_rows([hand_row()]))
@@ -208,7 +220,7 @@ class TestRunning:
 
     def test_a_killed_worker_leaves_a_failed_row(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiment, "run_seed", _run_seed_dying_on_seed_1)
-        monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "exp.cfg"
         path.write_text(BASE_CONFIG + "run.seeds = 0,1\nrun.workers = 2\nrun.output = out\n")
         assert main(["run", str(path)]) == 2

@@ -35,6 +35,13 @@ class TestLineChart:
         ys = {y for _, y in pts}
         assert len(ys) == 1
 
+    @pytest.mark.parametrize("value", [2.0 ** 52 + 2, 1e300])
+    def test_a_constant_series_too_large_for_half_a_unit_renders(self, value):
+        # lo - 0.5 and hi + 0.5 round back to the value here, which left an
+        # empty axis range to divide by
+        svg = line_chart([("flat", [0, 1], [value, value])])
+        assert len({y for _, y in points_of(polylines(svg)[0])}) == 1
+
     def test_two_point_series_gives_two_coordinates(self):
         svg = line_chart([("pair", [1, 2], [0.3, 0.9])])
         pts = points_of(polylines(svg)[0])

@@ -31,12 +31,10 @@ def test_cli_quick_start_config_validates(tmp_path, capsys):
 
 def test_cli_quick_start_runs_end_to_end(tmp_path, monkeypatch, capsys):
     """The commands below the demo config run as written: ``run`` writes
-    under ``CLTA_OUTPUT_ROOT``, where ``report`` and ``plot`` find it."""
-    work = tmp_path / "work"
-    work.mkdir()
-    (work / "demo.cfg").write_text(fenced_block("## Quick start (CLI)", ""))
-    monkeypatch.chdir(work)
-    monkeypatch.setenv("CLTA_OUTPUT_ROOT", str(tmp_path))
+    into ``run.output``, relative to the working directory, where ``report``
+    and ``plot`` find it, and its ``config.txt`` names that directory."""
+    (tmp_path / "demo.cfg").write_text(fenced_block("## Quick start (CLI)", ""))
+    monkeypatch.chdir(tmp_path)
     commands = [line.split("#")[0].split()
                 for line in fenced_block("## Quick start (CLI)", "sh").splitlines()]
     assert [argv[:2] for argv in commands] == [["clta", verb]
@@ -47,8 +45,9 @@ def test_cli_quick_start_runs_end_to_end(tmp_path, monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     assert "experiment demo: 5/5 seeds finished" in outputs[2]
     run_dir = tmp_path / "runs" / "demo"
+    assert "run.output = runs/demo\n" in (run_dir / "config.txt").read_text()
     svgs = sorted(run_dir.glob("*.svg"))
-    assert svgs and [f"wrote {path}" for path in svgs] == sorted(outputs[3].splitlines())
+    assert svgs and [f"wrote {path.relative_to(tmp_path)}" for path in svgs] == sorted(
+        outputs[3].splitlines())
     for path in svgs:
         assert path.read_text().rstrip().endswith("</svg>"), path
-    assert not (work / "runs").exists()
