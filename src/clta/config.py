@@ -3,22 +3,22 @@
 The on-disk format is plain text, one ``section.key = value`` per line,
 ``#`` comments allowed.  Each key is a field of a config dataclass, and
 the field declares it once: its annotation gives the key's type, its
-default the key's default and its metadata the key's value rule (see
-``errors.check_value``).  A key is spelled ``<section>.<field>``, where the
-section is the ``ExperimentConfig`` field holding the dataclass (``run``
-for ExperimentConfig's own fields, ``teacher`` for ``strategy``), except
-five keys that ``_KEY_NAMES`` spells out, such as ``corrupt.severity`` for
-``data.corrupt_severity``.  Parsing fills every unspecified key with its
-default and rejects keys it does not know, so typos fail loudly.  The
+default the key's default, and its metadata the key's value rule and,
+for five keys such as ``corrupt.severity``, the key's spelling; any other
+key is ``<SECTION>.<field>``, from the dataclass's ``SECTION`` (see
+``errors.key_of``).  Parsing only reads the text: it rejects keys it does
+not know, so typos fail loudly, and leaves every unspecified key to its
+field's default; the dataclasses then check every rule, once.  The
 normalized dump writes every key back in canonical order from the fields;
 parsing that dump reproduces the configuration exactly.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import Field, dataclass, field, fields, is_dataclass
-from typing import get_args, get_type_hints
+from typing import ClassVar, get_args, get_type_hints
 
 import numpy as np
 
@@ -26,10 +26,15 @@ from .distill import KDConfig, TeacherStrategy
 from .data import (CIFAR_RECORD, SIGMA_LADDER, cifar_record_count, read_idx_header,
                    split_classes)
 from .errors import (ConsistencyError, DataError, FormatError, ParameterError, check_fields,
-                     check_value)
+                     key_of)
 from .harness import TrainConfig, WarmupConfig
 from .layers import CNN_WIDTHS
 
+
+# the most elements one array of a synthetic run may hold: 2**28 float64s
+# take 2 GiB.  One fixed ceiling gives one verdict on every host; a run above
+# it would end each seed in MemoryError
+MAX_ELEMENTS = 2 ** 28
 
 # data.kind -> the DataSpec fields naming the files it reads
 DATA_FILES = {"idx": ("images", "labels", "test_images", "test_labels"),
@@ -38,6 +43,8 @@ DATA_FILES = {"idx": ("images", "labels", "test_images", "test_labels"),
 
 @dataclass
 class DataSpec:
+    SECTION: ClassVar[str] = "data"
+
     kind: str = field(default="synthetic", metadata={"choices": ("synthetic", "idx", "cifar")})
     n_tasks: int = field(default=2, metadata={">=": 1})
     classes_per_task: int = field(default=2, metadata={">=": 1})
@@ -56,7 +63,8 @@ class DataSpec:
     test_path: str | None = None
     split_scheme: str = field(default="equal", metadata={"choices": ("equal", "half_first")})
     order_seed: int | None = field(default=None, metadata={">=": 0})
-    corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER)})
+    corrupt_severity: int = field(default=0, metadata={">=": 0, "<=": len(SIGMA_LADDER),
+                                                       "key": "corrupt.severity"})
 
     def __post_init__(self):
         check_fields(self)
@@ -81,6 +89,8 @@ class DataSpec:
 
 @dataclass
 class ModelSpec:
+    SECTION: ClassVar[str] = "model"
+
     arch: str = field(default="mlp", metadata={"choices": ("mlp", "cnn")})
     norm: str = field(default="batch", metadata={"choices": ("batch", "none", "layer", "group")})
     hidden: int = field(default=64, metadata={">=": 1})
@@ -92,13 +102,15 @@ class ModelSpec:
 
 @dataclass
 class ExperimentConfig:
+    SECTION: ClassVar[str] = "run"
+
     data: DataSpec = field(default_factory=DataSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
     kd: KDConfig = field(default_factory=KDConfig)
     strategy: TeacherStrategy = field(default_factory=TeacherStrategy)
     train: TrainConfig = field(default_factory=TrainConfig)
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = field(default=(0,), metadata={">=": 0})
     output: str = "runs/experiment"
     config_id: str = "experiment"
     workers: int = field(default=1, metadata={">=": 1})
@@ -112,8 +124,6 @@ class ExperimentConfig:
         if len(set(seeds)) != len(seeds):
             raise ParameterError(f"run.seeds: each seed may appear once, "
                                  f"got {_normalize('intlist', seeds)}")
-        for seed in seeds:
-            check_value("run.seeds", seed, {">=": 0})
         if not self.output or "\0" in self.output:
             raise ParameterError(f"run.output: {self.output!r} does not name a directory")
         if model.norm == "group":
@@ -131,22 +141,50 @@ class ExperimentConfig:
         if (model.arch == "mlp") != vectors:
             raise ParameterError(f"model.arch: {model.arch} does not take the "
                                  f"{'vector' if vectors else 'image'} inputs of {source}")
+        if data.kind == "synthetic":
+            self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        """Raise ``ParameterError`` if the stream's inputs, the largest weight,
+        the largest activation at ``train.batch_size`` or the ``conv2d``
+        columns would hold more than ``MAX_ELEMENTS`` elements, naming the key
+        of the count's largest factor.  Computes counts and allocates nothing.
+        A file stream's sizes come from its files, which ``validate_config``
+        reads."""
+        data, model = self.data, self.model
+        tasks = ("data.n_tasks", data.n_tasks)
+        classes = ("data.classes_per_task", data.classes_per_task)
+        samples = ("data.samples_per_class", data.samples_per_class)
+        hidden = ("model.hidden", model.hidden)
+        sample = (("data.dim", data.dim) if model.arch == "mlp"
+                  else ("data.image_shape", math.prod(data.image_shape)))
+        # a batch holds at most one task's samples
+        rows = min(("train.batch_size", self.train.batch_size),
+                   ("data.samples_per_class", classes[1] * samples[1]), key=lambda kv: kv[1])
+        arrays = [("the stream's inputs", tasks, classes, samples, sample)]
+        if model.arch == "mlp":
+            arrays += [("a backbone weight", sample, hidden), ("a backbone weight", hidden, hidden),
+                       ("a head's weight", hidden, classes), ("an activation", rows, hidden)]
+        else:
+            c, h, w = data.image_shape
+            for width in CNN_WIDTHS:  # build_micro_cnn's 3x3 kernels, stride 2, padding 1
+                h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+                arrays += [("the conv2d columns", rows, ("data.image_shape", c * 9 * h * w)),
+                           ("an activation", rows, ("data.image_shape", width * h * w))]
+                c = width
+            arrays.append(("a head's weight", (classes[0], CNN_WIDTHS[-1] * classes[1])))
+        for what, *factors in arrays:
+            count = math.prod(value for _, value in factors)
+            if count > MAX_ELEMENTS:
+                key = max(factors, key=lambda kv: kv[1])[0]
+                raise ParameterError(f"{key}: {what} would hold {count} elements, above the "
+                                     f"ceiling of {MAX_ELEMENTS}")
 
 
 # section -> the dataclass its keys fill: the class an ExperimentConfig field
 # defaults to, or ExperimentConfig itself for the "run" keys
 _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
              if is_dataclass(f.default_factory)} | {"run": ExperimentConfig}
-
-# section.field -> key, for the keys not spelled that way; the other
-# strategy keys start with "teacher."
-_KEY_NAMES = {
-    "data.corrupt_severity": "corrupt.severity",
-    "strategy.teacher_lr": "teacher.lr",
-    "train.lr_decay_epochs": "train.decay_epochs",
-    "train.lr_decay_factor": "train.decay_factor",
-    "warmup.early_stop_patience": "warmup.patience",
-}
 
 # annotation -> type tag (shape is CxHxW); ``X | None`` takes the tag
 # opt<X>, which also accepts "none"
@@ -166,11 +204,9 @@ def _key_table() -> dict[str, tuple[str, str, Field]]:
     table = {}
     for section, cls in _SECTIONS.items():
         hints = get_type_hints(cls)
-        prefix = "teacher" if section == "strategy" else section
         for f in fields(cls):
             if not is_dataclass(f.default_factory):  # not one of the run's sections
-                key = _KEY_NAMES.get(f"{section}.{f.name}", f"{prefix}.{f.name}")
-                table[key] = (_tag(hints[f.name]), section, f)
+                table[key_of(cls, f)] = (_tag(hints[f.name]), section, f)
     return table
 
 
@@ -214,9 +250,9 @@ def _normalize(tag: str, value) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key-value document, apply defaults and check each value's own
-    rule; the config dataclasses check the rules that tie keys together."""
-    raw: dict[str, str] = {}
+    """Parse a key-value document; a key it does not set takes its field's
+    default, and the config dataclasses check every rule."""
+    kwargs = {section: {} for section in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -226,15 +262,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEY_TABLE:
             raise ParameterError(f"line {lineno}: unknown key '{key}'")
-        if key in raw:
+        tag, section, spec = _KEY_TABLE[key]
+        if spec.name in kwargs[section]:
             raise FormatError(f"line {lineno}: duplicate key '{key}'")
-        raw[key] = value
-
-    kwargs = {section: {} for section in _SECTIONS}
-    for key, (tag, section, spec) in _KEY_TABLE.items():
-        value = _parse_value(key, tag, raw[key]) if key in raw else spec.default
-        check_value(key, value, spec.metadata)
-        kwargs[section][spec.name] = value
+        kwargs[section][spec.name] = _parse_value(key, tag, value)
     run = kwargs.pop("run")
     return ExperimentConfig(**{section: _SECTIONS[section](**kw)
                                for section, kw in kwargs.items()}, **run)

@@ -22,6 +22,7 @@ normalization parameters) either up front or one step per student batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class KDConfig:
     ``weight`` when left unset.
     """
 
+    SECTION: ClassVar[str] = "kd"
+
     variant: str = field(default="global", metadata={"choices": KD_VARIANTS})
     temperature: float = field(default=2.0, metadata={">": 0})
     weight: float = field(default=10.0, metadata={">=": 0})
@@ -75,8 +78,10 @@ class TeacherStrategy:
     running statistics.
     """
 
+    SECTION: ClassVar[str] = "teacher"
+
     kind: str = field(default="frozen", metadata={"choices": STRATEGY_KINDS})
-    teacher_lr: float = field(default=0.1, metadata={">=": 0})
+    teacher_lr: float = field(default=0.1, metadata={">=": 0, "key": "teacher.lr"})
     pretrain_epochs: int = field(default=1, metadata={">=": 1})
 
     def __post_init__(self):

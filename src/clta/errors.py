@@ -1,15 +1,18 @@
 """Exception types shared across the package, and the field-rule checker.
 
-A dataclass field declares its value rule once, as ``metadata``: a bound
-under ``">="``, ``">"`` or ``"<="``, or the allowed values under
-``"choices"``.  ``check_fields`` applies every field's rule and is what
-each config dataclass's ``__post_init__`` calls; the config parser calls
-``check_value`` once per key, so its errors name the key.
+A config dataclass declares its key prefix once, as the ``SECTION`` class
+attribute, and each field declares its value rule once, as ``metadata``: a
+bound under ``">="``, ``">"`` or ``"<="``, or the allowed values under
+``"choices"``.  A field's key is ``<SECTION>.<field>`` unless its metadata
+spells it out under ``"key"`` (``key_of``).  ``check_fields`` is the one
+rule checker: each config dataclass's ``__post_init__`` calls it, so a
+config built in Python and one parsed from text fail with one message,
+naming the key.
 """
 
 import math
 import operator
-from dataclasses import fields
+from dataclasses import Field, fields
 
 
 class CltaError(Exception):
@@ -56,26 +59,32 @@ class StateError(CltaError):
     """Internal state is invalid (e.g. non-positive running variance)."""
 
 
+class OutputError(CltaError):
+    """A result file could not be written."""
+
+
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
-def check_value(name: str, value, rule) -> None:
-    """Raise ``ParameterError`` naming ``name`` if ``value`` breaks ``rule``.
-
-    Every float must be finite; None passes the bounds (an optional field
-    left unset) but not a choice list.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParameterError(f"{name}: must be finite, got {value}")
-    for op, bound in rule.items():
-        if op == "choices":
-            if value not in bound:
-                raise ParameterError(f"{name}: '{value}' is not one of {bound}")
-        elif value is not None and not _COMPARE[op](value, bound):
-            raise ParameterError(f"{name}: must be {op} {bound}, got {value}")
+def key_of(cls, f: Field) -> str:
+    """The config key of field ``f`` of the config dataclass ``cls``."""
+    return f.metadata.get("key", f"{cls.SECTION}.{f.name}")
 
 
 def check_fields(obj) -> None:
-    """Apply each dataclass field's rule to its value on ``obj``."""
+    """Raise ``ParameterError`` naming the key of the first field of ``obj``
+    whose value breaks the field's rule.
+
+    Every float must be finite; None passes the bounds (an optional field
+    left unset) but not a choice list; a tuple's rule applies to each item.
+    """
     for f in fields(obj):
-        check_value(f.name, getattr(obj, f.name), f.metadata)
+        key, value = key_of(type(obj), f), getattr(obj, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ParameterError(f"{key}: must be finite, got {item}")
+            for op, bound in f.metadata.items():
+                if op == "choices" and item not in bound:
+                    raise ParameterError(f"{key}: '{item}' is not one of {bound}")
+                if op in _COMPARE and item is not None and not _COMPARE[op](item, bound):
+                    raise ParameterError(f"{key}: must be {op} {bound}, got {item}")

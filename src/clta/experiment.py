@@ -10,6 +10,7 @@ OS kills leaves its seed a failed row too.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -25,7 +26,7 @@ from .config import DataSpec, ExperimentConfig, ModelSpec, dump_config
 from .data import (CorruptionSpec, TaskStream, corrupt_every_other,
                    load_cifar_binary, load_idx,
                    stream_from_datasets, synthetic_stream)
-from .errors import FormatError, ParameterError
+from .errors import FormatError, OutputError, ParameterError
 from .harness import run_stream
 from .layers import IncrementalModel, build_micro_cnn, build_micro_mlp
 from .metrics import compute_report
@@ -231,8 +232,12 @@ def results_json(result: ExperimentResult) -> str:
 
 
 def write_results(result: ExperimentResult, out_dir) -> list:
-    """Write config.txt, results.csv, aggregate.csv, results.json; return paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write config.txt, results.csv, aggregate.csv, results.json; return paths.
+
+    Each file is written under a temporary name in ``out_dir`` and moved into
+    place with ``os.replace``, so an interrupted write leaves the file whole
+    or absent, never half written.  An ``OSError`` raises ``OutputError``
+    naming the path, and removes the temporary file."""
     written = []
     for name, content in (
         ("config.txt", dump_config(result.config)),
@@ -241,8 +246,15 @@ def write_results(result: ExperimentResult, out_dir) -> list:
         ("results.json", results_json(result)),
     ):
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(content)
+            os.replace(path + ".tmp", path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         written.append(path)
     return written
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,11 +55,14 @@ class TrainConfig:
     and no weight decay.
     """
 
+    SECTION: ClassVar[str] = "train"
+
     epochs: int = field(default=20, metadata={">=": 1})
     batch_size: int = field(default=128, metadata={">=": 2})
     base_lr: float = field(default=0.1, metadata={">": 0})
-    lr_decay_epochs: tuple[int, ...] = (6, 12, 16)
-    lr_decay_factor: float = field(default=10.0, metadata={">": 1})
+    lr_decay_epochs: tuple[int, ...] = field(default=(6, 12, 16),
+                                             metadata={"key": "train.decay_epochs"})
+    lr_decay_factor: float = field(default=10.0, metadata={">": 1, "key": "train.decay_factor"})
     grad_clip: float | None = field(default=None, metadata={">": 0})
 
     def __post_init__(self):
@@ -79,11 +83,13 @@ class TrainConfig:
 class WarmupConfig:
     """Head-only warmup with a one-cycle learning rate and early stopping."""
 
+    SECTION: ClassVar[str] = "warmup"
+
     enabled: bool = False
     max_lr: float = field(default=0.1, metadata={">": 0})
     ramp_epochs: int = field(default=40, metadata={">=": 1})
     max_epochs: int = 200
-    early_stop_patience: int = field(default=20, metadata={">=": 1})
+    early_stop_patience: int = field(default=20, metadata={">=": 1, "key": "warmup.patience"})
 
     def __post_init__(self):
         check_fields(self)

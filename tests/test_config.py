@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clta.config import (DataSpec, ExperimentConfig, ModelSpec, dump_config,
+from clta.config import (MAX_ELEMENTS, DataSpec, ExperimentConfig, ModelSpec, dump_config,
                          load_config, parse_config, validate_config)
 from clta.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_idx, split_classes
 from clta.distill import KDConfig, TeacherStrategy
@@ -76,6 +77,30 @@ TOKENS = ("0", "1", "2", "3", "-1", "64", "1e9", "0.5", "-0.5", "nan", "inf", "-
 RANGED_FIELDS = [(cls, f.name) for cls in (DataSpec, ModelSpec, ExperimentConfig, KDConfig,
                                            TeacherStrategy, TrainConfig, WarmupConfig)
                  for f in fields(cls) if set(f.metadata) & {">=", ">", "<="}]
+
+# config dataclass -> the ALL_KEYS attribute path of its fields, and
+# (config dataclass, field name) -> the key that ALL_KEYS reads it under
+SECTION_OF = {DataSpec: "data", ModelSpec: "model", KDConfig: "kd",
+              TeacherStrategy: "strategy", TrainConfig: "train", WarmupConfig: "warmup",
+              ExperimentConfig: ""}
+KEY_OF_FIELD = {(cls, f.name): key for cls, section in SECTION_OF.items() for f in fields(cls)
+                for key, (_, path, _) in ALL_KEYS.items()
+                if path.rpartition(".")[::2] == (section, f.name)}
+
+# every key that has a range or choice rule, with values that break it
+BAD_VALUES = [
+    ("data.kind", "streaming"), ("data.n_tasks", 0), ("data.classes_per_task", 0),
+    ("data.dim", 0), ("data.samples_per_class", 2), ("data.blob_std", -0.5),
+    ("data.num_classes", 0), ("data.split_scheme", "thirds"), ("data.order_seed", -1),
+    ("corrupt.severity", -1), ("corrupt.severity", 6), ("model.arch", "rnn"),
+    ("model.norm", "spectral"), ("model.hidden", 0), ("model.groups", 0),
+    ("kd.variant", "local"), ("kd.temperature", 0.0), ("kd.weight", -1.0),
+    ("kd.aux_weight", -1.0), ("teacher.kind", "thawed"), ("teacher.lr", -1.0),
+    ("teacher.pretrain_epochs", 0), ("train.epochs", 0), ("train.batch_size", 1),
+    ("train.base_lr", 0.0), ("train.decay_factor", 1.0), ("train.grad_clip", 0.0),
+    ("warmup.max_lr", 0.0), ("warmup.ramp_epochs", 0), ("warmup.patience", 0),
+    ("run.seeds", (-1,)), ("run.seeds", (0, -2)), ("run.workers", 0),
+]
 
 # placeholder files for a DataSpec of data.kind = idx that never reads them
 IDX_FILES = {"images": "a.idx", "labels": "b.idx", "test_images": "c.idx",
@@ -246,6 +271,44 @@ class TestValidation:
         key = line.split(" = ")[0]
         assert f"{key}: " in str(err.value) and "unknown key" not in str(err.value)
 
+    @pytest.mark.parametrize("text, key, what", [
+        ("data.dim = 10000000000000", "data.dim", "the stream's inputs"),
+        ("model.hidden = 10000000000000", "model.hidden", "a backbone weight"),
+        ("data.samples_per_class = 10000000000000", "data.samples_per_class",
+         "the stream's inputs"),
+        ("model.arch = cnn\ndata.dim = none\ndata.image_shape = 3x100000x100000",
+         "data.image_shape", "the stream's inputs"),
+        ("model.arch = cnn\ndata.dim = none\ndata.image_shape = 1x1000x1000",
+         "data.image_shape", "the conv2d columns"),
+        ("data.samples_per_class = 3\ndata.classes_per_task = 6000\nmodel.hidden = 16000\n"
+         "train.batch_size = 18000", "train.batch_size", "an activation"),
+    ])
+    def test_a_run_too_large_to_allocate_names_the_key(self, text, key, what):
+        """The first four configs once passed and then failed every seed with
+        ``MemoryError``; now each config is rejected, allocating nothing."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"^{re.escape(key)}: {what} would hold "
+                                                     f"[0-9]+ elements, above the ceiling of "
+                                                     f"{MAX_ELEMENTS}$"):
+                parse_config(text + "\n")
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("samples, accepted", [(MAX_ELEMENTS // 16, True),
+                                                   (MAX_ELEMENTS // 16 + 1, False)])
+    def test_the_size_ceiling_holds_exactly(self, samples, accepted):
+        """A one-class stream of 16-element vectors reaches the ceiling at
+        ``MAX_ELEMENTS // 16`` samples; the config is only parsed, not run."""
+        text = (f"data.n_tasks = 1\ndata.classes_per_task = 1\n"
+                f"data.samples_per_class = {samples}\n")
+        if accepted:
+            parse_config(text)
+        else:
+            with pytest.raises(ParameterError, match="^data.samples_per_class: the stream's "):
+                parse_config(text)
+
     @settings(max_examples=80, deadline=None)
     # model.groups >= 1 is a range rule of its own, checked above
     @given(arch=st.sampled_from(["mlp", "cnn"]),
@@ -398,9 +461,38 @@ class TestValidation:
     @pytest.mark.parametrize("cls,name", RANGED_FIELDS,
                              ids=[f"{cls.__name__}.{name}" for cls, name in RANGED_FIELDS])
     def test_ranged_fields_reject_non_finite_values_from_python(self, cls, name):
+        key = KEY_OF_FIELD[cls, name]
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ParameterError, match=name):
+            with pytest.raises(ParameterError, match=f"^{re.escape(key)}: "):
                 cls(**{name: value})
+
+    def test_every_key_with_a_rule_has_bad_values(self):
+        ruled = {KEY_OF_FIELD[cls, f.name] for cls in SECTION_OF for f in fields(cls)
+                 if set(f.metadata) & {">=", ">", "<=", "choices"}}
+        assert {key for key, _ in BAD_VALUES} == ruled
+
+    @pytest.mark.parametrize("key,value", BAD_VALUES,
+                             ids=[f"{key}={value}" for key, value in BAD_VALUES])
+    def test_a_broken_rule_reads_alike_from_text_and_python(self, key, value):
+        """``parse_config`` and the dataclass built in Python raise one
+        message, which starts with the key."""
+        section, _, name = ALL_KEYS[key][1].rpartition(".")
+        cls = next(cls for cls, prefix in SECTION_OF.items() if prefix == section)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        with pytest.raises(ParameterError, match=f"^{re.escape(key)}: ") as from_text:
+            parse_config(f"{key} = {text}\n")
+        with pytest.raises(ParameterError) as from_python:
+            cls(**{name: value})
+        assert str(from_python.value) == str(from_text.value)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TrainConfig(epochs=0), "train.epochs: must be >= 1, got 0"),
+        (lambda: TeacherStrategy(teacher_lr=-1), "teacher.lr: must be >= 0, got -1"),
+        (lambda: DataSpec(corrupt_severity=9), "corrupt.severity: must be <= 5, got 9"),
+    ])
+    def test_a_config_built_in_python_names_the_key(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
     @settings(max_examples=400, deadline=None)
     @given(doc=st.dictionaries(

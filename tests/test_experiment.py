@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from clta import experiment
 from clta.cli import main
-from clta.config import _KEY_TABLE, ModelSpec, parse_config
+from clta.config import _KEY_TABLE, ModelSpec, dump_config, parse_config
 from clta.distill import KD_VARIANTS, STRATEGY_KINDS
-from clta.errors import ParameterError
+from clta.errors import OutputError, ParameterError
 from clta.experiment import (ExperimentResult, aggregate_csv, aggregate_rows,
                              build_model, build_stream, expected_tasks,
                              format_number, results_csv, results_json,
@@ -352,6 +352,37 @@ class TestWriteResults:
         for path in written:
             with open(path, "rb") as fh:
                 assert fh.read().endswith(b"\n")
+
+
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_a_failed_write_leaves_whole_files_and_no_temporary_one(self, tmp_path,
+                                                                   monkeypatch, fault):
+        """The third file fails: half its bytes reach the disk before the
+        disk is full, or a directory stands at its name.  The two files
+        before it are complete, and no temporary file or half file is left."""
+        cfg = parse_config("run.config_id = demo\n")
+        result = ExperimentResult(cfg, [hand_row()], aggregate_rows([hand_row()]))
+        target = tmp_path / "aggregate.csv"
+        if fault == "replace":
+            (target / "in_the_way").mkdir(parents=True)
+        else:
+            def open_filling_the_disk(path, *args, **kwargs):
+                fh = open(path, *args, **kwargs)
+                if os.path.basename(path).startswith("aggregate.csv"):
+                    def write(text):
+                        fh.buffer.write(text[:len(text) // 2].encode())
+                        fh.flush()
+                        raise OSError(28, "No space left on device")
+                    fh.write = write
+                return fh
+            monkeypatch.setattr(experiment, "open", open_filling_the_disk, raising=False)
+        with pytest.raises(OutputError, match=f"^cannot write {target}: "):
+            write_results(result, tmp_path)
+        assert (tmp_path / "config.txt").read_text() == dump_config(cfg)
+        assert (tmp_path / "results.csv").read_text() == results_csv(result)
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["aggregate.csv", "config.txt", "results.csv"] if fault == "replace"
+            else ["config.txt", "results.csv"])
 
 
 class TestBuilders:
